@@ -322,19 +322,11 @@ def _dg1_reference():
     return fam, rule, tab, mono
 
 
-def _cell_geometry_arrays(mesh: Mesh):
-    v = mesh.vertices[mesh.cells]
-    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    return v, B, detB
-
-
 def displacement_mass(space: DisplacementSpace) -> sp.csr_matrix:
     """Block-diagonal L2 Gram of the per-cell nodal P1 vector basis."""
     _, rule, tab, _ = _dg1_reference()
-    _, _, detB = _cell_geometry_arrays(space.mesh)
     local = np.einsum("iq,jq,q->ij", tab, tab, rule.weights)   # (3, 3)
-    blocks = np.abs(detB)[:, None, None] * local[None, :, :]
+    blocks = space.mesh.geometry.absdet[:, None, None] * local[None, :, :]
     comp_block = np.zeros((space.num_cells, 6, 6))
     comp_block[:, :3, :3] = blocks
     comp_block[:, 3:, 3:] = blocks
@@ -345,8 +337,7 @@ def displacement_projection(space: DisplacementSpace, f) -> np.ndarray:
     """Moment DOFs of a smooth vector field (its cellwise P1 projection)."""
     _, rule, _, mono = _dg1_reference()
     mesh = space.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    pts = mesh.geometry.push_points(rule.points)
     vals = np.asarray(f(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 2)
     # (1/|T|) int f_c m dx = 2 sum_q w_q f_c(x_q) m(x_q)
     moments = 2.0 * np.einsum("cqi,sq,q->cis", vals, mono, rule.weights)
@@ -359,11 +350,11 @@ def evaluate_displacement(space: DisplacementSpace, u: np.ndarray, rule=None):
     rule = rule or default_rule
     tab = fam.tabulate(rule.points)
     mesh = space.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    geo = mesh.geometry
+    pts = geo.push_points(rule.points)
     coef = u.reshape(mesh.num_cells, 2, 3)
     vals = np.einsum("cis,sq->cqi", coef, tab)
-    wdet = rule.weights[None, :] * np.abs(detB)[:, None]
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
     return pts, wdet, vals
 
 
@@ -371,14 +362,14 @@ def evaluate_stress(space: StressSpace, sigma: np.ndarray, rule=None):
     """(points, weights*|det|, values (nc, nq, 3)) of a stress DOF vector."""
     rule = rule or triangle_rule()
     mesh = space.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    geo = mesh.geometry
+    pts = geo.push_points(rule.points)
     nq = rule.points.shape[0]
     vals = np.empty((mesh.num_cells, nq, 3))
     for c, cell in enumerate(space.cells):
         tab = cell.tabulate(pts[c])                     # (24, nq, 3)
         vals[c] = np.einsum("s,sqi->qi", sigma[space.cell_dofs[c]], tab)
-    wdet = rule.weights[None, :] * np.abs(detB)[:, None]
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
     return pts, wdet, vals
 
 
@@ -397,15 +388,14 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     a1, a2 = compliance_coefficients(lam, mu)
     rule = triangle_rule()
     mesh = space.mesh
-    _, _, detB = _cell_geometry_arrays(mesh)
-    v, B, _ = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    geo = mesh.geometry
+    pts = geo.push_points(rule.points)
     # sigma : tau = s11 t11 + 2 s12 t12 + s22 t22
     metric = np.array([1.0, 2.0, 1.0])
     rows, cols, vals = [], [], []
     for c, cell in enumerate(space.cells):
         tab = cell.tabulate(pts[c])                       # (24, nq, 3)
-        w = rule.weights * abs(detB[c])
+        w = rule.weights * geo.absdet[c]
         contract = np.einsum("sqi,tqi,i,q->st", tab, tab, metric, w)
         trace = tab[:, :, 0] + tab[:, :, 2]
         tr_part = np.einsum("sq,tq,q->st", trace, trace, w)
@@ -423,8 +413,7 @@ def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_m
     """DOF matrix of div: (div sigma)'s displacement DOFs = D sigma."""
     _, rule, _, mono = _dg1_reference()
     mesh = space.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    pts = mesh.geometry.push_points(rule.points)
     rows, cols, vals = [], [], []
     for c, cell in enumerate(space.cells):
         dtab = cell.tabulate_div(pts[c])                  # (24, nq, 2)
@@ -442,12 +431,12 @@ def assemble_coupling(space: StressSpace, disp: DisplacementSpace) -> sp.csr_mat
     """b(sigma, v) = int div sigma . v, rows over displacement DOFs."""
     fam, rule, tab, _ = _dg1_reference()
     mesh = space.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    geo = mesh.geometry
+    pts = geo.push_points(rule.points)
     rows, cols, vals = [], [], []
     for c, cell in enumerate(space.cells):
         dtab = cell.tabulate_div(pts[c])                  # (24, nq, 2)
-        w = rule.weights * abs(detB[c])
+        w = rule.weights * geo.absdet[c]
         local = np.einsum("sqi,mq,q->ims", dtab, tab, w)  # (2, 3, 24)
         base = 6 * c
         rows.append(np.repeat(np.arange(base, base + 6), NDOF))
@@ -462,10 +451,10 @@ def load_vector(disp: DisplacementSpace, f) -> np.ndarray:
     """int f . v_k over the displacement nodal basis."""
     fam, rule, tab, _ = _dg1_reference()
     mesh = disp.mesh
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + rule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    geo = mesh.geometry
+    pts = geo.push_points(rule.points)
     vals = np.asarray(f(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 2)
-    wdet = rule.weights[None, :] * np.abs(detB)[:, None]
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
     out = np.einsum("cqi,mq,cq->cim", vals, tab, wdet)
     return out.reshape(-1)
 
@@ -498,8 +487,7 @@ def interpolate_stress(space: StressSpace, field) -> np.ndarray:
                 out[edge_base + eid * 4 + cidx * 2 + deg] = smom[deg] @ traction
 
     trule = triangle_rule()
-    v, B, detB = _cell_geometry_arrays(mesh)
-    pts = v[:, 0][:, None, :] + trule.points[None, :, :] @ np.swapaxes(B, 1, 2)
+    pts = mesh.geometry.push_points(trule.points)
     vals = np.asarray(field(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 3)
     means = 2.0 * np.einsum("cqi,q->ci", vals, trule.weights)
     cell_base = 3 * mesh.num_vertices + 4 * mesh.num_entities(1)

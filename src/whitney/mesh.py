@@ -9,6 +9,13 @@ the parity of an identity permutation (always +1); tangents run from
 the lower to the higher vertex index and 2D edge normals are the
 tangent rotated clockwise by 90 degrees.
 
+Tables are built with whole-array operations: the k-subsimplices of all
+cells are gathered at once, ordered with np.lexsort, and a new entity
+starts wherever a sorted row differs from its predecessor, so a cumsum
+of those marks numbers them and yields the cell-to-entity tables.  Cell
+geometry (the affine maps onto every cell) is computed on first use and
+cached on the immutable mesh.
+
 Text format (comments start with '#'):
 
     mesh <dim> <nvertices> <nsimplices>
@@ -18,6 +25,7 @@ Text format (comments start with '#'):
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from io import StringIO
 
 import numpy as np
@@ -31,6 +39,25 @@ class MeshFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class CellGeometry:
+    """Affine maps x = origin + B xi from the reference simplex onto every
+    cell (columns of B are v_i - v_0), with det B, B^-1 and |det B|."""
+
+    def __init__(self, vertices: np.ndarray, cells: np.ndarray):
+        v = vertices[cells]
+        self.origin = v[:, 0, :]
+        self.B = np.transpose(v[:, 1:, :] - v[:, :1, :], (0, 2, 1))
+        self.detB = np.linalg.det(self.B)
+        self.Binv = np.linalg.inv(self.B)
+        self.absdet = np.abs(self.detB)
+        for arr in (self.origin, self.B, self.detB, self.Binv, self.absdet):
+            arr.setflags(write=False)
+
+    def push_points(self, ref_pts):
+        """Reference points to physical points: (nc, nq, dim)."""
+        return self.origin[:, None, :] + np.einsum("cij,qj->cqi", self.B, ref_pts)
 
 
 class Mesh:
@@ -76,36 +103,20 @@ class Mesh:
             raise MeshFormatError("duplicate simplex")
 
         self.entities: list[np.ndarray] = [None] * (dim + 1)
-        self.entities[0] = np.arange(nv, dtype=np.int64).reshape(-1, 1)
-        self.entities[dim] = cells
-        for k in range(1, dim):
-            subs = set()
-            for cell in cells:
-                for combo in itertools.combinations(cell.tolist(), k + 1):
-                    subs.add(combo)
-            self.entities[k] = np.array(sorted(subs), dtype=np.int64)
-
-        self._index: list[dict] = [
-            {tuple(row): i for i, row in enumerate(tab.tolist())} for tab in self.entities
-        ]
-
-        # cell -> sub-entity id tables; local sub-entities enumerated in
-        # lexicographic order of local vertex index tuples
         self._cell_sub: list[np.ndarray] = [None] * (dim + 1)
-        for k in range(dim + 1):
-            combos = list(itertools.combinations(range(dim + 1), k + 1))
-            table = np.empty((cells.shape[0], len(combos)), dtype=np.int64)
-            for c, cell in enumerate(cells.tolist()):
-                for j, combo in enumerate(combos):
-                    table[c, j] = self._index[k][tuple(cell[i] for i in combo)]
-            self._cell_sub[k] = table
+        self.entities[0] = np.arange(nv, dtype=np.int64).reshape(-1, 1)
+        self._cell_sub[0] = cells
+        for k in range(1, dim):
+            self.entities[k], self._cell_sub[k] = _number_subsimplices(cells, k)
+        self.entities[dim] = cells
+        self._cell_sub[dim] = np.arange(cells.shape[0], dtype=np.int64).reshape(-1, 1)
 
         self._derive_boundary()
         self._check_conformity()
         degenerate = np.abs(self.signed_cell_volumes()) <= 1e-14 * self.scale() ** dim
         if np.any(degenerate):
             raise MeshFormatError("degenerate simplex (zero volume)")
-        for tab in self.entities:
+        for tab in self.entities + self._cell_sub:
             tab.setflags(write=False)
         self.vertices.setflags(write=False)
 
@@ -114,25 +125,19 @@ class Mesh:
     def _derive_boundary(self):
         dim = self.dim
         facets = self.entities[dim - 1]
-        counts = np.zeros(facets.shape[0], dtype=np.int64)
-        for c in range(self.num_cells):
-            for fid in self._cell_sub[dim - 1][c]:
-                counts[fid] += 1
+        counts = np.bincount(self._cell_sub[dim - 1].ravel(), minlength=facets.shape[0])
         self._facet_cell_count = counts
         self.boundary: list[np.ndarray] = [None] * (dim + 1)
         self.boundary[dim - 1] = counts == 1
         self.boundary[dim] = np.zeros(self.num_cells, dtype=bool)
-        bverts = np.zeros(self.num_vertices, dtype=bool)
-        for fid in np.nonzero(self.boundary[dim - 1])[0]:
-            bverts[facets[fid]] = True
-        self.boundary[0] = bverts
+        self.boundary[0] = np.zeros(self.num_vertices, dtype=bool)
+        self.boundary[0][facets[self.boundary[dim - 1]]] = True
         if dim == 3:
-            bedges = np.zeros(self.entities[1].shape[0], dtype=bool)
-            for fid in np.nonzero(self.boundary[2])[0]:
-                a, b, c = self.entities[2][fid].tolist()
-                for pair in ((a, b), (a, c), (b, c)):
-                    bedges[self._index[1][pair]] = True
-            self.boundary[1] = bedges
+            edges = self.entities[1]
+            pairs = facets[self.boundary[2]][:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+            keys = edges[:, 0] * self.num_vertices + edges[:, 1]   # ascending: table is lexsorted
+            self.boundary[1] = np.zeros(edges.shape[0], dtype=bool)
+            self.boundary[1][np.searchsorted(keys, pairs[:, 0] * self.num_vertices + pairs[:, 1])] = True
         for flags in self.boundary:
             flags.setflags(write=False)
 
@@ -157,11 +162,31 @@ class Mesh:
     def cells(self) -> np.ndarray:
         return self.entities[self.dim]
 
+    @cached_property
+    def geometry(self) -> CellGeometry:
+        """Per-cell affine geometry, computed on first use."""
+        return CellGeometry(self.vertices, self.cells)
+
     def num_entities(self, k: int) -> int:
         return self.entities[k].shape[0]
 
     def entity_id(self, k: int, verts) -> int:
-        return self._index[k][tuple(sorted(int(v) for v in verts))]
+        """Id of the k-entity with the given vertices (any order).
+
+        Narrows the lexsorted table one column at a time; raises KeyError
+        when no such entity exists.
+        """
+        key = sorted(int(v) for v in verts)
+        if len(key) != k + 1:
+            raise KeyError(tuple(key))
+        tab = self.entities[k]
+        lo, hi = 0, tab.shape[0]
+        for col, v in enumerate(key):
+            column = tab[lo:hi, col]
+            lo, hi = lo + np.searchsorted(column, v, "left"), lo + np.searchsorted(column, v, "right")
+        if hi - lo != 1:
+            raise KeyError(tuple(key))
+        return int(lo)
 
     def cell_subentities(self, k: int) -> np.ndarray:
         """(num_cells, C(dim+1, k+1)) array of global sub-entity ids."""
@@ -229,7 +254,36 @@ class Mesh:
         return sign
 
 
+def _number_subsimplices(cells: np.ndarray, k: int):
+    """Lexsorted table of the k-subsimplices of ascending cells, and the
+    (num_cells, C(dim+1, k+1)) map from each cell's local k-subsimplices
+    (lexicographic in local vertex indices) to rows of that table."""
+    combos = np.array(list(itertools.combinations(range(cells.shape[1]), k + 1)))
+    subs = cells[:, combos].reshape(-1, k + 1)
+    order = np.lexsort(subs.T[::-1])
+    ranked = subs[order]
+    starts = np.ones(ranked.shape[0], dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(ranked.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ranked[starts], ids.reshape(cells.shape[0], combos.shape[0])
+
+
 # -- generators --------------------------------------------------------------
+
+
+def _band_quads(rings: int, m: int, first: int):
+    """Corner ids (a, b, c, d) of the quads between consecutive rings of
+    m vertices each, ring r starting at vertex first + r * m."""
+    ring, j = np.divmod(np.arange(rings * m), m)
+    a = first + ring * m + j
+    b = first + ring * m + (j + 1) % m
+    return a, b, a + m, b + m
+
+
+def _ring_vertices(radii, theta):
+    """(r cos t, r sin t) for every radius (outer) and angle (inner)."""
+    return np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
 
 
 def generate_square_mesh(n: int, pattern: str = "uniform", side: float = 1.0) -> Mesh:
@@ -244,32 +298,18 @@ def generate_square_mesh(n: int, pattern: str = "uniform", side: float = 1.0) ->
     if pattern not in ("uniform", "crossed"):
         raise ValueError(f"unknown pattern {pattern!r}")
     xs = np.linspace(0.0, side, n + 1)
-    grid = np.array([(x, y) for y in xs for x in xs])
-
-    def gid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     if pattern == "uniform":
-        verts = grid
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = gid(i, j), gid(i + 1, j)
-                v01, v11 = gid(i, j + 1), gid(i + 1, j + 1)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v01, v11))
+        cells = np.concatenate([np.stack([v00, v10, v11], axis=1), np.stack([v00, v01, v11], axis=1)])
     else:
-        centers = np.array(
-            [((xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2) for j in range(n) for i in range(n)]
-        )
-        verts = np.vstack([grid, centers])
-        for j in range(n):
-            for i in range(n):
-                c = (n + 1) ** 2 + j * n + i
-                v00, v10 = gid(i, j), gid(i + 1, j)
-                v01, v11 = gid(i, j + 1), gid(i + 1, j + 1)
-                for a, b in ((v00, v10), (v10, v11), (v11, v01), (v01, v00)):
-                    cells.append((a, b, c))
+        mids = (xs[:-1] + xs[1:]) / 2
+        verts = np.vstack([verts, np.stack(np.meshgrid(mids, mids), axis=-1).reshape(-1, 2)])
+        centre = (n + 1) ** 2 + np.arange(n * n)
+        cells = np.concatenate([np.stack([a, b, centre], axis=1)
+                                for a, b in ((v00, v10), (v10, v11), (v11, v01), (v01, v00))])
     tag = f"square(n={n},pattern={pattern},side={side:g})"
     return Mesh(2, verts, cells, domain_tag=tag)
 
@@ -281,24 +321,15 @@ def generate_cube_mesh(n: int, side: float = 1.0) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, side, n + 1)
-    verts = np.array([(x, y, z) for z in xs for y in xs for x in xs])
-
-    def gid(i, j, k):
-        return (k * (n + 1) + j) * (n + 1) + i
-
-    perms = list(itertools.permutations(range(3)))
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    path = [base.copy()]
-                    for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    cells.append(tuple(gid(*p) for p in path))
+    z, y, x = np.meshgrid(xs, xs, xs, indexing="ij")
+    verts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
+    stride = np.array([1, n + 1, (n + 1) ** 2])
+    # each tetrahedron walks from a cube's lowest corner along the axes in one order
+    paths = np.array([np.cumsum([0] + [stride[axis] for axis in perm])
+                      for perm in itertools.permutations(range(3))])
+    k, j, i = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    base = (k * (n + 1) + j) * (n + 1) + i
+    cells = (base[:, None, None] + paths[None, :, :]).reshape(-1, 4)
     tag = f"cube(n={n},side={side:g})"
     return Mesh(3, verts, cells, domain_tag=tag)
 
@@ -317,18 +348,9 @@ def generate_annulus_mesh(n: int, r_inner: float = 0.5, r_outer: float = 1.0) ->
     rings = max(1, round(n * (r_outer - r_inner) / (np.pi * (r_inner + r_outer))))
     radii = np.linspace(r_inner, r_outer, rings + 1)
     theta = 2.0 * np.pi * np.arange(n) / n
-    verts = np.array([(r * np.cos(t), r * np.sin(t)) for r in radii for t in theta])
-
-    def gid(ring, j):
-        return ring * n + j % n
-
-    cells = []
-    for ring in range(rings):
-        for j in range(n):
-            a, b = gid(ring, j), gid(ring, j + 1)
-            c, d = gid(ring + 1, j), gid(ring + 1, j + 1)
-            cells.append((a, b, d))
-            cells.append((a, c, d))
+    verts = _ring_vertices(radii, theta)
+    a, b, c, d = _band_quads(rings, n, 0)
+    cells = np.concatenate([np.stack([a, b, d], axis=1), np.stack([a, c, d], axis=1)])
     tag = f"annulus(n={n},r_inner={r_inner:g},r_outer={r_outer:g})"
     return Mesh(2, verts, cells, domain_tag=tag)
 
@@ -340,24 +362,12 @@ def generate_disk_mesh(n: int, radius: float = 1.0) -> Mesh:
         raise ValueError("n must be >= 1")
     m = 6 * n
     theta = 2.0 * np.pi * np.arange(m) / m
-    verts = [(0.0, 0.0)]
-    for ring in range(1, n + 1):
-        r = radius * ring / n
-        verts.extend((r * np.cos(t), r * np.sin(t)) for t in theta)
-    verts = np.array(verts)
-
-    def gid(ring, j):
-        return 1 + (ring - 1) * m + j % m
-
-    cells = []
-    for j in range(m):
-        cells.append((0, gid(1, j), gid(1, j + 1)))
-    for ring in range(1, n):
-        for j in range(m):
-            a, b = gid(ring, j), gid(ring, j + 1)
-            c, d = gid(ring + 1, j), gid(ring + 1, j + 1)
-            cells.append((a, b, d))
-            cells.append((a, c, d))
+    radii = radius * np.arange(1, n + 1) / n
+    verts = np.vstack([np.zeros((1, 2)), _ring_vertices(radii, theta)])
+    j = np.arange(m)
+    fan = np.stack([np.zeros(m, dtype=np.int64), 1 + j, 1 + (j + 1) % m], axis=1)
+    a, b, c, d = _band_quads(n - 1, m, 1)
+    cells = np.concatenate([fan, np.stack([a, b, d], axis=1), np.stack([a, c, d], axis=1)])
     tag = f"disk(n={n},radius={radius:g})"
     return Mesh(2, verts, cells, domain_tag=tag)
 

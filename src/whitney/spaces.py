@@ -14,6 +14,16 @@ degree of freedom is invariant under the pullback.  The local-to-global
 sign table is therefore identically +1; it is kept explicit so the
 orientation bookkeeping stays visible and testable.
 
+Every map is affine, so each side of a form is a fixed reference
+tabulation times a per-cell matrix M_c (B^-T for covariant values and
+gradients, B/det for contravariant values and 3D curl, 1/det for 2D
+curl and div, 1 for scalar values).  Local matrices are then a per-cell
+geometry tensor G_c = |det| M_row^T C M_col times a reference tensor
+R = sum_q w_q ref_r (x) ref_s, one matrix product for all cells (Kirby
+& Logg, "A compiler for variational forms", ACM TOMS 2006).  The
+derivative matrix is a single sorted scatter and the canonical
+projection calls the field once per entity kind.
+
 Essential boundary conditions are realized by eliminating DOFs attached
 to boundary entities of codimension >= 1 (value trace for scalar
 families, tangential trace for edge families, normal trace for face
@@ -116,33 +126,11 @@ def build_space(mesh: Mesh, family, bc: str = "none") -> DiscreteSpace:
     return DiscreteSpace(mesh, family, bc, ndofs, cell_dofs, signs, dof_entity, dof_boundary, free)
 
 
-# -- geometry and tabulation caches -------------------------------------------
+# -- pullbacks and assembly ----------------------------------------------------
 
 
-class _CellGeometry:
-    def __init__(self, mesh: Mesh):
-        cells = mesh.cells
-        v = mesh.vertices[cells]
-        self.origin = v[:, 0, :]
-        self.B = np.transpose(v[:, 1:, :] - v[:, :1, :], (0, 2, 1))  # columns v_i - v_0
-        self.detB = np.linalg.det(self.B)
-        self.Binv = np.linalg.inv(self.B)
-        self.absdet = np.abs(self.detB)
-
-    def push_points(self, ref_pts):
-        """Reference points to physical points: (nc, nq, dim)."""
-        return self.origin[:, None, :] + np.einsum("cij,qj->cqi", self.B, ref_pts)
-
-
-_GEOMETRY_CACHE: dict[int, _CellGeometry] = {}
-
-
-def cell_geometry(mesh: Mesh) -> _CellGeometry:
-    geo = _GEOMETRY_CACHE.get(id(mesh))
-    if geo is None or geo.origin.shape[0] != mesh.num_cells:
-        geo = _CellGeometry(mesh)
-        _GEOMETRY_CACHE[id(mesh)] = geo
-    return geo
+class DerivativeNotSingleValuedError(ValueError):
+    """Cells sharing a target DOF disagree on its derivative entry."""
 
 
 def _reference_tab(family: ElementFamily, what: str):
@@ -155,64 +143,57 @@ def _reference_tab(family: ElementFamily, what: str):
     return rule, cached
 
 
-def _physical_values(family, geo, ref_vals):
-    """Push reference basis values through the Piola map: (nc, nsh, nq[, d])."""
-    nc = geo.B.shape[0]
-    if family.value_kind == "scalar":
-        return np.broadcast_to(ref_vals, (nc,) + ref_vals.shape)
-    if family.mapping == "covariant":
-        return np.einsum("sqj,cji->csqi", ref_vals, geo.Binv)
-    if family.mapping == "contravariant":
-        return np.einsum("sqj,cij->csqi", ref_vals, geo.B) / geo.detB[:, None, None, None]
-    raise ValueError(f"no vector value map for {family.mapping}")
+def _pullback(family: ElementFamily, derivative: bool, geo) -> np.ndarray:
+    """Per-cell maps M_c taking reference values (or derivatives) to
+    physical ones, phys = M_c ref: (nc, p, m), with p = m = 1 for
+    scalar-valued sides."""
+    kind = family.derivative_kind if derivative else family.mapping
+    if kind is None:
+        raise ValueError(f"{family.name} has no derivative")
+    if kind in ("grad", "covariant"):
+        return np.transpose(geo.Binv, (0, 2, 1))
+    if kind == "contravariant" or (kind == "curl" and family.mesh_dim == 3):
+        return geo.B / geo.detB[:, None, None]
+    if kind in ("curl", "div"):
+        return (1.0 / geo.detB)[:, None, None]
+    return np.ones((geo.detB.shape[0], 1, 1))
 
 
-def _physical_derivatives(family, geo, ref_ders):
-    kind = family.derivative_kind
-    nc = geo.B.shape[0]
-    if kind == "grad":
-        return np.einsum("sqj,cji->csqi", ref_ders, geo.Binv)
-    if kind == "curl":
-        if family.mesh_dim == 2:
-            return ref_ders[None, :, :] / geo.detB[:, None, None]
-        return np.einsum("sqj,cij->csqi", ref_ders, geo.B) / geo.detB[:, None, None, None]
-    if kind == "div":
-        return ref_ders[None, :, :] / geo.detB[:, None, None]
-    raise ValueError(f"{family.name} has no derivative")
+def _as_vector_tab(ref: np.ndarray) -> np.ndarray:
+    """Reference tabulation as (nshape, nq, m), m = 1 for scalar values."""
+    return ref.reshape(ref.shape[0], ref.shape[1], -1)
 
 
-def _side_tab(space, operator, geo):
-    """(tabulated physical side, is_vector) for one side of a bilinear form."""
-    fam = space.family
-    if operator != "identity" and fam.derivative_kind == operator:
-        rule, ref = _reference_tab(fam, "derivative")
-        phys = _physical_derivatives(fam, geo, ref)
-    else:
-        rule, ref = _reference_tab(fam, "values")
-        phys = _physical_values(fam, geo, ref)
-    return phys, phys.ndim == 4
+def _field_values(space: DiscreteSpace, u, ref, M) -> np.ndarray:
+    """Field values sum_s u_s M_c ref_s at the tabulated points: (nc, nq, p)."""
+    ref = _as_vector_tab(ref)
+    coef = u[space.cell_dofs] * space.cell_signs
+    ref_vals = (coef @ ref.reshape(ref.shape[0], -1)).reshape(coef.shape[0], ref.shape[1], -1)
+    return np.einsum("cij,cqj->cqi", M, ref_vals)
 
 
-def _coefficient_samples(coefficient, pts, dim, vector):
-    """Coefficient at physical points: scalar (nc, nq) or matrix (nc, nq, d, d)."""
-    nc, nq = pts.shape[:2]
-    if callable(coefficient):
-        flat = pts.reshape(-1, dim)
-        vals = np.asarray(coefficient(flat))
-        if vals.ndim == 1:
-            vals = vals.reshape(nc, nq)
-            return (vals[..., None, None] * np.eye(dim)) if vector else vals
-        return vals.reshape(nc, nq, dim, dim)
+def _coefficient_matrix(coefficient, dim: int, vector: bool) -> np.ndarray:
+    """Constant coefficient as a (p, p) matrix, p = dim for vector
+    integrands and 1 for scalar ones."""
     coefficient = np.asarray(coefficient, dtype=float)
     if coefficient.ndim == 0:
-        if vector:
-            return np.broadcast_to(float(coefficient) * np.eye(dim), (nc, nq, dim, dim))
-        return np.full((nc, nq), float(coefficient))
+        return float(coefficient) * np.eye(dim if vector else 1)
     if coefficient.shape != (dim, dim):
         raise ValueError("matrix coefficient must be (dim, dim)")
     if not vector:
         raise ValueError("matrix coefficient with scalar-valued integrand")
-    return np.broadcast_to(coefficient, (nc, nq, dim, dim))
+    return coefficient
+
+
+def _coefficient_samples(coefficient, pts, dim: int, vector: bool) -> np.ndarray:
+    """Callable coefficient at physical points (nc, nq, dim) as (nc, nq, p, p)."""
+    nc, nq = pts.shape[:2]
+    vals = np.asarray(coefficient(pts.reshape(-1, dim)))
+    if vals.ndim == 1:
+        return vals.reshape(nc, nq, 1, 1) * np.eye(dim if vector else 1)
+    if not vector:
+        raise ValueError("matrix coefficient with scalar-valued integrand")
+    return vals.reshape(nc, nq, dim, dim)
 
 
 def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
@@ -223,36 +204,47 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
     each side whose family supports it (identity otherwise), which
     covers mass, stiffness, curl-curl, div-div and mixed couplings like
     int v div(tau) with a discontinuous row space.
+
+    The local matrices are one product G @ R of a per-cell geometry
+    tensor G and a reference tensor R.  For a constant coefficient
+    G_c = |det B| M_row^T C M_col and R = sum_q w_q ref_r (x) ref_s; a
+    callable coefficient keeps the quadrature axis in G.
     """
     if row_space.mesh is not col_space.mesh:
         raise ValueError("row and column spaces live on different meshes")
     if operator not in ("identity", "grad", "curl", "div"):
         raise ValueError(f"unknown operator {operator!r}")
     mesh = row_space.mesh
-    geo = cell_geometry(mesh)
+    geo = mesh.geometry
     rule = simplex_rule(mesh.dim)
     if operator != "identity" and (row_space.family.derivative_kind != operator
                                    and col_space.family.derivative_kind != operator):
         raise ValueError(f"operator {operator!r} applies to neither family")
 
-    row_tab, row_vec = _side_tab(row_space, operator, geo)
-    col_tab, col_vec = _side_tab(col_space, operator, geo)
+    sides = []
+    for space in (row_space, col_space):
+        derivative = operator != "identity" and space.family.derivative_kind == operator
+        _, ref = _reference_tab(space.family, "derivative" if derivative else "values")
+        sides.append((_as_vector_tab(ref), _pullback(space.family, derivative, geo), ref.ndim == 3))
+    (ref_r, M_r, row_vec), (ref_c, M_c, col_vec) = sides
     if row_vec != col_vec:
         raise ValueError("mixed scalar/vector integrand; operator pairing is inconsistent")
 
-    wdet = rule.weights[None, :] * geo.absdet[:, None]  # (nc, nq)
-    if row_vec:
-        pts = geo.push_points(rule.points)
-        C = _coefficient_samples(coefficient, pts, mesh.dim, True)
-        Ccol = np.einsum("cqij,csqj->csqi", C, col_tab)
-        local = np.einsum("crqi,csqi,cq->crs", row_tab, Ccol, wdet)
+    M_rT = np.transpose(M_r, (0, 2, 1))
+    if callable(coefficient):
+        C = _coefficient_samples(coefficient, geo.push_points(rule.points), mesh.dim, row_vec)
+        wdet = rule.weights[None, :] * geo.absdet[:, None]
+        G = (M_rT[:, None] @ C @ M_c[:, None]) * wdet[:, :, None, None]
+        R = np.einsum("rqa,sqb->qabrs", ref_r, ref_c)
     else:
-        pts = geo.push_points(rule.points)
-        c = _coefficient_samples(coefficient, pts, mesh.dim, False)
-        local = np.einsum("crq,csq,cq->crs", row_tab, col_tab * c[:, None, :], wdet)
+        C = _coefficient_matrix(coefficient, mesh.dim, row_vec)
+        G = (M_rT @ C @ M_c) * geo.absdet[:, None, None]
+        R = np.einsum("rqa,sqb,q->abrs", ref_r, ref_c, rule.weights)
+    nr, ns = ref_r.shape[0], ref_c.shape[0]
+    local = G.reshape(mesh.num_cells, -1) @ R.reshape(-1, nr * ns)
 
-    rows = np.repeat(row_space.cell_dofs, col_space.family.shape_dim, axis=1).ravel()
-    cols = np.tile(col_space.cell_dofs, (1, row_space.family.shape_dim)).ravel()
+    rows = np.repeat(row_space.cell_dofs, ns, axis=1).ravel()
+    cols = np.tile(col_space.cell_dofs, (1, nr)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(row_space.ndofs, col_space.ndofs))
     return A.tocsr()
 
@@ -265,39 +257,38 @@ def assemble_derivative(space_from: DiscreteSpace, space_to: DiscreteSpace) -> s
     """Global derivative matrix D: DOFs of d(u) from DOFs of u.
 
     Shared target DOFs receive identical values from every incident
-    cell (the image of the derivative is single-valued); this is
-    asserted during assembly.
+    cell (the image of the derivative is single-valued).  All cell
+    contributions are sorted by (row, col) once; each run of equal keys
+    is checked against its first entry, which becomes the stored value.
+    Raises DerivativeNotSingleValuedError when a run disagrees.
     """
     if space_from.mesh is not space_to.mesh:
         raise ValueError("spaces live on different meshes")
     fam_f, fam_t = space_from.family, space_to.family
     L = local_derivative_matrix(fam_f, fam_t)
-    geo = cell_geometry(space_from.mesh)
+    mesh = space_from.mesh
     into_density = fam_t.mapping == "l2" and fam_f.mapping in ("covariant", "contravariant")
-    entries: dict[tuple[int, int], float] = {}
-    scale = max(np.abs(L).max(), 1.0)
-    for c in range(space_from.mesh.num_cells):
-        Lc = L / geo.detB[c] if into_density else L
-        gr = space_to.cell_dofs[c]
-        gc = space_from.cell_dofs[c]
-        for i in range(fam_t.shape_dim):
-            for j in range(fam_f.shape_dim):
-                v = Lc[i, j]
-                key = (int(gr[i]), int(gc[j]))
-                old = entries.get(key)
-                if old is None:
-                    entries[key] = v
-                elif abs(old - v) > 1e-9 * scale:
-                    raise AssertionError(
-                        f"derivative DOF {key} double-valued: {old} vs {v}")
-    if entries:
-        keys = np.array(list(entries.keys()), dtype=np.int64)
-        vals = np.array(list(entries.values()))
-        D = sp.coo_matrix((vals, (keys[:, 0], keys[:, 1])),
-                          shape=(space_to.ndofs, space_from.ndofs))
+    shape = (mesh.num_cells,) + L.shape
+    if into_density:
+        vals = L[None, :, :] / mesh.geometry.detB[:, None, None]
     else:
-        D = sp.coo_matrix((space_to.ndofs, space_from.ndofs))
-    return D.tocsr()
+        vals = np.broadcast_to(L, shape)
+    rows = np.broadcast_to(space_to.cell_dofs[:, :, None], shape).ravel()
+    cols = np.broadcast_to(space_from.cell_dofs[:, None, :], shape).ravel()
+    order = np.argsort(rows * space_from.ndofs + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals.ravel()[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    kept, run = vals[first], np.cumsum(first) - 1
+    bad = np.flatnonzero(np.abs(vals - kept[run]) > 1e-9 * max(np.abs(L).max(), 1.0))
+    if bad.size:
+        i = bad[0]
+        raise DerivativeNotSingleValuedError(
+            f"derivative DOF {(int(rows[i]), int(cols[i]))} double-valued: {kept[run[i]]} vs {vals[i]}")
+    D = sp.coo_matrix((kept, (rows[first], cols[first])),
+                      shape=(space_to.ndofs, space_from.ndofs)).tocsr()
+    D.eliminate_zeros()
+    return D
 
 
 # -- canonical projection ------------------------------------------------------
@@ -322,6 +313,8 @@ def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
     global orientation conventions; interior DOFs are evaluated per cell
     through the family's pullback.  The result restricted to any cell
     coincides with the reference-element DOFs of the pulled-back field.
+    The field is called once per entity kind, on the quadrature points
+    of all entities of that kind.
     """
     f = _as_callable(fieldlike)
     mesh = space.mesh
@@ -343,21 +336,22 @@ def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
     if prog1:
         rule = interval_rule()
         s = rule.points[:, 0]
-        for eid, (a, b) in enumerate(mesh.entities[1].tolist()):
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            pts = va[None, :] + s[:, None] * (vb - va)[None, :]
-            vals = np.asarray(f(pts))
-            for slot, dof in enumerate(prog1):
-                wmono = s ** dof.weight[0]
-                if dof.kind == "scalar":
-                    integrand = vals
-                elif dof.kind == "tangential":
-                    integrand = vals @ (vb - va)
-                elif dof.kind == "normal":
-                    integrand = vals @ np.array([vb[1] - va[1], -(vb[0] - va[0])])
-                else:
-                    raise ValueError(f"bad edge dof kind {dof.kind}")
-                out[base[1] + eid * counts[1] + slot] = np.sum(rule.weights * wmono * integrand)
+        edges = mesh.entities[1]
+        va = mesh.vertices[edges[:, 0]]
+        tangent = mesh.vertices[edges[:, 1]] - va
+        pts = va[:, None, :] + s[None, :, None] * tangent[:, None, :]
+        vals = np.asarray(f(pts.reshape(-1, mesh.dim))).reshape(pts.shape[:2] + (-1,))
+        for slot, dof in enumerate(prog1):
+            if dof.kind == "scalar":
+                integrand = vals[:, :, 0]
+            elif dof.kind == "tangential":
+                integrand = np.einsum("eqi,ei->eq", vals, tangent)
+            elif dof.kind == "normal":
+                normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+                integrand = np.einsum("eqi,ei->eq", vals, normal)
+            else:
+                raise ValueError(f"bad edge dof kind {dof.kind}")
+            out[base[1] + slot:base[2]:counts[1]] = integrand @ (rule.weights * s ** dof.weight[0])
 
     # 3D face moments
     if mesh.dim == 3:
@@ -365,20 +359,21 @@ def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
         if prog2:
             rule = triangle_rule()
             s, t = rule.points[:, 0], rule.points[:, 1]
-            for fid, (ia, ib, ic) in enumerate(mesh.entities[2].tolist()):
-                pa, pb, pc = mesh.vertices[ia], mesh.vertices[ib], mesh.vertices[ic]
-                pts = pa[None, :] + np.outer(s, pb - pa) + np.outer(t, pc - pa)
-                nvec = np.cross(pb - pa, pc - pa)
-                vals = np.asarray(f(pts))
-                flux = vals @ nvec
-                for slot, dof in enumerate(prog2):
-                    wmono = s ** dof.weight[0] * t ** dof.weight[1]
-                    out[base[2] + fid * counts[2] + slot] = np.sum(rule.weights * wmono * flux)
+            faces = mesh.entities[2]
+            pa = mesh.vertices[faces[:, 0]]
+            eb = mesh.vertices[faces[:, 1]] - pa
+            ec = mesh.vertices[faces[:, 2]] - pa
+            pts = pa[:, None, :] + s[None, :, None] * eb[:, None, :] + t[None, :, None] * ec[:, None, :]
+            vals = np.asarray(f(pts.reshape(-1, 3))).reshape(pts.shape)
+            flux = np.einsum("fqi,fi->fq", vals, np.cross(eb, ec))
+            for slot, dof in enumerate(prog2):
+                wmono = s ** dof.weight[0] * t ** dof.weight[1]
+                out[base[2] + slot:base[3]:counts[2]] = flux @ (rule.weights * wmono)
 
     # interior moments through the family pullback
     progd = _entity_program(fam, mesh.dim)
     if progd:
-        geo = cell_geometry(mesh)
+        geo = mesh.geometry
         rule = simplex_rule(mesh.dim)
         pts = geo.push_points(rule.points)
         flat = np.asarray(f(pts.reshape(-1, mesh.dim)))
@@ -409,17 +404,12 @@ def evaluate_on_cells(space: DiscreteSpace, u, rule=None):
     """
     mesh = space.mesh
     rule = rule or simplex_rule(mesh.dim)
-    geo = cell_geometry(mesh)
+    geo = mesh.geometry
     ref = space.family.tabulate(rule.points)
-    phys = _physical_values(space.family, geo, ref)
-    coef = u[space.cell_dofs] * space.cell_signs
-    if phys.ndim == 4:
-        vals = np.einsum("cs,csqi->cqi", coef, phys)
-    else:
-        vals = np.einsum("cs,csq->cq", coef, phys)
+    vals = _field_values(space, u, ref, _pullback(space.family, False, geo))
     pts = geo.push_points(rule.points)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
-    return pts, wdet, vals
+    return pts, wdet, vals if ref.ndim == 3 else vals[:, :, 0]
 
 
 def evaluate_derivative_on_cells(space: DiscreteSpace, u, rule=None):
@@ -433,17 +423,12 @@ def evaluate_derivative_on_cells(space: DiscreteSpace, u, rule=None):
     if fam.derivative_kind is None:
         raise ValueError(f"{fam.name} has no derivative")
     rule = rule or simplex_rule(mesh.dim)
-    geo = cell_geometry(mesh)
+    geo = mesh.geometry
     ref = fam.tabulate_derivative(rule.points)
-    phys = _physical_derivatives(fam, geo, ref)
-    coef = u[space.cell_dofs] * space.cell_signs
-    if phys.ndim == 4:
-        vals = np.einsum("cs,csqi->cqi", coef, phys)
-    else:
-        vals = np.einsum("cs,csq->cq", coef, phys)
+    vals = _field_values(space, u, ref, _pullback(fam, True, geo))
     pts = geo.push_points(rule.points)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
-    return pts, wdet, vals
+    return pts, wdet, vals if ref.ndim == 3 else vals[:, :, 0]
 
 
 def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
@@ -453,18 +438,15 @@ def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     match the family's value kind.
     """
     mesh = space.mesh
-    geo = cell_geometry(mesh)
+    geo = mesh.geometry
     rule, ref = _reference_tab(space.family, "values")
-    phys = _physical_values(space.family, geo, ref)
+    ref = _as_vector_tab(ref)
+    M = _pullback(space.family, False, geo)
     pts = geo.push_points(rule.points)
-    fv = np.asarray(_as_callable(f)(pts.reshape(-1, mesh.dim)))
+    fv = np.asarray(_as_callable(f)(pts.reshape(-1, mesh.dim))).reshape(mesh.num_cells, rule.weights.size, -1)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
-    if phys.ndim == 4:
-        fv = fv.reshape(mesh.num_cells, -1, mesh.dim)
-        local = np.einsum("csqi,cqi,cq->cs", phys, fv, wdet)
-    else:
-        fv = fv.reshape(mesh.num_cells, -1)
-        local = np.einsum("csq,cq,cq->cs", phys, fv, wdet)
+    pulled = np.einsum("cij,cqi->cqj", M, fv) * wdet[:, :, None]
+    local = pulled.reshape(mesh.num_cells, -1) @ ref.reshape(ref.shape[0], -1).T
     out = np.zeros(space.ndofs)
     np.add.at(out, space.cell_dofs, local * space.cell_signs)
     return out
@@ -478,13 +460,6 @@ def assemble_component_products(space: DiscreteSpace, a: int, b: int) -> sp.csr_
     """
     if space.family.mapping != "h1":
         raise ValueError("component products need a scalar H1 family")
-    mesh = space.mesh
-    geo = cell_geometry(mesh)
-    rule, ref = _reference_tab(space.family, "derivative")
-    grads = _physical_derivatives(space.family, geo, ref)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
-    local = np.einsum("crq,csq,cq->crs", grads[..., a], grads[..., b], wdet)
-    n = space.family.shape_dim
-    rows = np.repeat(space.cell_dofs, n, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, n)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndofs, space.ndofs)).tocsr()
+    unit = np.zeros((space.mesh.dim, space.mesh.dim))
+    unit[a, b] = 1.0
+    return assemble_stiffness_like(space, space, "grad", unit)

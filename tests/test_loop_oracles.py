@@ -1,0 +1,377 @@
+"""The whole-array mesh tables, derivative scatter, reference-tensor
+assembly and batched projection against the per-cell and per-entity
+loops they replaced.
+
+The oracles below are the earlier implementations, kept verbatim in
+substance: set-and-dict entity numbering, a dict-based derivative
+scatter, quadrature-point assembly with per-cell physical tabulations,
+and one field call per edge or face.  Integer tables and the derivative
+must match exactly; forms and projections, whose summation order
+changed, must match to 1e-13 relative to the largest entry.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from whitney.elements import FAMILY_NAMES, get_family, local_derivative_matrix
+from whitney.mesh import (
+    Mesh,
+    generate_annulus_mesh,
+    generate_cube_mesh,
+    generate_disk_mesh,
+    generate_square_mesh,
+)
+from whitney.quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
+from whitney.spaces import (
+    assemble_derivative,
+    assemble_stiffness_like,
+    build_space,
+    canonical_projection,
+)
+
+RTOL = 1e-13
+
+
+def _jittered(mesh, h, rng):
+    """Interior vertices moved by up to 0.1 h, vertices and cells
+    renumbered at random."""
+    shift = rng.uniform(-0.1 * h, 0.1 * h, mesh.vertices.shape)
+    verts = mesh.vertices + np.where(mesh.boundary[0][:, None], 0.0, shift)
+    perm = rng.permutation(mesh.num_vertices)
+    renumbered = np.empty_like(verts)
+    renumbered[perm] = verts
+    return Mesh(mesh.dim, renumbered, perm[mesh.cells][rng.permutation(mesh.num_cells)])
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    rng = np.random.default_rng(7)
+    return {2: _jittered(generate_square_mesh(3, pattern="crossed"), 1.0 / 3.0, rng),
+            3: _jittered(generate_cube_mesh(2), 0.5, rng)}
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def loop_mesh_tables(dim, nv, cells):
+    """Entity tables, cell-to-entity tables and boundary flags by loops."""
+    cells = np.sort(np.asarray(cells, dtype=np.int64), axis=1)
+    cells = cells[np.lexsort(cells.T[::-1])]
+    entities = [np.arange(nv, dtype=np.int64).reshape(-1, 1)]
+    for k in range(1, dim):
+        subs = set()
+        for cell in cells:
+            for combo in itertools.combinations(cell.tolist(), k + 1):
+                subs.add(combo)
+        entities.append(np.array(sorted(subs), dtype=np.int64))
+    entities.append(cells)
+    index = [{tuple(row): i for i, row in enumerate(tab.tolist())} for tab in entities]
+    cell_sub = []
+    for k in range(dim + 1):
+        combos = list(itertools.combinations(range(dim + 1), k + 1))
+        table = np.empty((cells.shape[0], len(combos)), dtype=np.int64)
+        for c, cell in enumerate(cells.tolist()):
+            for j, combo in enumerate(combos):
+                table[c, j] = index[k][tuple(cell[i] for i in combo)]
+        cell_sub.append(table)
+
+    counts = np.zeros(entities[dim - 1].shape[0], dtype=np.int64)
+    for c in range(cells.shape[0]):
+        for fid in cell_sub[dim - 1][c]:
+            counts[fid] += 1
+    boundary = [None] * (dim + 1)
+    boundary[dim - 1] = counts == 1
+    boundary[dim] = np.zeros(cells.shape[0], dtype=bool)
+    bverts = np.zeros(nv, dtype=bool)
+    for fid in np.nonzero(boundary[dim - 1])[0]:
+        bverts[entities[dim - 1][fid]] = True
+    boundary[0] = bverts
+    if dim == 3:
+        bedges = np.zeros(entities[1].shape[0], dtype=bool)
+        for fid in np.nonzero(boundary[2])[0]:
+            a, b, c = entities[2][fid].tolist()
+            for pair in ((a, b), (a, c), (b, c)):
+                bedges[index[1][pair]] = True
+        boundary[1] = bedges
+    return entities, cell_sub, boundary
+
+
+def loop_square(n, pattern):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = [(x, y) for y in xs for x in xs]
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v01, v11 = v00 + n + 1, v10 + n + 1
+            if pattern == "uniform":
+                cells += [(v00, v10, v11), (v00, v01, v11)]
+            else:
+                verts.append(((xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2))
+                c = (n + 1) ** 2 + j * n + i
+                cells += [(a, b, c) for a, b in ((v00, v10), (v10, v11), (v11, v01), (v01, v00))]
+    return np.array(verts), cells
+
+
+def loop_cube(n):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = [(x, y, z) for z in xs for y in xs for x in xs]
+    cells = []
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                for perm in itertools.permutations(range(3)):
+                    path = [[i, j, k]]
+                    for axis in perm:
+                        path.append(list(path[-1]))
+                        path[-1][axis] += 1
+                    cells.append(tuple((c * (n + 1) + b) * (n + 1) + a for a, b, c in path))
+    return np.array(verts), cells
+
+
+def loop_bands(rings, m, first):
+    def gid(ring, j):
+        return first + ring * m + j % m
+
+    cells = []
+    for ring in range(rings):
+        for j in range(m):
+            a, b, c, d = gid(ring, j), gid(ring, j + 1), gid(ring + 1, j), gid(ring + 1, j + 1)
+            cells += [(a, b, d), (a, c, d)]
+    return cells
+
+
+def loop_derivative(space_from, space_to):
+    fam_f, fam_t = space_from.family, space_to.family
+    L = local_derivative_matrix(fam_f, fam_t)
+    mesh = space_from.mesh
+    into_density = fam_t.mapping == "l2" and fam_f.mapping in ("covariant", "contravariant")
+    entries = {}
+    for c in range(mesh.num_cells):
+        Lc = L / mesh.geometry.detB[c] if into_density else L
+        gr, gc = space_to.cell_dofs[c], space_from.cell_dofs[c]
+        for i in range(fam_t.shape_dim):
+            for j in range(fam_f.shape_dim):
+                entries.setdefault((int(gr[i]), int(gc[j])), Lc[i, j])
+    keys = np.array(list(entries.keys()), dtype=np.int64)
+    vals = np.array(list(entries.values()))
+    return sp.coo_matrix((vals, (keys[:, 0], keys[:, 1])),
+                         shape=(space_to.ndofs, space_from.ndofs)).tocsr()
+
+
+def _physical_tab(family, derivative, geo, points):
+    """Reference tabulation pushed to every cell: (nc, nsh, nq[, d])."""
+    nc = geo.B.shape[0]
+    if not derivative:
+        ref = family.tabulate(points)
+        if family.value_kind == "scalar":
+            return np.broadcast_to(ref, (nc,) + ref.shape)
+        if family.mapping == "covariant":
+            return np.einsum("sqj,cji->csqi", ref, geo.Binv)
+        return np.einsum("sqj,cij->csqi", ref, geo.B) / geo.detB[:, None, None, None]
+    ref = family.tabulate_derivative(points)
+    kind = family.derivative_kind
+    if kind == "grad":
+        return np.einsum("sqj,cji->csqi", ref, geo.Binv)
+    if kind == "curl" and family.mesh_dim == 3:
+        return np.einsum("sqj,cij->csqi", ref, geo.B) / geo.detB[:, None, None, None]
+    return ref[None, :, :] / geo.detB[:, None, None]
+
+
+def loop_stiffness_like(row_space, col_space, operator, coefficient):
+    mesh = row_space.mesh
+    geo = mesh.geometry
+    rule = simplex_rule(mesh.dim)
+    tabs = [_physical_tab(s.family, operator != "identity" and s.family.derivative_kind == operator,
+                          geo, rule.points) for s in (row_space, col_space)]
+    vector = tabs[0].ndim == 4
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
+    pts = geo.push_points(rule.points)
+    nc, nq = pts.shape[:2]
+    if callable(coefficient):
+        C = np.asarray(coefficient(pts.reshape(-1, mesh.dim)))
+        C = C.reshape(nc, nq, *C.shape[1:])
+    else:
+        C = np.broadcast_to(np.asarray(coefficient, dtype=float),
+                            (nc, nq) + np.shape(coefficient))
+    if vector:
+        if C.ndim == 2:
+            C = C[..., None, None] * np.eye(mesh.dim)
+        Ccol = np.einsum("cqij,csqj->csqi", C, tabs[1])
+        local = np.einsum("crqi,csqi,cq->crs", tabs[0], Ccol, wdet)
+    else:
+        local = np.einsum("crq,csq,cq->crs", tabs[0], tabs[1] * C[:, None, :], wdet)
+    rows = np.repeat(row_space.cell_dofs, col_space.family.shape_dim, axis=1).ravel()
+    cols = np.tile(col_space.cell_dofs, (1, row_space.family.shape_dim)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(row_space.ndofs, col_space.ndofs)).tocsr()
+
+
+def loop_projection(space, f):
+    mesh, fam = space.mesh, space.family
+    out = np.zeros(space.ndofs)
+    counts = [fam.dofs_per_entity(k) for k in range(mesh.dim + 1)]
+    base = np.cumsum([0] + [counts[k] * mesh.num_entities(k) for k in range(mesh.dim + 1)])
+    layout = fam.dof_entity_layout()
+
+    def program(k):
+        return [fam.dofs[p] for p in layout.get((k, 0), ())]
+
+    vals = np.asarray(f(mesh.vertices))
+    for slot, dof in enumerate(program(0)):
+        out[base[0] + slot:base[1]:counts[0]] = vals if dof.component is None else vals[:, dof.component]
+
+    rule = interval_rule()
+    s = rule.points[:, 0]
+    for eid, (a, b) in enumerate(mesh.entities[1].tolist() if program(1) else []):
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        vals = np.asarray(f(va[None, :] + s[:, None] * (vb - va)[None, :]))
+        for slot, dof in enumerate(program(1)):
+            if dof.kind == "scalar":
+                integrand = vals
+            elif dof.kind == "tangential":
+                integrand = vals @ (vb - va)
+            else:
+                integrand = vals @ np.array([vb[1] - va[1], -(vb[0] - va[0])])
+            out[base[1] + eid * counts[1] + slot] = np.sum(rule.weights * s ** dof.weight[0] * integrand)
+
+    if mesh.dim == 3 and program(2):
+        rule = triangle_rule()
+        s, t = rule.points[:, 0], rule.points[:, 1]
+        for fid, (ia, ib, ic) in enumerate(mesh.entities[2].tolist()):
+            pa, pb, pc = mesh.vertices[ia], mesh.vertices[ib], mesh.vertices[ic]
+            vals = np.asarray(f(pa[None, :] + np.outer(s, pb - pa) + np.outer(t, pc - pa)))
+            flux = vals @ np.cross(pb - pa, pc - pa)
+            for slot, dof in enumerate(program(2)):
+                wmono = s ** dof.weight[0] * t ** dof.weight[1]
+                out[base[2] + fid * counts[2] + slot] = np.sum(rule.weights * wmono * flux)
+
+    geo = mesh.geometry
+    rule = simplex_rule(mesh.dim)
+    pts = geo.push_points(rule.points)
+    for c in range(mesh.num_cells if program(mesh.dim) else 0):
+        vals = np.asarray(f(pts[c]))
+        if fam.mapping == "covariant":
+            vals = vals @ geo.B[c]
+        elif fam.mapping == "contravariant":
+            vals = vals @ geo.Binv[c].T * geo.detB[c]
+        for slot, dof in enumerate(program(mesh.dim)):
+            wmono = np.prod(rule.points ** np.asarray(dof.weight, dtype=float), axis=1)
+            comp = vals if dof.component is None else vals[:, dof.component]
+            out[base[mesh.dim] + c * counts[mesh.dim] + slot] = (
+                np.sum(rule.weights * wmono * comp) / reference_measure(mesh.dim))
+    return out
+
+
+# -- comparisons ---------------------------------------------------------------
+
+
+def _families(dim):
+    return [name for name in FAMILY_NAMES if get_family(name).mesh_dim == dim]
+
+
+def _assert_close(new, old, what):
+    new = new.toarray() if sp.issparse(new) else new
+    old = old.toarray() if sp.issparse(old) else old
+    scale = max(np.abs(old).max(), 1e-300)
+    assert np.abs(new - old).max() <= RTOL * scale, what
+
+
+@pytest.mark.parametrize("which", ["jittered 2D", "cube", "jittered cube"])
+def test_mesh_tables_match_loops(meshes, which):
+    mesh = {"jittered 2D": meshes[2], "cube": generate_cube_mesh(2), "jittered cube": meshes[3]}[which]
+    entities, cell_sub, boundary = loop_mesh_tables(mesh.dim, mesh.num_vertices, mesh.cells)
+    for k in range(mesh.dim + 1):
+        assert np.array_equal(mesh.entities[k], entities[k])
+        assert np.array_equal(mesh.cell_subentities(k), cell_sub[k])
+        assert np.array_equal(mesh.boundary[k], boundary[k])
+
+
+def _same_mesh(mesh, verts, cells):
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.cells, Mesh(mesh.dim, verts, cells).cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_generators_match_loops(n):
+    for pattern in ("uniform", "crossed"):
+        _same_mesh(generate_square_mesh(n, pattern), *loop_square(n, pattern))
+    _same_mesh(generate_cube_mesh(n), *loop_cube(n))
+    m = 6 * n
+    theta = 2.0 * np.pi * np.arange(m) / m
+    disk = [(0.0, 0.0)] + [(ring / n * np.cos(t), ring / n * np.sin(t))
+                           for ring in range(1, n + 1) for t in theta]
+    fan = [(0, 1 + j, 1 + (j + 1) % m) for j in range(m)]
+    _same_mesh(generate_disk_mesh(n), np.array(disk), fan + loop_bands(n - 1, m, 1))
+    k = 8 * n
+    theta = 2.0 * np.pi * np.arange(k) / k
+    annulus = generate_annulus_mesh(k)
+    rings = round(annulus.num_vertices / k) - 1
+    radii = np.linspace(0.5, 1.0, rings + 1)
+    verts = [(r * np.cos(t), r * np.sin(t)) for r in radii for t in theta]
+    _same_mesh(annulus, np.array(verts), loop_bands(rings, k, 0))
+
+
+@pytest.mark.parametrize("chain", [("lagrange1", "edge1", "dg0"), ("face1", "dg0"),
+                                   ("lagrange2", "edge2", "dg1"), ("face2", "dg1"),
+                                   ("lagrange1_3d", "edge1_3d", "face1_3d", "dg0_3d")])
+def test_derivative_scatter_matches_loop(meshes, chain):
+    mesh = meshes[get_family(chain[0]).mesh_dim]
+    spaces = [build_space(mesh, name) for name in chain]
+    for src, dst in zip(spaces, spaces[1:]):
+        assert np.array_equal(assemble_derivative(src, dst).toarray(),
+                              loop_derivative(src, dst).toarray())
+
+
+def _coefficients(dim, vector):
+    a = np.arange(1.0, dim * dim + 1).reshape(dim, dim) / dim
+    coeffs = [1.7, lambda x: 1.0 + x[:, 0] ** 2 + 0.5 * x[:, -1]]
+    if vector:
+        coeffs.append(a + dim * np.eye(dim))
+        coeffs.append(lambda x: (1.0 + x[:, 0])[:, None, None] * (a + np.eye(dim)))
+    return coeffs
+
+
+def _form_cases():
+    cases = []
+    for dim in (2, 3):
+        for name in _families(dim):
+            fam = get_family(name)
+            operators = ["identity"] + ([fam.derivative_kind] if fam.derivative_kind else [])
+            for op in operators:
+                cases.append((name, name, op))
+    cases += [("dg0", "face1", "div"), ("dg1", "face2", "div"),
+              ("dg0_3d", "face1_3d", "div"), ("face1_3d", "edge1_3d", "curl"),
+              ("edge2", "lagrange2", "grad")]
+    return cases
+
+
+@pytest.mark.parametrize("row,col,op", _form_cases())
+def test_reference_tensor_assembly_matches_quadrature_loop(meshes, row, col, op):
+    mesh = meshes[get_family(row).mesh_dim]
+    R, C = build_space(mesh, row), build_space(mesh, col)
+    fam, x = R.family, np.zeros((1, mesh.dim))
+    tab = fam.tabulate_derivative(x) if fam.derivative_kind == op else fam.tabulate(x)
+    vector = tab.ndim == 3
+    for coefficient in _coefficients(mesh.dim, vector):
+        _assert_close(assemble_stiffness_like(R, C, op, coefficient),
+                      loop_stiffness_like(R, C, op, coefficient), (row, col, op, coefficient))
+
+
+def _smooth_field(dim, vector):
+    if vector:
+        return lambda x: np.stack([np.sin(1.0 + x[:, i] + 2.0 * x[:, (i + 1) % dim])
+                                   for i in range(dim)], axis=1)
+    return lambda x: np.exp(0.5 * x[:, 0]) * np.cos(x[:, -1] - 0.3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_projection_matches_entity_loop(meshes, dim):
+    mesh = meshes[dim]
+    for name in _families(dim):
+        space = build_space(mesh, name)
+        f = _smooth_field(dim, space.family.value_kind == "vector")
+        _assert_close(canonical_projection(space, f), loop_projection(space, f), name)

@@ -150,3 +150,15 @@ def test_entity_id_lookup(square4):
     edge = tuple(square4.entities[1][5].tolist())
     assert square4.entity_id(1, edge) == 5
     assert square4.entity_id(1, edge[::-1]) == 5  # order-insensitive
+    with pytest.raises(KeyError):
+        square4.entity_id(1, (0, 24))
+    with pytest.raises(KeyError):
+        square4.entity_id(1, (0, 1, 2))
+
+
+def test_geometry_is_cached_and_read_only(crossed2):
+    geo = crossed2.geometry
+    assert crossed2.geometry is geo
+    assert np.allclose(geo.absdet.sum() / 2.0, 1.0)
+    with pytest.raises(ValueError):
+        geo.B[0, 0, 0] = 2.0

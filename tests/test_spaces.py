@@ -7,13 +7,17 @@ stiffness diagonal of a crossed-pattern center vertex is 4 by direct
 plane-gradient computation on the four incident triangles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from whitney.mesh import generate_cube_mesh, generate_square_mesh
+from whitney.complexes import incidence_matrix
+from whitney.mesh import Mesh, generate_cube_mesh, generate_square_mesh
 from whitney.poly import Poly, VecPoly
 from whitney.spaces import (
+    DerivativeNotSingleValuedError,
     assemble_component_products,
     assemble_derivative,
     assemble_load,
@@ -203,3 +207,36 @@ def test_restrict_and_extend_roundtrip(square4):
     assert np.all(full[W.dof_boundary] == 0.0)
     dense = W.restrict(np.asarray(M.todense()))
     assert np.allclose(dense, np.asarray(Mf.todense()))
+
+
+def test_geometry_does_not_leak_between_meshes():
+    # meshes built and dropped in a loop reuse ids; each must see its own cells
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for i in range(200):
+        scale = 1.0 + i % 3
+        mesh = Mesh(2, scale * unit, [(0, 1, 2)])
+        total = assemble_mass(build_space(mesh, "dg0")).sum()
+        assert total == pytest.approx(0.5 * scale ** 2, rel=1e-14)
+        del mesh
+
+
+def test_double_valued_derivative_raises(square4):
+    W = build_space(square4, "lagrange1")
+    Q = build_space(square4, "edge1")
+    interior = ~square4.boundary[1][square4.cell_subentities(1)]
+    cell = int(np.flatnonzero(interior[:, 0] & interior[:, 1])[0])
+    dofs = Q.cell_dofs.copy()
+    dofs[cell, [0, 1]] = dofs[cell, [1, 0]]
+    with pytest.raises(DerivativeNotSingleValuedError, match="double-valued"):
+        assemble_derivative(W, dataclasses.replace(Q, cell_dofs=dofs))
+
+
+@pytest.mark.parametrize("domain", ["square4", "cube2"])
+def test_lowest_order_derivatives_store_no_zeros(request, domain):
+    mesh = request.getfixturevalue(domain)
+    chain = (("lagrange1", "edge1", "dg0") if mesh.dim == 2
+             else ("lagrange1_3d", "edge1_3d", "face1_3d", "dg0_3d"))
+    spaces = [build_space(mesh, name) for name in chain]
+    for k, (src, dst) in enumerate(zip(spaces, spaces[1:])):
+        D = assemble_derivative(src, dst)
+        assert D.nnz == np.count_nonzero(incidence_matrix(mesh, k))
