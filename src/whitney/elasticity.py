@@ -22,10 +22,15 @@ entities induce shared functionals:
 Edge moments plus endpoint values pin all four coefficients of each
 cubic component of tau n along an edge, so the assembled fields are
 H(div, S)-conforming with single-valued vertex stresses.
+
+The per-cell bases are computed for all cells at once: the DOF tables
+are a (cells, 24, 30) stack, dualized by one batched condition number
+and one stacked solve, and every global operator is a contraction of the
+stacked nodal coefficients followed by a single sparse scatter.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +49,7 @@ P2 = monomial_exponents(2, 2)           # 6 monomials of a divergence
 NCOEF = 3 * len(P3)                     # 30 coefficients of P3(T, S)
 NDOF = 24
 DEGENERACY_TOL = 1e-10                  # area >= tol * diameter^2
+COND_MAX = 1e12                         # dualization guard per cell
 
 # local DOF order: 9 vertex values (vertex-major, components s11 s12 s22),
 # then 12 edge moments (lexicographic local edges, slot = component*2 +
@@ -53,10 +59,10 @@ _EDGE_LOCAL = ((0, 1), (0, 2), (1, 2))
 _ROWS = ((0, 1), (1, 2))
 
 
-def _monomial_values(points: np.ndarray, exponents) -> np.ndarray:
-    """(len(exponents), npoints) table of monomial values."""
-    x, y = points[:, 0], points[:, 1]
-    return np.stack([x ** a * y ** b for a, b in exponents])
+def _monomials(points: np.ndarray, exponents) -> np.ndarray:
+    """Monomial values at points (..., 2): shape (..., len(exponents))."""
+    x, y = points[..., 0], points[..., 1]
+    return np.stack([x ** a * y ** b for a, b in exponents], axis=-1)
 
 
 @lru_cache(maxsize=1)
@@ -117,58 +123,82 @@ def _coeffs_to_sympoly(coeffs: np.ndarray) -> SymPoly:
 
 def aw_shape_space(vertices) -> list[SymPoly]:
     """Orthonormal basis of S_T in centered, scaled local coordinates."""
-    _validate_triangle(np.asarray(vertices, dtype=float))
+    _triangle_sizes(_one_triangle(vertices)[None])
     return [_coeffs_to_sympoly(row) for row in _shape_null_space()]
 
 
-def _validate_triangle(vertices: np.ndarray):
+def _one_triangle(vertices) -> np.ndarray:
+    vertices = np.asarray(vertices, dtype=float)
     if vertices.shape != (3, 2):
         raise ValueError(f"triangle needs 3 plane vertices, got {vertices.shape}")
-    e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
-    area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-    diam = max(np.linalg.norm(vertices[i] - vertices[j])
-               for i, j in ((0, 1), (0, 2), (1, 2)))
-    if area < DEGENERACY_TOL * diam ** 2:
+    return vertices
+
+
+def _triangle_sizes(vertices: np.ndarray):
+    """(area, diameter) of stacked triangles (nc, 3, 2); rejects slivers."""
+    edges = vertices[:, [0, 0, 1]] - vertices[:, [1, 2, 2]]
+    area = 0.5 * np.abs(edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
+    # edge lengths as a dot product, rounded like np.linalg.norm of one edge
+    diam = np.sqrt((edges[:, :, None, :] @ edges[:, :, :, None])[:, :, 0, 0]).max(axis=1)
+    if np.any(area < DEGENERACY_TOL * diam ** 2):
         raise ValueError("degenerate triangle")
     return area, diam
 
 
 def _dof_matrix_on_monomials(vertices: np.ndarray, origin, scale) -> np.ndarray:
-    """(24, 30) table: each DOF applied to each single-monomial field."""
-    nmono = len(P3)
-    W = np.zeros((NDOF, NCOEF))
-    local = (vertices - origin) / scale
+    """(nc, 24, 30) stack: each DOF applied to each single-monomial field,
+    for triangles (nc, 3, 2) in frames (origin (nc, 2), scale (nc,))."""
+    nc, nmono = vertices.shape[0], len(P3)
+    W = np.zeros((nc, NDOF, 3, nmono))
+    origin, scale = origin[:, None, :], scale[:, None, None]
 
-    vmono = _monomial_values(local, P3)             # (10, 3)
-    for v in range(3):
-        for comp in range(3):
-            W[v * 3 + comp, comp * nmono:(comp + 1) * nmono] = vmono[:, v]
+    vmono = _monomials((vertices - origin) / scale, P3)          # (nc, 3, 10)
+    for comp in range(3):
+        W[:, comp:9:3, comp] = vmono
 
     erule = interval_rule()
     s = erule.points[:, 0]
-    smom = np.stack([erule.weights, erule.weights * s])        # (2, nq)
+    smom = np.stack([erule.weights, erule.weights * s])           # (2, nq)
     for le, (a, b) in enumerate(_EDGE_LOCAL):
-        pa, pb = vertices[a], vertices[b]
-        t = pb - pa
-        n = np.array([t[1], -t[0]])
-        pts = (pa[None, :] + s[:, None] * t[None, :] - origin) / scale
-        mono = _monomial_values(pts, P3)                        # (10, nq)
-        moments = smom @ mono.T                                 # (2, 10)
-        for comp in range(2):
-            r1, r2 = _ROWS[comp]
-            for deg in range(2):
-                row = 9 + le * 4 + comp * 2 + deg
-                W[row, r1 * nmono:(r1 + 1) * nmono] = n[0] * moments[deg]
-                W[row, r2 * nmono:(r2 + 1) * nmono] = n[1] * moments[deg]
+        pa, t = vertices[:, a], vertices[:, b] - vertices[:, a]
+        pts = (pa[:, None, :] + s[None, :, None] * t[:, None, :] - origin) / scale
+        moments = smom @ _monomials(pts, P3)                      # (nc, 2, 10)
+        for comp, (r1, r2) in enumerate(_ROWS):
+            rows = slice(9 + le * 4 + comp * 2, 11 + le * 4 + comp * 2)
+            # n = (t_y, -t_x), the clockwise rotation of the edge vector
+            W[:, rows, r1] = t[:, 1, None, None] * moments
+            W[:, rows, r2] = -t[:, 0, None, None] * moments
 
     trule = triangle_rule()
-    B = np.column_stack([vertices[1] - vertices[0], vertices[2] - vertices[0]])
-    phys = vertices[0][None, :] + trule.points @ B.T
-    mono = _monomial_values((phys - origin) / scale, P3)
-    means = 2.0 * (mono @ trule.weights)            # weights sum to 1/2
+    B = np.stack([vertices[:, 1] - vertices[:, 0], vertices[:, 2] - vertices[:, 0]], axis=2)
+    phys = vertices[:, None, 0] + trule.points @ np.swapaxes(B, 1, 2)
+    mono = _monomials((phys - origin) / scale, P3)               # (nc, nq, 10)
+    # weights sum to 1/2; contiguous (nc, 10, nq) rows round like one triangle's
+    means = 2.0 * (np.ascontiguousarray(np.swapaxes(mono, 1, 2)) @ trule.weights)
     for comp in range(3):
-        W[21 + comp, comp * nmono:(comp + 1) * nmono] = means
-    return W
+        W[:, 21 + comp, comp] = means
+    return W.reshape(nc, NDOF, NCOEF)
+
+
+def _dualize(vertices: np.ndarray):
+    """Nodal bases of stacked triangles (nc, 3, 2).
+
+    Returns (area, origin, scale, coeffs (nc, 24, 30), cond (nc,)): the
+    frames are centroid and diameter, and coeffs[c] holds the nodal
+    fields dual to the 24 DOFs as rows over the P3(T, S) monomials.
+    """
+    area, scale = _triangle_sizes(vertices)
+    origin = vertices.mean(axis=1)
+    null = _shape_null_space()
+    V = _dof_matrix_on_monomials(vertices, origin, scale) @ null.T   # dofs x shape basis
+    cond = np.linalg.cond(V)
+    bad = ~(cond <= COND_MAX)
+    if bad.any():
+        raise RuntimeError(
+            f"stress element dualization ill-conditioned: {np.max(cond[bad]):.2e}")
+    # nodal_j = sum_i X[i, j] shape_i with V X = I, so rows of X^T null
+    coeffs = np.linalg.solve(np.swapaxes(V, 1, 2), np.broadcast_to(null, (len(V),) + null.shape))
+    return area, origin, scale, coeffs, cond
 
 
 @dataclass
@@ -187,14 +217,14 @@ class AWCell:
 
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         """(24, npoints, 3) stress components at physical points."""
-        mono = _monomial_values(self.local_points(points), P3)
+        mono = _monomials(self.local_points(points), P3).T
         vals = self.coeffs.reshape(NDOF, 3, len(P3)) @ mono
         return np.transpose(vals, (0, 2, 1))
 
     def tabulate_div(self, points: np.ndarray) -> np.ndarray:
         """(24, npoints, 2) physical divergence at physical points."""
         dcoef = self.coeffs @ _divergence_operator().T / self.scale
-        mono = _monomial_values(self.local_points(points), P2)
+        mono = _monomials(self.local_points(points), P2).T
         vals = dcoef.reshape(NDOF, 2, len(P2)) @ mono
         return np.transpose(vals, (0, 2, 1))
 
@@ -204,19 +234,10 @@ class AWCell:
 
 def aw_nodal_basis(vertices) -> AWCell:
     """Dualize the shape basis against the 24 DOFs of one triangle."""
-    vertices = np.asarray(vertices, dtype=float)
-    area, diam = _validate_triangle(vertices)
-    origin = vertices.mean(axis=0)
-    scale = diam
-    W = _dof_matrix_on_monomials(vertices, origin, scale)
-    null = _shape_null_space()
-    V = W @ null.T                                   # dofs x shape basis
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RuntimeError(f"stress element dualization ill-conditioned: {cond:.2e}")
-    # nodal_j = sum_i X[i, j] shape_i with V X = I, so rows of X^T null
-    coeffs = sla.solve(V.T, null, check_finite=False)
-    return AWCell(vertices, origin, scale, area, coeffs, cond)
+    vertices = _one_triangle(vertices)
+    area, origin, scale, coeffs, cond = _dualize(vertices[None])
+    return AWCell(vertices, origin[0], float(scale[0]), float(area[0]), coeffs[0],
+                  float(cond[0]))
 
 
 @dataclass(frozen=True)
@@ -231,12 +252,9 @@ class UnisolvenceReport:
 
 def aw_unisolvence_check(vertices) -> UnisolvenceReport:
     """Rank and conditioning of the DOF matrix on the shape basis."""
-    vertices = np.asarray(vertices, dtype=float)
-    _validate_triangle(vertices)
-    origin = vertices.mean(axis=0)
-    diam = max(np.linalg.norm(vertices[i] - vertices[j])
-               for i, j in ((0, 1), (0, 2), (1, 2)))
-    W = _dof_matrix_on_monomials(vertices, origin, diam)
+    vertices = _one_triangle(vertices)[None]
+    _, diam = _triangle_sizes(vertices)
+    W = _dof_matrix_on_monomials(vertices, vertices.mean(axis=1), diam)[0]
     V = W @ _shape_null_space().T
     rank = numerical_rank(V)
     return UnisolvenceReport(rank, float(np.linalg.cond(V)), rank == NDOF)
@@ -247,16 +265,47 @@ def aw_unisolvence_check(vertices) -> UnisolvenceReport:
 
 @dataclass
 class StressSpace:
-    """Global H(div, S) stress space: 3 DOFs/vertex + 4/edge + 3/cell."""
+    """Global H(div, S) stress space: 3 DOFs/vertex + 4/edge + 3/cell.
+
+    The nodal bases of all cells are stacked: cell c maps physical
+    points x to local coordinates (x - origin[c]) / scale[c], where its
+    24 nodal fields have the P3(T, S) coefficients coeffs[c].
+    """
 
     mesh: Mesh
     ndofs: int
     cell_dofs: np.ndarray          # (num_cells, 24)
-    cells: list
+    origin: np.ndarray             # (num_cells, 2)
+    scale: np.ndarray              # (num_cells,)
+    coeffs: np.ndarray             # (num_cells, 24, 30)
+    cond: np.ndarray               # (num_cells,) dualization condition numbers
 
     @property
     def num_cells(self):
         return self.mesh.num_cells
+
+    @property
+    def cells(self) -> Sequence:
+        """cells[c] is the AWCell of cell c, a view of the stacked basis."""
+        return _CellViews(self)
+
+    def local_points(self, points: np.ndarray) -> np.ndarray:
+        """Physical points (num_cells, nq, 2) in each cell's local frame."""
+        return (points - self.origin[:, None, :]) / self.scale[:, None, None]
+
+
+class _CellViews(Sequence):
+    def __init__(self, space: StressSpace):
+        self._space = space
+
+    def __len__(self):
+        return self._space.num_cells
+
+    def __getitem__(self, c):
+        space, mesh = self._space, self._space.mesh
+        return AWCell(mesh.vertices[mesh.cells[c]], space.origin[c], float(space.scale[c]),
+                      float(0.5 * mesh.geometry.absdet[c]), space.coeffs[c],
+                      float(space.cond[c]))
 
 
 def build_stress_space(mesh: Mesh) -> StressSpace:
@@ -265,23 +314,12 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
     nv, ne, nt = mesh.num_vertices, mesh.num_entities(1), mesh.num_cells
     ndofs = 3 * nv + 4 * ne + 3 * nt
     edge_base, cell_base = 3 * nv, 3 * nv + 4 * ne
-
-    cell_edges = mesh.cell_subentities(1)
-    cell_dofs = np.empty((nt, NDOF), dtype=np.int64)
-    cells = []
-    for c in range(nt):
-        verts = mesh.cells[c]
-        for lv in range(3):
-            for comp in range(3):
-                cell_dofs[c, lv * 3 + comp] = verts[lv] * 3 + comp
-        for le in range(3):
-            ge = cell_edges[c, le]
-            for slot in range(4):
-                cell_dofs[c, 9 + le * 4 + slot] = edge_base + ge * 4 + slot
-        for comp in range(3):
-            cell_dofs[c, 21 + comp] = cell_base + c * 3 + comp
-        cells.append(aw_nodal_basis(mesh.vertices[verts]))
-    return StressSpace(mesh, ndofs, cell_dofs, cells)
+    cell_dofs = np.concatenate([
+        (3 * mesh.cells[:, :, None] + np.arange(3)).reshape(nt, 9),
+        (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
+        cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
+    _, origin, scale, coeffs, cond = _dualize(mesh.vertices[mesh.cells])
+    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond)
 
 
 @dataclass
@@ -361,16 +399,21 @@ def evaluate_displacement(space: DisplacementSpace, u: np.ndarray, rule=None):
 def evaluate_stress(space: StressSpace, sigma: np.ndarray, rule=None):
     """(points, weights*|det|, values (nc, nq, 3)) of a stress DOF vector."""
     rule = rule or triangle_rule()
-    mesh = space.mesh
-    geo = mesh.geometry
+    geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
-    nq = rule.points.shape[0]
-    vals = np.empty((mesh.num_cells, nq, 3))
-    for c, cell in enumerate(space.cells):
-        tab = cell.tabulate(pts[c])                     # (24, nq, 3)
-        vals[c] = np.einsum("s,sqi->qi", sigma[space.cell_dofs[c]], tab)
+    coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs)
+    mono = _monomials(space.local_points(pts), P3)                 # (nc, nq, 10)
+    vals = np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(P3)), mono)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     return pts, wdet, vals
+
+
+def _scatter(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
+    """Sum the cell blocks local (nc, r, s) into a CSR matrix."""
+    nr, ns = local.shape[1:]
+    rows = np.repeat(row_dofs, ns, axis=1)
+    cols = np.tile(col_dofs, (1, nr))
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 # -- global operators -------------------------------------------------------
@@ -384,67 +427,48 @@ def compliance_coefficients(lam: float, mu: float) -> tuple[float, float]:
 
 
 def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -> sp.csr_matrix:
-    """Global int C^-1 sigma : tau with constant isotropic moduli."""
+    """Global int C^-1 sigma : tau with constant isotropic moduli.
+
+    With G_c the Gram matrix of the local monomials on cell c, the
+    local matrix is sum_ij K_ij C_i G_c C_j^T over the component blocks
+    C_i of the nodal coefficients, where sigma : tau = s11 t11 + 2 s12
+    t12 + s22 t22 and K = a1 (diag(1, 2, 1) - a2 e e^T), e = (1, 0, 1)
+    picking out the trace.
+    """
     a1, a2 = compliance_coefficients(lam, mu)
     rule = triangle_rule()
-    mesh = space.mesh
-    geo = mesh.geometry
-    pts = geo.push_points(rule.points)
-    # sigma : tau = s11 t11 + 2 s12 t12 + s22 t22
-    metric = np.array([1.0, 2.0, 1.0])
-    rows, cols, vals = [], [], []
-    for c, cell in enumerate(space.cells):
-        tab = cell.tabulate(pts[c])                       # (24, nq, 3)
-        w = rule.weights * geo.absdet[c]
-        contract = np.einsum("sqi,tqi,i,q->st", tab, tab, metric, w)
-        trace = tab[:, :, 0] + tab[:, :, 2]
-        tr_part = np.einsum("sq,tq,q->st", trace, trace, w)
-        local = a1 * (contract - a2 * tr_part)
-        dofs = space.cell_dofs[c]
-        rows.append(np.repeat(dofs, NDOF))
-        cols.append(np.tile(dofs, NDOF))
-        vals.append(local.reshape(-1))
-    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(space.ndofs, space.ndofs))
-    return A.tocsr()
+    geo = space.mesh.geometry
+    mono = _monomials(space.local_points(geo.push_points(rule.points)), P3)   # (nc, nq, 10)
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
+    gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (nc, 10, 10)
+    trace = np.array([1.0, 0.0, 1.0])
+    K = a1 * (np.diag([1.0, 2.0, 1.0]) - a2 * np.outer(trace, trace))
+    C = space.coeffs.reshape(-1, NDOF, 3, len(P3))
+    KCG = np.einsum("ij,csjn->csin", K, C @ gram[:, None])
+    local = KCG.reshape(-1, NDOF, NCOEF) @ np.swapaxes(space.coeffs, 1, 2)
+    return _scatter(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
 
 
 def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s displacement DOFs = D sigma."""
     _, rule, _, mono = _dg1_reference()
-    mesh = space.mesh
-    pts = mesh.geometry.push_points(rule.points)
-    rows, cols, vals = [], [], []
-    for c, cell in enumerate(space.cells):
-        dtab = cell.tabulate_div(pts[c])                  # (24, nq, 2)
-        local = 2.0 * np.einsum("sqi,mq,q->ims", dtab, mono, rule.weights)
-        base = 6 * c
-        rows.append(np.repeat(np.arange(base, base + 6), NDOF))
-        cols.append(np.tile(space.cell_dofs[c], 6))
-        vals.append(local.reshape(-1))
-    D = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(disp.ndofs, space.ndofs))
-    return D.tocsr()
+    pts = space.mesh.geometry.push_points(rule.points)
+    p2 = _monomials(space.local_points(pts), P2)                   # (nc, nq, 6)
+    dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
+    dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
+    # (1/|T|) int (div sigma)_i m dx = 2 sum_q w_q (div sigma)_i(x_q) m(x_q)
+    local = 2.0 * np.einsum("csik,cqk,mq,q->cims", dcoef, p2, mono, rule.weights,
+                            optimize=True)
+    nc = space.num_cells
+    rows = 6 * np.arange(nc)[:, None] + np.arange(6)
+    return _scatter(local.reshape(nc, 6, NDOF), rows, space.cell_dofs,
+                    (disp.ndofs, space.ndofs))
 
 
 def assemble_coupling(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
-    """b(sigma, v) = int div sigma . v, rows over displacement DOFs."""
-    fam, rule, tab, _ = _dg1_reference()
-    mesh = space.mesh
-    geo = mesh.geometry
-    pts = geo.push_points(rule.points)
-    rows, cols, vals = [], [], []
-    for c, cell in enumerate(space.cells):
-        dtab = cell.tabulate_div(pts[c])                  # (24, nq, 2)
-        w = rule.weights * geo.absdet[c]
-        local = np.einsum("sqi,mq,q->ims", dtab, tab, w)  # (2, 3, 24)
-        base = 6 * c
-        rows.append(np.repeat(np.arange(base, base + 6), NDOF))
-        cols.append(np.tile(space.cell_dofs[c], 6))
-        vals.append(local.reshape(-1))
-    Bm = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(disp.ndofs, space.ndofs))
-    return Bm.tocsr()
+    """b(sigma, v) = int div sigma . v, rows over displacement DOFs: the
+    displacement mass times the divergence DOF matrix."""
+    return (displacement_mass(disp) @ assemble_divergence(space, disp)).tocsr()
 
 
 def load_vector(disp: DisplacementSpace, f) -> np.ndarray:
@@ -473,18 +497,16 @@ def interpolate_stress(space: StressSpace, field) -> np.ndarray:
     erule = interval_rule()
     s = erule.points[:, 0]
     smom = np.stack([erule.weights, erule.weights * s])
+    pa, pb = mesh.vertices[mesh.entities[1][:, 0]], mesh.vertices[mesh.entities[1][:, 1]]
+    t = pb - pa
+    normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    pts = pa[:, None, :] + s[None, :, None] * t[:, None, :]
+    comp = np.asarray(field(pts.reshape(-1, 2))).reshape(len(t), len(s), 3)
+    # traction (tau n)_c = tau_{c,x} n_x + tau_{c,y} n_y, rows of tau from _ROWS
+    traction = np.stack([comp[:, :, r1] * normal[:, None, 0] + comp[:, :, r2] * normal[:, None, 1]
+                         for r1, r2 in _ROWS], axis=1)                # (ne, 2, nq)
     edge_base = 3 * mesh.num_vertices
-    for eid, (a, b) in enumerate(mesh.entities[1].tolist()):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        t = pb - pa
-        n = np.array([t[1], -t[0]])
-        pts = pa[None, :] + s[:, None] * t[None, :]
-        comp = np.asarray(field(pts))                     # (nq, 3)
-        for cidx in range(2):
-            r1, r2 = _ROWS[cidx]
-            traction = comp[:, r1] * n[0] + comp[:, r2] * n[1]
-            for deg in range(2):
-                out[edge_base + eid * 4 + cidx * 2 + deg] = smom[deg] @ traction
+    out[edge_base:edge_base + 4 * len(t)] = (traction @ smom.T).reshape(-1)
 
     trule = triangle_rule()
     pts = mesh.geometry.push_points(trule.points)
@@ -546,14 +568,15 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
         raise ValueError("need a load f(points) -> (N, 2)")
     stress = build_stress_space(mesh)
     disp = build_displacement_space(mesh)
-    A = assemble_compliance(stress, lam, mu)
-    Bm = assemble_coupling(stress, disp)
+    D = assemble_divergence(stress, disp)
+    Bm = (displacement_mass(disp) @ D).tocsr()
     F = load_vector(disp, f)
-    K = sp.bmat([[A, Bm.T], [Bm, None]], format="csr")
+    # assembled inline and in the solver's format, so that neither the
+    # compliance matrix nor a CSR copy of K lives through the factorization
+    K = sp.bmat([[assemble_compliance(stress, lam, mu), Bm.T], [Bm, None]], format="csc")
     rhs = np.concatenate([np.zeros(stress.ndofs), -F])
     x = symmetric_indefinite_solve(K, rhs)
     sigma, u = x[:stress.ndofs], x[stress.ndofs:]
-    D = assemble_divergence(stress, disp)
     target = displacement_projection(disp, f)
     resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
     return ElasticitySolution(stress, disp, sigma, u, float(resid))

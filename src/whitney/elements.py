@@ -57,6 +57,10 @@ class IncompatibleFamiliesError(ValueError):
     pass
 
 
+class UnevenDofLayoutError(ValueError):
+    """Entities of one dimension carry different numbers of DOFs."""
+
+
 def reference_vertices(dim: int) -> np.ndarray:
     """Integer vertices of the unit simplex: the origin, then e_1..e_dim."""
     return np.vstack([np.zeros((1, dim), dtype=int), np.eye(dim, dtype=int)])
@@ -234,7 +238,8 @@ class ElementFamily:
         per = {c for (ek, _), c in counts.items() if ek == k}
         if not per:
             return 0
-        assert len(per) == 1, f"{self.name}: uneven dof count on dim-{k} entities"
+        if len(per) != 1:
+            raise UnevenDofLayoutError(f"{self.name}: uneven dof count on dim-{k} entities")
         return per.pop()
 
     def dof_entity_layout(self):

@@ -488,7 +488,7 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     B = (MV @ D).tocsr()
     F = assemble_load(V, f)
 
-    K = sp.bmat([[A, B.T], [B, None]], format="csr")
+    K = sp.bmat([[A, B.T], [B, None]], format="csc")
     rhs = np.concatenate([np.zeros(S.ndofs), -F])
     sol = symmetric_indefinite_solve(K, rhs)
     sigma_h, u_h = sol[:S.ndofs], sol[S.ndofs:]
@@ -499,8 +499,7 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     diff = sv - sigma_exact(pts.reshape(-1, 2)).reshape(sv.shape)
     err_sigma = float(np.sqrt(np.sum(wdet * np.sum(diff**2, axis=-1))))
 
-    a_form = (A + D.T @ MV @ D).toarray()
-    gamma = compute_infsup(B.toarray(), a_form, MV.toarray())
+    gamma = compute_infsup(B, A + D.T @ MV @ D, MV)
     return sigma_h, u_h, err_sigma, err_u, gamma
 
 

@@ -1,12 +1,14 @@
-"""Desk-scale linear algebra: dense factorizations, a symmetric-definite
+"""Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
 generalized eigensolver, and numerical plus exact integer rank.
 
-Dense factorizations everywhere except the indefinite solver, which
-keeps sparse saddle-point systems sparse.  LAPACK/SuperLU (via scipy)
-do the heavy lifting; this module pins the contracts the rest of the
-package relies on: symmetry checks, ascending B-orthonormal eigenpairs,
-residual-verified solves, and a rank that can be cross-checked against
-exact integer elimination for incidence matrices.
+Assembled systems stay sparse: sparse_lu and the indefinite solver
+factor them with SuperLU, and check_symmetric keeps a sparse matrix
+sparse.  Dense LAPACK is used only for spectra (generalized_symmetric_eig
+and the singular values behind numerical_rank) and for the dense
+Cholesky solves that feed them.  This module pins the contracts the rest
+of the package relies on: symmetry checks, ascending B-orthonormal
+eigenpairs, residual-verified solves, and a rank that can be
+cross-checked against exact integer elimination for incidence matrices.
 """
 from __future__ import annotations
 
@@ -40,19 +42,38 @@ def as_dense(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-def check_symmetric(A, name="matrix", rtol=SYMMETRY_RTOL) -> np.ndarray:
-    A = as_dense(A)
-    if A.shape[0] != A.shape[1]:
+def check_symmetric(A, name="matrix", rtol=SYMMETRY_RTOL):
+    """The symmetric part of A, after checking that A - A^T is roundoff.
+
+    A sparse matrix stays sparse; anything else becomes a dense array.
+    """
+    if not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {A.shape}")
-    scale = max(np.abs(A).max(), 1e-300)
-    if np.abs(A - A.T).max() > rtol * scale:
+    if _absmax(A - A.T) > rtol * max(_absmax(A), 1e-300):
         raise NotSymmetricError(f"{name} is not symmetric within {rtol:g} relative tolerance")
     return 0.5 * (A + A.T)
 
 
+def _absmax(A) -> float:
+    if sp.issparse(A):
+        return float(abs(A).max()) if A.nnz else 0.0
+    return float(np.abs(A).max()) if A.size else 0.0
+
+
+def sparse_lu(A):
+    """SuperLU factorization of a square sparse matrix; an exactly
+    singular matrix raises SingularSystemError."""
+    try:
+        return spla.splu(sp.csc_matrix(A))
+    except RuntimeError as exc:
+        raise SingularSystemError("singular system") from exc
+
+
 def cholesky_solve(A, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A."""
-    A = check_symmetric(A, "A")
+    """Solve A x = b for symmetric positive definite A (dense)."""
+    A = check_symmetric(as_dense(A), "A")
     b = np.asarray(b, dtype=float)
     try:
         factor = sla.cho_factor(A, lower=True, check_finite=False)
@@ -72,7 +93,7 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-8) -> np.ndarray:
     """
     if sp.issparse(A):
         return _sparse_symmetric_solve(A, b, residual_rtol)
-    A = check_symmetric(A, "A")
+    A = check_symmetric(as_dense(A), "A")
     b = np.asarray(b, dtype=float)
     try:
         with np.errstate(all="ignore"):
@@ -90,16 +111,15 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-8) -> np.ndarray:
 
 def _sparse_symmetric_solve(A, b, residual_rtol) -> np.ndarray:
     A = A.tocsc()
-    scale_A = np.abs(A).max() if A.nnz else 0.0
-    if (abs(A - A.T)).max() > SYMMETRY_RTOL * max(scale_A, 1e-300):
-        raise NotSymmetricError("A is not symmetric")
+    check_symmetric(A, "A")
+    scale_A = _absmax(A)
     b = np.asarray(b, dtype=float)
     try:
         with np.errstate(all="ignore"):
-            factor = spla.splu(A)
+            factor = sparse_lu(A)
             x = factor.solve(b)
             x = x + factor.solve(b - A @ x)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         raise SingularSystemError("singular system") from exc
     scale = max(scale_A * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
     resid = np.abs(b - A @ x).max()
@@ -122,8 +142,8 @@ class Spectrum:
 def generalized_symmetric_eig(A, B) -> Spectrum:
     """Solve A x = lambda B x with A symmetric and B symmetric positive
     definite.  Dense reduction through the Cholesky factor of B."""
-    A = check_symmetric(A, "A")
-    B = check_symmetric(B, "B")
+    A = check_symmetric(as_dense(A), "A")
+    B = check_symmetric(as_dense(B), "B")
     try:
         vals, vecs = sla.eigh(A, B, check_finite=False)
     except sla.LinAlgError as exc:

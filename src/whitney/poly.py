@@ -196,6 +196,10 @@ class Poly:
         return f"Poly(dim={self.dim}, terms={self.terms!r})"
 
 
+class MixedDimensionError(ValueError):
+    """Components of a vector field live in different dimensions."""
+
+
 class VecPoly:
     """Vector field with polynomial components."""
 
@@ -204,7 +208,9 @@ class VecPoly:
 
     def __init__(self, comps):
         self.comps = tuple(comps)
-        assert len({p.dim for p in self.comps}) == 1
+        if len({p.dim for p in self.comps}) != 1:
+            raise MixedDimensionError(
+                f"components need one common dimension, got {[p.dim for p in self.comps]}")
 
     @property
     def dim(self):

@@ -21,6 +21,7 @@ from whitney.complexes import (
     derham_complex,
     incidence_matrix,
 )
+from whitney.linalg import NotPositiveDefiniteError
 from whitney.mesh import Mesh, generate_square_mesh
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
 
@@ -130,6 +131,13 @@ def test_infsup_identity_oracles():
     assert compute_infsup(np.zeros((3, 5)), np.eye(5), np.eye(3)) == 0.0
     # rectangular: B a^-1 B^T = 1 on the single multiplier
     assert compute_infsup(np.array([[1.0, 0.0]]), np.eye(2), np.eye(1)) == pytest.approx(1.0)
+
+
+def test_infsup_rejects_indefinite_a_form():
+    # explicit pencil (3 multipliers) and Lanczos (12 multipliers)
+    for m in (3, 12):
+        with pytest.raises(NotPositiveDefiniteError):
+            compute_infsup(np.eye(m), -np.eye(m), np.eye(m))
 
 
 def _flux_pressure_system(n):

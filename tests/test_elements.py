@@ -17,6 +17,7 @@ from whitney.elements import (
     ElementFamily,
     FAMILY_NAMES,
     IncompatibleFamiliesError,
+    UnevenDofLayoutError,
     UnknownFamilyError,
     apply_dofs,
     get_family,
@@ -188,6 +189,19 @@ def test_non_unisolvent_dofs_rejected():
     )
     with pytest.raises(ValueError, match="unisolvent"):
         fam.nodal_basis
+
+
+def test_uneven_dof_layout_raises():
+    # two moments on the first edge, one on the second: no per-edge count
+    fam = ElementFamily(
+        "uneven", 2, 0, 1, "h1",
+        [Poly.constant(2, 1.0), Poly.variable(2, 0), Poly.variable(2, 1)],
+        [DofSpec(1, 0, "scalar", (0,)), DofSpec(1, 0, "scalar", (1,)),
+         DofSpec(1, 1, "scalar", (0,))],
+    )
+    assert fam.dofs_per_entity(0) == 0
+    with pytest.raises(UnevenDofLayoutError, match="uneven dof count on dim-1"):
+        fam.dofs_per_entity(1)
 
 
 def test_tabulate_shapes_and_missing_derivative():

@@ -1,22 +1,31 @@
 """The whole-array mesh tables, derivative scatter, reference-tensor
-assembly and batched projection against the per-cell and per-entity
-loops they replaced.
+assembly, batched projection, incidence matrices, stress element and
+sparse inf-sup test against the loops and dense algebra they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 substance: set-and-dict entity numbering, a dict-based derivative
 scatter, quadrature-point assembly with per-cell physical tabulations,
-and one field call per edge or face.  Integer tables and the derivative
-must match exactly; forms and projections, whose summation order
-changed, must match to 1e-13 relative to the largest entry.
+one field call per edge or face, per-entity incidence lookups, per-cell
+stress dualization and assembly, and the SVD-deflated dense inf-sup
+constant.  Integer tables and the derivative must match exactly; forms,
+projections and the stress element, whose summation order changed, must
+match to 1e-13 relative to the largest entry, and the inf-sup constant
+to 1e-10.
 """
 
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from whitney import elasticity as el
+from whitney.complexes import compute_infsup, incidence_matrix
 from whitney.elements import FAMILY_NAMES, get_family, local_derivative_matrix
+from whitney.linalg import cholesky_solve, generalized_symmetric_eig
 from whitney.mesh import (
     Mesh,
     generate_annulus_mesh,
@@ -27,6 +36,7 @@ from whitney.mesh import (
 from whitney.quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
 from whitney.spaces import (
     assemble_derivative,
+    assemble_mass,
     assemble_stiffness_like,
     build_space,
     canonical_projection,
@@ -266,6 +276,144 @@ def loop_projection(space, f):
     return out
 
 
+def loop_incidence_matrix(mesh, k):
+    high = mesh.entities[k + 1]
+    M = np.zeros((high.shape[0], mesh.num_entities(k)), dtype=np.int64)
+    for row, verts in enumerate(high.tolist()):
+        for i in range(k + 2):
+            facet = tuple(verts[:i] + verts[i + 1:])
+            M[row, mesh.entity_id(k, facet)] = (-1) ** i
+    return M
+
+
+def dense_infsup(coupling, a_form, mass_v, deflation_tol=1e-10):
+    """gamma^2 = smallest eigenvalue of the Schur pencil restricted to
+    range(B), with null directions of B^T cut by the SVD of B."""
+    B = np.asarray(coupling, dtype=float)
+    schur = B @ cholesky_solve(a_form, B.T)
+    u, svals, _ = sla.svd(B, check_finite=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0.0
+    rank = int(np.count_nonzero(svals > deflation_tol * svals[0]))
+    basis = u[:, :rank]
+    spec = generalized_symmetric_eig(basis.T @ schur @ basis, basis.T @ mass_v @ basis)
+    return math.sqrt(max(float(spec.eigenvalues[0]), 0.0))
+
+
+def loop_stress_dof_matrix(vertices, origin, scale):
+    """(24, 30) DOF table of one triangle, one row block at a time."""
+    nmono = len(el.P3)
+
+    def monomials(points):                       # (10, npoints)
+        return np.stack([points[:, 0] ** a * points[:, 1] ** b for a, b in el.P3])
+
+    W = np.zeros((el.NDOF, el.NCOEF))
+    vmono = monomials((vertices - origin) / scale)
+    for v in range(3):
+        for comp in range(3):
+            W[v * 3 + comp, comp * nmono:(comp + 1) * nmono] = vmono[:, v]
+    erule = interval_rule()
+    s = erule.points[:, 0]
+    smom = np.stack([erule.weights, erule.weights * s])
+    for le, (a, b) in enumerate(el._EDGE_LOCAL):
+        pa, pb = vertices[a], vertices[b]
+        t = pb - pa
+        n = np.array([t[1], -t[0]])
+        moments = smom @ monomials((pa[None, :] + s[:, None] * t[None, :] - origin) / scale).T
+        for comp in range(2):
+            r1, r2 = el._ROWS[comp]
+            for deg in range(2):
+                row = 9 + le * 4 + comp * 2 + deg
+                W[row, r1 * nmono:(r1 + 1) * nmono] = n[0] * moments[deg]
+                W[row, r2 * nmono:(r2 + 1) * nmono] = n[1] * moments[deg]
+    trule = triangle_rule()
+    B = np.column_stack([vertices[1] - vertices[0], vertices[2] - vertices[0]])
+    phys = vertices[0][None, :] + trule.points @ B.T
+    means = 2.0 * (monomials((phys - origin) / scale) @ trule.weights)
+    for comp in range(3):
+        W[21 + comp, comp * nmono:(comp + 1) * nmono] = means
+    return W
+
+
+def loop_stress_cells(mesh):
+    """Per-cell (origin, scale, coeffs, cond), dualized one at a time."""
+    null = el._shape_null_space()
+    cells = []
+    for verts in mesh.vertices[mesh.cells]:
+        origin = verts.mean(axis=0)
+        scale = max(np.linalg.norm(verts[i] - verts[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        V = loop_stress_dof_matrix(verts, origin, scale) @ null.T
+        cells.append((origin, scale, sla.solve(V.T, null), float(np.linalg.cond(V))))
+    return cells
+
+
+def _cell_tabulate(cell, points, derivative=False):
+    """(24, npoints, 3) stresses or (24, npoints, 2) divergences."""
+    origin, scale, coeffs, _ = cell
+    local = (points - origin) / scale
+    if derivative:
+        coeffs, exps, ncomp = coeffs @ el._divergence_operator().T / scale, el.P2, 2
+    else:
+        exps, ncomp = el.P3, 3
+    mono = np.stack([local[:, 0] ** a * local[:, 1] ** b for a, b in exps])
+    return np.transpose(coeffs.reshape(el.NDOF, ncomp, len(exps)) @ mono, (0, 2, 1))
+
+
+def loop_compliance(space, cells, lam, mu):
+    a1, a2 = el.compliance_coefficients(lam, mu)
+    rule = triangle_rule()
+    geo = space.mesh.geometry
+    pts = geo.push_points(rule.points)
+    metric = np.array([1.0, 2.0, 1.0])
+    rows, cols, vals = [], [], []
+    for c, cell in enumerate(cells):
+        tab = _cell_tabulate(cell, pts[c])
+        w = rule.weights * geo.absdet[c]
+        contract = np.einsum("sqi,tqi,i,q->st", tab, tab, metric, w)
+        trace = tab[:, :, 0] + tab[:, :, 2]
+        local = a1 * (contract - a2 * np.einsum("sq,tq,q->st", trace, trace, w))
+        dofs = space.cell_dofs[c]
+        rows.append(np.repeat(dofs, el.NDOF))
+        cols.append(np.tile(dofs, el.NDOF))
+        vals.append(local.reshape(-1))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(space.ndofs, space.ndofs)).tocsr()
+
+
+def loop_divergence(space, disp, cells):
+    _, rule, _, mono = el._dg1_reference()
+    pts = space.mesh.geometry.push_points(rule.points)
+    rows, cols, vals = [], [], []
+    for c, cell in enumerate(cells):
+        dtab = _cell_tabulate(cell, pts[c], derivative=True)
+        local = 2.0 * np.einsum("sqi,mq,q->ims", dtab, mono, rule.weights)
+        rows.append(np.repeat(np.arange(6 * c, 6 * c + 6), el.NDOF))
+        cols.append(np.tile(space.cell_dofs[c], 6))
+        vals.append(local.reshape(-1))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(disp.ndofs, space.ndofs)).tocsr()
+
+
+def loop_interpolate_stress_edges(space, field):
+    """Edge moments of the stress interpolant, one field call per edge."""
+    mesh = space.mesh
+    out = np.zeros(4 * mesh.num_entities(1))
+    erule = interval_rule()
+    s = erule.points[:, 0]
+    smom = np.stack([erule.weights, erule.weights * s])
+    for eid, (a, b) in enumerate(mesh.entities[1].tolist()):
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        t = pb - pa
+        n = np.array([t[1], -t[0]])
+        comp = np.asarray(field(pa[None, :] + s[:, None] * t[None, :]))
+        for cidx in range(2):
+            r1, r2 = el._ROWS[cidx]
+            traction = comp[:, r1] * n[0] + comp[:, r2] * n[1]
+            for deg in range(2):
+                out[eid * 4 + cidx * 2 + deg] = smom[deg] @ traction
+    return out
+
+
 # -- comparisons ---------------------------------------------------------------
 
 
@@ -375,3 +523,90 @@ def test_batched_projection_matches_entity_loop(meshes, dim):
         space = build_space(mesh, name)
         f = _smooth_field(dim, space.family.value_kind == "vector")
         _assert_close(canonical_projection(space, f), loop_projection(space, f), name)
+
+
+@pytest.mark.parametrize("which", ["jittered 2D", "cube", "jittered cube"])
+def test_incidence_lookup_matches_loop(meshes, which):
+    mesh = {"jittered 2D": meshes[2], "cube": generate_cube_mesh(2), "jittered cube": meshes[3]}[which]
+    for k in range(mesh.dim):
+        M = incidence_matrix(mesh, k)
+        assert M.dtype == np.int64
+        assert np.array_equal(M, loop_incidence_matrix(mesh, k))
+
+
+def _stress_meshes(meshes):
+    return {"crossed2": generate_square_mesh(2, pattern="crossed"), "jittered": meshes[2]}
+
+
+@pytest.mark.parametrize("which", ["crossed2", "jittered"])
+def test_batched_stress_element_matches_cell_loop(meshes, which):
+    mesh = _stress_meshes(meshes)[which]
+    space = el.build_stress_space(mesh)
+    disp = el.build_displacement_space(mesh)
+    cells = loop_stress_cells(mesh)
+    _assert_close(space.coeffs, np.stack([c[2] for c in cells]), "coeffs")
+    _assert_close(space.cond, np.array([c[3] for c in cells]), "cond")
+    _assert_close(space.origin, np.stack([c[0] for c in cells]), "origin")
+    _assert_close(space.scale, np.array([c[1] for c in cells]), "scale")
+    for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
+        _assert_close(el.assemble_compliance(space, lam, mu),
+                      loop_compliance(space, cells, lam, mu), ("compliance", lam, mu))
+    _assert_close(el.assemble_divergence(space, disp), loop_divergence(space, disp, cells),
+                  "divergence")
+    # the per-cell views expose the same basis
+    view = space.cells[3]
+    assert len(space.cells) == mesh.num_cells
+    assert np.array_equal(view.coeffs, space.coeffs[3]) and view.cond == space.cond[3]
+    assert np.allclose(view.vertices, mesh.vertices[mesh.cells[3]])
+
+
+@pytest.mark.parametrize("which", ["crossed2", "jittered"])
+def test_batched_stress_interpolation_matches_edge_loop(meshes, which):
+    mesh = _stress_meshes(meshes)[which]
+    space = el.build_stress_space(mesh)
+
+    def field(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.stack([np.sin(1.0 + x + 2.0 * y), x ** 3 - y, np.cos(x * y - 0.3)], axis=-1)
+
+    edge_base = 3 * mesh.num_vertices
+    edges = el.interpolate_stress(space, field)[edge_base:edge_base + 4 * mesh.num_entities(1)]
+    _assert_close(edges, loop_interpolate_stress_edges(space, field), which)
+
+
+def _flux_pressure(n, pattern, bc):
+    """face1/dg0 pair on the unit square: (B, graph-norm a, M_V) on free DOFs."""
+    mesh = generate_square_mesh(n, pattern=pattern)
+    S = build_space(mesh, "face1", bc=bc)
+    V = build_space(mesh, "dg0")
+    D = assemble_derivative(S, V)
+    Mv = assemble_mass(V)
+    a = assemble_mass(S) + D.T @ Mv @ D
+    free = S.free
+    return (Mv @ D).tocsr()[:, free], a.tocsr()[free][:, free], Mv
+
+
+@pytest.mark.parametrize("bc", ["none", "essential"])
+@pytest.mark.parametrize("pattern,n", [("uniform", 4), ("uniform", 16), ("crossed", 2),
+                                       ("crossed", 8)])
+def test_sparse_infsup_matches_dense_oracle(pattern, n, bc):
+    B, a, Mv = _flux_pressure(n, pattern, bc)
+    sparse = compute_infsup(B, a, Mv)
+    dense = dense_infsup(B.toarray(), a.toarray(), Mv.toarray())
+    assert 0.5 < dense < 1.0
+    assert abs(sparse - dense) <= 1e-10 * dense, (sparse, dense)
+
+
+def test_explicit_infsup_matches_dense_oracle():
+    # multiplier spaces too small for Lanczos, one with a null direction of B^T
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((7, 7))
+    a = G @ G.T + 7.0 * np.eye(7)
+    full = rng.standard_normal((4, 7))
+    deficient = np.vstack([full[:3], full[0] - 2.0 * full[2]])
+    for B in (full, deficient, full[:1]):
+        Mv = 0.3 * np.eye(B.shape[0])
+        want = dense_infsup(B, a, Mv)
+        assert want > 0.0
+        assert abs(compute_infsup(B, a, Mv) - want) <= 1e-10 * want
+        assert abs(compute_infsup(sp.csr_matrix(B), sp.csr_matrix(a), Mv) - want) <= 1e-10 * want

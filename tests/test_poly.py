@@ -10,7 +10,10 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from whitney.poly import Poly, SymPoly, VecPoly, grad, monomial_exponents, rot2
+import pytest
+
+from whitney.poly import (MixedDimensionError, Poly, SymPoly, VecPoly, grad,
+                          monomial_exponents, rot2)
 
 
 def random_poly(dim, degree, coeffs):
@@ -120,3 +123,11 @@ def test_sympoly_eval_component_order():
     vals = s.eval(np.zeros((2, 2)))
     assert vals.shape == (2, 3)
     assert np.allclose(vals, [[1.0, 2.0, 3.0]] * 2)
+
+
+def test_vector_components_must_share_a_dimension():
+    with pytest.raises(MixedDimensionError, match="dimension"):
+        VecPoly([Poly.constant(2, 1.0), Poly.constant(3, 1.0)])
+    with pytest.raises(MixedDimensionError):
+        VecPoly([])
+    assert VecPoly([Poly.constant(3, 0.0)] * 3).dim == 3
