@@ -230,10 +230,6 @@ def _mesh_info(mesh) -> dict:
     return info
 
 
-def _params(args, names) -> dict:
-    return {name: getattr(args, name.replace("-", "_")) for name in names}
-
-
 def _int_list(text: str) -> tuple:
     try:
         values = tuple(int(v) for v in text.split(","))

@@ -38,11 +38,19 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .elements import get_family
+from .elements import get_family, moment_rule
 from .linalg import numerical_rank, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, SymPoly, monomial_exponents
 from .quadrature import interval_rule, triangle_rule
+from .spaces import (
+    DiscreteSpace,
+    assemble_load,
+    assemble_mass,
+    build_space,
+    canonical_projection,
+    evaluate_on_cells,
+)
 
 P3 = monomial_exponents(2, 3)           # 10 monomials per component
 P2 = monomial_exponents(2, 2)           # 6 monomials of a divergence
@@ -221,13 +229,6 @@ class AWCell:
         vals = self.coeffs.reshape(NDOF, 3, len(P3)) @ mono
         return np.transpose(vals, (0, 2, 1))
 
-    def tabulate_div(self, points: np.ndarray) -> np.ndarray:
-        """(24, npoints, 2) physical divergence at physical points."""
-        dcoef = self.coeffs @ _divergence_operator().T / self.scale
-        mono = _monomials(self.local_points(points), P2).T
-        vals = dcoef.reshape(NDOF, 2, len(P2)) @ mono
-        return np.transpose(vals, (0, 2, 1))
-
     def nodal_fields(self) -> list[SymPoly]:
         return [_coeffs_to_sympoly(row) for row in self.coeffs]
 
@@ -324,15 +325,22 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
 
 @dataclass
 class DisplacementSpace:
-    """Discontinuous P1 vectors: 6 moment DOFs per cell.
+    """Discontinuous P1 vectors: both components in the scalar dg1 space.
 
-    DOF (cell, comp, slot) -> cell*6 + comp*3 + slot, where slot runs
-    over the scalar dg1 interior moments (weights 1, x, y in reference
-    coordinates, normalized by cell measure).
+    DOF (cell, comp, slot) -> cell*6 + comp*3 + slot, where cell*3 + slot
+    is the dg1 DOF of `scalar` (interior moments against 1, x, y in
+    reference coordinates, normalized by the cell measure).
     """
 
-    mesh: Mesh
-    ndofs: int
+    scalar: DiscreteSpace
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.scalar.mesh
+
+    @property
+    def ndofs(self) -> int:
+        return 2 * self.scalar.ndofs
 
     @property
     def num_cells(self):
@@ -342,58 +350,34 @@ class DisplacementSpace:
 def build_displacement_space(mesh: Mesh) -> DisplacementSpace:
     if mesh.dim != 2:
         raise ValueError("displacement space is two-dimensional")
-    return DisplacementSpace(mesh, 6 * mesh.num_cells)
+    return DisplacementSpace(build_space(mesh, "dg1"))
 
 
-@lru_cache(maxsize=1)
-def _dg1_reference():
-    """Reference tabulations of the scalar dg1 nodal basis.
-
-    mono holds the family's own moment weights at the rule points, in
-    DOF order (the exponent enumeration is the family's, not ours).
-    """
-    fam = get_family("dg1")
-    rule = triangle_rule()
-    tab = fam.tabulate(rule.points)              # (3, nq)
-    mono = np.stack([np.prod(rule.points ** np.asarray(d.weight, dtype=float), axis=1)
-                     for d in fam.dofs])
-    return fam, rule, tab, mono
+def _interleave(v0, v1) -> np.ndarray:
+    """Displacement DOF vector from the dg1 DOF vectors of its components."""
+    return np.stack([v0.reshape(-1, 3), v1.reshape(-1, 3)], axis=1).ravel()
 
 
 def displacement_mass(space: DisplacementSpace) -> sp.csr_matrix:
     """Block-diagonal L2 Gram of the per-cell nodal P1 vector basis."""
-    _, rule, tab, _ = _dg1_reference()
-    local = np.einsum("iq,jq,q->ij", tab, tab, rule.weights)   # (3, 3)
-    blocks = space.mesh.geometry.absdet[:, None, None] * local[None, :, :]
-    comp_block = np.zeros((space.num_cells, 6, 6))
-    comp_block[:, :3, :3] = blocks
-    comp_block[:, 3:, 3:] = blocks
-    return sp.block_diag(comp_block, format="csr")
+    M = assemble_mass(space.scalar)
+    # position of each interleaved DOF in the component-major block_diag([M, M])
+    order = _interleave(*np.arange(2 * M.shape[0]).reshape(2, -1))
+    return sp.block_diag([M, M], format="csr")[order][:, order]
 
 
 def displacement_projection(space: DisplacementSpace, f) -> np.ndarray:
     """Moment DOFs of a smooth vector field (its cellwise P1 projection)."""
-    _, rule, _, mono = _dg1_reference()
-    mesh = space.mesh
-    pts = mesh.geometry.push_points(rule.points)
-    vals = np.asarray(f(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 2)
-    # (1/|T|) int f_c m dx = 2 sum_q w_q f_c(x_q) m(x_q)
-    moments = 2.0 * np.einsum("cqi,sq,q->cis", vals, mono, rule.weights)
-    return moments.reshape(-1)
+    return _interleave(*[canonical_projection(space.scalar, lambda x: np.asarray(f(x))[:, comp])
+                         for comp in (0, 1)])
 
 
 def evaluate_displacement(space: DisplacementSpace, u: np.ndarray, rule=None):
     """(points, weights*|det|, values (nc, nq, 2)) of a DOF vector."""
-    fam, default_rule, _, _ = _dg1_reference()
-    rule = rule or default_rule
-    tab = fam.tabulate(rule.points)
-    mesh = space.mesh
-    geo = mesh.geometry
-    pts = geo.push_points(rule.points)
-    coef = u.reshape(mesh.num_cells, 2, 3)
-    vals = np.einsum("cis,sq->cqi", coef, tab)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
-    return pts, wdet, vals
+    comps = [evaluate_on_cells(space.scalar, u.reshape(-1, 2, 3)[:, comp].ravel(), rule)
+             for comp in (0, 1)]
+    pts, wdet, _ = comps[0]
+    return pts, wdet, np.stack([vals for _, _, vals in comps], axis=-1)
 
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray, rule=None):
@@ -451,14 +435,13 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
 
 def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s displacement DOFs = D sigma."""
-    _, rule, _, mono = _dg1_reference()
-    pts = space.mesh.geometry.push_points(rule.points)
+    # the dg1 interior moments of each component of div sigma
+    y, W = moment_rule(get_family("dg1").dofs, 2)
+    pts = space.mesh.geometry.push_points(y)
     p2 = _monomials(space.local_points(pts), P2)                   # (nc, nq, 6)
     dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
     dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
-    # (1/|T|) int (div sigma)_i m dx = 2 sum_q w_q (div sigma)_i(x_q) m(x_q)
-    local = 2.0 * np.einsum("csik,cqk,mq,q->cims", dcoef, p2, mono, rule.weights,
-                            optimize=True)
+    local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
     nc = space.num_cells
     rows = 6 * np.arange(nc)[:, None] + np.arange(6)
     return _scatter(local.reshape(nc, 6, NDOF), rows, space.cell_dofs,
@@ -473,14 +456,8 @@ def assemble_coupling(space: StressSpace, disp: DisplacementSpace) -> sp.csr_mat
 
 def load_vector(disp: DisplacementSpace, f) -> np.ndarray:
     """int f . v_k over the displacement nodal basis."""
-    fam, rule, tab, _ = _dg1_reference()
-    mesh = disp.mesh
-    geo = mesh.geometry
-    pts = geo.push_points(rule.points)
-    vals = np.asarray(f(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 2)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
-    out = np.einsum("cqi,mq,cq->cim", vals, tab, wdet)
-    return out.reshape(-1)
+    return _interleave(*[assemble_load(disp.scalar, lambda x: np.asarray(f(x))[:, comp])
+                         for comp in (0, 1)])
 
 
 def interpolate_stress(space: StressSpace, field) -> np.ndarray:

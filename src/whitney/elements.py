@@ -14,7 +14,9 @@ is inverted by exact Gauss-Jordan elimination.  The nodal basis, its
 derivatives and the local derivative matrices are rounded to float once,
 at the end, so the integer entries of every derivative matrix in the
 catalog (the signed incidence pattern at lowest order) come out exact.
-Quadrature is used only to apply DOFs to fields given as callables.
+Quadrature is used only to apply DOFs to fields given as callables:
+`dof_moments` does so on stacked entities, the reference ones or all
+entities of a mesh (the canonical interpolant of `spaces`).
 
 2D families: lagrange1..3 (scalar, C0), dg0..2 (scalar, discontinuous),
 edge1..2 (vector, tangentially continuous; order 1 span a + b(-y, x)),
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -96,36 +98,93 @@ class DofSpec:
 _DOF_KINDS = {0: ("value",), 1: ("scalar", "tangential", "normal"), 2: ("normal",)}
 
 
-def _dof_frame(dof: DofSpec, dim: int):
-    """A reference DOF as a moment over its entity: (A, b, direction, scale).
+def _check_dof(dof: DofSpec, dim: int, k: int):
+    """A DOF on a k-entity of a dim-simplex must be of a kind that lives there."""
+    kinds = _DOF_KINDS.get(k, ()) + (("interior",) if k == dim else ())
+    if dof.entity_dim != k or dof.kind not in kinds:
+        raise ValueError(f"unsupported dof {dof} on a {k}-entity")
 
-    The entity is x = b + A y over the unit simplex of its own dimension
-    k (a point for k = 0); the DOF is scale * int y^weight g(x(y)) dy,
-    where g is the field dotted with `direction` for tangential and
-    normal moments, else its `component` (or the field itself).  Every
-    entry is an integer.
-    """
-    interior = dof.kind == "interior" and dof.entity_dim == dim
-    if not interior and dof.kind not in _DOF_KINDS.get(dof.entity_dim, ()):
-        raise ValueError(f"unsupported dof {dof}")
+
+def _dof_frame(dof: DofSpec, dim: int):
+    """The entity of a reference DOF as x = b + A y over the unit simplex
+    of its own dimension k (a point for k = 0): integer (b, A)."""
+    _check_dof(dof, dim, dof.entity_dim)
     verts = reference_vertices(dim)
     ent = local_entities(dim, dof.entity_dim)[dof.entity_index]
     b = verts[ent[0]]
-    A = (verts[list(ent[1:])] - b).T
-    direction = None
+    return b, (verts[list(ent[1:])] - b).T
+
+
+def _direction(dof: DofSpec, A):
+    """Direction a tangential or normal DOF dots the field with, for
+    entity frames A (..., dim, k); None for the other kinds.  2D edge
+    normals are the tangent turned clockwise; 3D faces use the
+    right-hand rule."""
     if dof.kind == "tangential":
-        direction = A[:, 0]
-    elif dof.kind == "normal":
-        # 2D edges: the tangent turned clockwise; 3D faces: right-hand rule
-        direction = np.array([A[1, 0], -A[0, 0]]) if dof.entity_dim == 1 else np.cross(A[:, 0], A[:, 1])
-    return A, b, direction, factorial(dim) if interior else 1
+        return A[..., :, 0]
+    if dof.kind == "normal":
+        if A.shape[-1] == 1:
+            return np.stack([A[..., 1, 0], -A[..., 0, 0]], axis=-1)
+        return np.cross(A[..., :, 0], A[..., :, 1])
+    return None
+
+
+def _scale(dof: DofSpec) -> int:
+    """Interior moments are normalized by the measure 1/k! of the cell."""
+    return factorial(dof.entity_dim) if dof.kind == "interior" else 1
+
+
+def moment_rule(dofs, k: int):
+    """Points y (nq, k) of simplex_rule(k) (one point for k = 0) and
+    weights W (len(dofs), nq) such that each DOF on a k-entity is
+    sum_q W[i, q] g_i(y_q), g_i its integrand: the field, its component
+    or its dot product with `_direction`."""
+    if k == 0:
+        y, w = np.zeros((1, 0)), np.ones(1)
+    else:
+        rule = simplex_rule(k)
+        y, w = rule.points, rule.weights
+    W = np.stack([_scale(d) * w * np.prod(y ** np.asarray(d.weight, dtype=int), axis=1)
+                  for d in dofs])
+    return y, W
+
+
+def dof_moments(dofs, b, A, f, pullback=None) -> np.ndarray:
+    """DOFs of a field on n stacked entities of one dimension k.
+
+    Entity j is x = b[j] + A[j] y, b (n, dim), A (n, dim, k), and each DOF
+    is a moment over y as on the reference entity.  `f` maps points
+    (N, dim) to (N,) or (N, m) values and is called once, on all rule
+    points of all entities.  `pullback` (n, m, m), when given, takes the
+    field values (as rows) to the reference values the DOFs see, like the
+    covariant v -> v B.  Returns (n, len(dofs)).
+    """
+    n, dim, k = A.shape
+    for dof in dofs:
+        _check_dof(dof, dim, k)
+    y, W = moment_rule(dofs, k)
+    pts = b[:, None, :] + np.einsum("nik,qk->nqi", A, y)
+    vals = np.asarray(f(pts.reshape(-1, dim)))
+    vals = vals.reshape((n, len(y)) + vals.shape[1:])
+    if pullback is not None:
+        vals = vals @ pullback
+    out = np.empty((n, len(dofs)))
+    for i, dof in enumerate(dofs):
+        direction = _direction(dof, A)
+        if direction is not None:
+            g = np.einsum("nqi,ni->nq", vals, direction)
+        else:
+            g = vals if dof.component is None else vals[:, :, dof.component]
+        out[:, i] = g @ W[i]
+    return out
 
 
 def _exact_moment(dof: DofSpec, field, dim: int):
     """One DOF of a Poly or VecPoly, computed without quadrature: the
     field is restricted to the entity by affine substitution and
     integrated term by term.  Exact (a Fraction) for exact coefficients."""
-    A, b, direction, scale = _dof_frame(dof, dim)
+    b, A = _dof_frame(dof, dim)
+    direction = _direction(dof, A)
     if direction is not None:
         g = Poly(dim)
         for d, comp in zip(direction.tolist(), field.comps):
@@ -134,25 +193,13 @@ def _exact_moment(dof: DofSpec, field, dim: int):
         g = field if dof.component is None else field.comps[dof.component]
     k = A.shape[1]
     restricted = g.compose_affine(A, b) * Poly.monomial(k, dof.weight)
-    return scale * restricted.integral_reference_simplex()
+    return _scale(dof) * restricted.integral_reference_simplex()
 
 
 def _quadrature_moment(dof: DofSpec, f, dim: int) -> float:
     """One DOF of a field given as a callable on points (N, dim)."""
-    A, b, direction, scale = _dof_frame(dof, dim)
-    k = A.shape[1]
-    if k == 0:
-        y, w = np.zeros((1, 0)), np.ones(1)
-    else:
-        rule = simplex_rule(k)
-        y, w = rule.points, rule.weights
-    vals = np.asarray(f(b + y @ A.T))
-    if direction is not None:
-        vals = vals @ direction
-    elif dof.component is not None:
-        vals = vals[:, dof.component]
-    wmono = np.prod(y ** np.asarray(dof.weight, dtype=int), axis=1)
-    return float(scale * np.sum(w * wmono * vals))
+    b, A = _dof_frame(dof, dim)
+    return float(dof_moments([dof], b[None], A[None], f)[0, 0])
 
 
 def evaluate_dof(dof: DofSpec, field, dim: int) -> float:
@@ -208,7 +255,6 @@ class ElementFamily:
         self.dofs = tuple(dofs)
         if len(self.span) != len(self.dofs):
             raise ValueError(f"{name}: {len(span)} span functions vs {len(dofs)} dofs")
-        self._exact = None
         self._nodal = None
         self._deriv = None
 
@@ -232,15 +278,10 @@ class ElementFamily:
         }[self.mapping]
 
     def dofs_per_entity(self, k: int) -> int:
-        counts = {}
-        for d in self.dofs:
-            counts[(d.entity_dim, d.entity_index)] = counts.get((d.entity_dim, d.entity_index), 0) + 1
-        per = {c for (ek, _), c in counts.items() if ek == k}
-        if not per:
-            return 0
-        if len(per) != 1:
+        per = {len(pos) for (ek, _), pos in self.dof_entity_layout().items() if ek == k}
+        if len(per) > 1:
             raise UnevenDofLayoutError(f"{self.name}: uneven dof count on dim-{k} entities")
-        return per.pop()
+        return per.pop() if per else 0
 
     def dof_entity_layout(self):
         """Mapping (entity_dim, local_index) -> tuple of dof positions."""
@@ -251,20 +292,19 @@ class ElementFamily:
 
     # -- nodal basis -----------------------------------------------------------
 
+    @cached_property
     def _exact_basis(self):
         """Nodal basis phi_j = sum_i C[i, j] span_i with C = V^-1, where
         V[i, j] = dof_i(span_j); V and C are exact rationals."""
-        if self._exact is None:
-            V = [[_exact_moment(d, p, self.mesh_dim) for p in self.span] for d in self.dofs]
-            C = _rational_inverse(V, self.name)
-            self._exact = [_combine(self.span, [row[j] for row in C]) for j in range(self.shape_dim)]
-        return self._exact
+        V = [[_exact_moment(d, p, self.mesh_dim) for p in self.span] for d in self.dofs]
+        C = _rational_inverse(V, self.name)
+        return [_combine(self.span, [row[j] for row in C]) for j in range(self.shape_dim)]
 
     @property
     def nodal_basis(self):
         """Shape functions dual to the DOFs (delta property)."""
         if self._nodal is None:
-            self._nodal = [p.to_float() for p in self._exact_basis()]
+            self._nodal = [p.to_float() for p in self._exact_basis]
         return self._nodal
 
     @property
@@ -278,7 +318,7 @@ class ElementFamily:
             return None
         if self._deriv is None:
             self._deriv = [_exterior_derivative(p, self.derivative_kind).to_float()
-                           for p in self._exact_basis()]
+                           for p in self._exact_basis]
         return self._deriv
 
     # -- tabulation ------------------------------------------------------------
@@ -293,8 +333,24 @@ class ElementFamily:
             raise ValueError(f"{self.name} has no derivative operator")
         return np.stack([d.eval(points) for d in der])
 
+    @cached_property
+    def rule_values(self) -> np.ndarray:
+        """tabulate() at the points of simplex_rule(mesh_dim), read-only."""
+        return _read_only(self.tabulate(simplex_rule(self.mesh_dim).points))
+
+    @cached_property
+    def rule_derivatives(self) -> np.ndarray:
+        """tabulate_derivative() at the points of simplex_rule(mesh_dim),
+        read-only."""
+        return _read_only(self.tabulate_derivative(simplex_rule(self.mesh_dim).points))
+
     def __repr__(self):
         return f"<ElementFamily {self.name}: dim {self.mesh_dim}, k={self.form_degree}, {self.shape_dim} dofs>"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def apply_dofs(family: ElementFamily, field) -> np.ndarray:
@@ -470,9 +526,9 @@ def local_derivative_matrix(fam_from: ElementFamily, fam_to: ElementFamily) -> n
     image = "scalar" if kind == "div" or (kind == "curl" and fam_from.mesh_dim == 2) else "vector"
     if image != fam_to.value_kind:
         raise IncompatibleFamiliesError(f"{kind} of {fam_from.name} lands in a {image} space")
-    target = fam_to._exact_basis()
+    target = fam_to._exact_basis
     columns = []
-    for p in fam_from._exact_basis():
+    for p in fam_from._exact_basis:
         dp = _exterior_derivative(p, kind)
         coeffs = [_exact_moment(d, dp, fam_to.mesh_dim) for d in fam_to.dofs]
         if not (dp - _combine(target, coeffs)).almost_zero(0):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -223,12 +222,3 @@ def _bareiss_rank_bigint(M: list[list[int]]) -> int:
         if r == nrows:
             break
     return r
-
-
-def write_matrix_market(A, target) -> None:
-    A = sp.coo_matrix(A) if not sp.issparse(A) else A.tocoo()
-    scipy.io.mmwrite(target, A)
-
-
-def read_matrix_market(source):
-    return scipy.io.mmread(source)

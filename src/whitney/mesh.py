@@ -4,10 +4,9 @@ Every entity table is derived deterministically from the top-level
 simplices: each k-simplex is stored with strictly increasing vertex
 indices and tables are sorted lexicographically.  Storing everything in
 ascending order makes the induced orientation of any sub-simplex agree
-with its stored orientation, so local-to-global orientation signs are
-the parity of an identity permutation (always +1); tangents run from
-the lower to the higher vertex index and 2D edge normals are the
-tangent rotated clockwise by 90 degrees.
+with its stored orientation, so no local-to-global orientation signs
+are needed; tangents run from the lower to the higher vertex index and
+2D edge normals are the tangent rotated clockwise by 90 degrees.
 
 Tables are built with whole-array operations: the k-subsimplices of all
 cells are gathered at once, ordered with np.lexsort, and a new entity
@@ -192,9 +191,6 @@ class Mesh:
         """(num_cells, C(dim+1, k+1)) array of global sub-entity ids."""
         return self._cell_sub[k]
 
-    def local_subentity_vertices(self, k: int) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(self.dim + 1), k + 1))
-
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** k * self.num_entities(k) for k in range(self.dim + 1)))
 
@@ -226,32 +222,6 @@ class Mesh:
         if k == 3:
             return np.abs(self.signed_cell_volumes())
         raise ValueError(f"bad entity dimension {k}")
-
-    def orientation_sign(self, cell_index: int, k: int, local_index: int) -> int:
-        """Parity of stored vs induced ordering of a sub-entity.
-
-        Cells and entities are both stored ascending, so the permutation
-        is the identity and the sign is always +1; kept explicit so the
-        convention is checked rather than assumed.
-        """
-        cell = self.cells[cell_index].tolist()
-        combo = self.local_subentity_vertices(k)[local_index]
-        induced = [cell[i] for i in combo]
-        stored = sorted(induced)
-        perm = [induced.index(v) for v in stored]
-        sign = 1
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
 
 
 def _number_subsimplices(cells: np.ndarray, k: int):

@@ -182,10 +182,6 @@ class Poly:
             total += Fraction(c * num, den) if type(c) in _EXACT else c * num / den
         return total
 
-    def coeffs_on(self, exponents) -> np.ndarray:
-        """Coefficient vector on a given exponent list (zero if absent)."""
-        return np.array([self.terms.get(tuple(e), 0.0) for e in exponents])
-
     def almost_zero(self, tol=1e-12) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
 

@@ -10,9 +10,8 @@ discontinuous densities).
 Because all entities are stored with ascending vertex indices, the map
 from the reference simplex onto each cell's sorted vertex tuple sends
 reference tangents/normals to the global entity conventions, and every
-degree of freedom is invariant under the pullback.  The local-to-global
-sign table is therefore identically +1; it is kept explicit so the
-orientation bookkeeping stays visible and testable.
+degree of freedom is invariant under the pullback.  Local and global
+DOFs therefore agree without orientation signs.
 
 Every map is affine, so each side of a form is a fixed reference
 tabulation times a per-cell matrix M_c (B^-T for covariant values and
@@ -21,8 +20,9 @@ curl and div, 1 for scalar values).  Local matrices are then a per-cell
 geometry tensor G_c = |det| M_row^T C M_col times a reference tensor
 R = sum_q w_q ref_r (x) ref_s, one matrix product for all cells (Kirby
 & Logg, "A compiler for variational forms", ACM TOMS 2006).  The
-derivative matrix is a single sorted scatter and the canonical
-projection calls the field once per entity kind.
+derivative matrix is a single sorted scatter.  The canonical projection
+applies the catalog's own DOFs (`elements.dof_moments`) to the global
+entities of each dimension, calling the field once per entity kind.
 
 Essential boundary conditions are realized by eliminating DOFs attached
 to boundary entities of codimension >= 1 (value trace for scalar
@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import ElementFamily, get_family, local_derivative_matrix
+from .elements import ElementFamily, dof_moments, get_family, local_derivative_matrix
 from .mesh import Mesh
-from .quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
+from .quadrature import simplex_rule
 
 
 @dataclass
@@ -48,8 +48,6 @@ class DiscreteSpace:
     bc: str
     ndofs: int
     cell_dofs: np.ndarray      # (num_cells, shape_dim) global dof ids
-    cell_signs: np.ndarray     # (num_cells, shape_dim), +1 by construction
-    dof_entity: np.ndarray     # (ndofs, 2): entity dim, entity id
     dof_boundary: np.ndarray   # (ndofs,) bool
     free: np.ndarray = field(default=None)  # indices of unconstrained dofs
 
@@ -72,9 +70,6 @@ class DiscreteSpace:
         out[self.free] = v_free
         return out
 
-    def local_coefficients(self, u, cell_index):
-        return u[self.cell_dofs[cell_index]] * self.cell_signs[cell_index]
-
     def __repr__(self):
         return (f"<DiscreteSpace {self.family.name} on {self.mesh.domain_tag or 'mesh'}: "
                 f"{self.ndofs} dofs, {self.num_free} free>")
@@ -93,37 +88,21 @@ def build_space(mesh: Mesh, family, bc: str = "none") -> DiscreteSpace:
         raise ValueError(f"unknown boundary condition {bc!r}")
 
     counts = [family.dofs_per_entity(k) for k in range(mesh.dim + 1)]
-    base = np.zeros(mesh.dim + 2, dtype=np.int64)
-    for k in range(mesh.dim + 1):
-        base[k + 1] = base[k] + counts[k] * mesh.num_entities(k)
+    base = np.cumsum([0] + [counts[k] * mesh.num_entities(k) for k in range(mesh.dim + 1)])
     ndofs = int(base[-1])
 
     layout = family.dof_entity_layout()
-    nloc = family.shape_dim
-    cell_dofs = np.empty((mesh.num_cells, nloc), dtype=np.int64)
+    cell_dofs = np.empty((mesh.num_cells, family.shape_dim), dtype=np.int64)
     for (k, local_idx), positions in layout.items():
         ent_ids = mesh.cell_subentities(k)[:, local_idx]
         for slot, pos in enumerate(positions):
             cell_dofs[:, pos] = base[k] + ent_ids * counts[k] + slot
 
-    dof_entity = np.empty((ndofs, 2), dtype=np.int64)
-    dof_boundary = np.zeros(ndofs, dtype=bool)
-    for k in range(mesh.dim + 1):
-        if counts[k] == 0:
-            continue
-        ids = np.repeat(np.arange(mesh.num_entities(k)), counts[k])
-        rows = slice(int(base[k]), int(base[k + 1]))
-        dof_entity[rows, 0] = k
-        dof_entity[rows, 1] = ids
-        if k < mesh.dim:
-            dof_boundary[rows] = mesh.boundary[k][ids]
-
-    if bc == "essential":
-        free = np.nonzero(~dof_boundary)[0]
-    else:
-        free = np.arange(ndofs)
-    signs = np.ones((mesh.num_cells, nloc), dtype=np.int8)
-    return DiscreteSpace(mesh, family, bc, ndofs, cell_dofs, signs, dof_entity, dof_boundary, free)
+    # cells are never boundary entities (mesh.boundary[dim] is all False)
+    dof_boundary = np.concatenate([np.repeat(mesh.boundary[k], counts[k])
+                                   for k in range(mesh.dim + 1)])
+    free = np.nonzero(~dof_boundary)[0] if bc == "essential" else np.arange(ndofs)
+    return DiscreteSpace(mesh, family, bc, ndofs, cell_dofs, dof_boundary, free)
 
 
 # -- pullbacks and assembly ----------------------------------------------------
@@ -131,16 +110,6 @@ def build_space(mesh: Mesh, family, bc: str = "none") -> DiscreteSpace:
 
 class DerivativeNotSingleValuedError(ValueError):
     """Cells sharing a target DOF disagree on its derivative entry."""
-
-
-def _reference_tab(family: ElementFamily, what: str):
-    rule = simplex_rule(family.mesh_dim)
-    key = "_tab_" + what
-    cached = getattr(family, key, None)
-    if cached is None:
-        cached = family.tabulate(rule.points) if what == "values" else family.tabulate_derivative(rule.points)
-        setattr(family, key, cached)
-    return rule, cached
 
 
 def _pullback(family: ElementFamily, derivative: bool, geo) -> np.ndarray:
@@ -167,7 +136,7 @@ def _as_vector_tab(ref: np.ndarray) -> np.ndarray:
 def _field_values(space: DiscreteSpace, u, ref, M) -> np.ndarray:
     """Field values sum_s u_s M_c ref_s at the tabulated points: (nc, nq, p)."""
     ref = _as_vector_tab(ref)
-    coef = u[space.cell_dofs] * space.cell_signs
+    coef = u[space.cell_dofs]
     ref_vals = (coef @ ref.reshape(ref.shape[0], -1)).reshape(coef.shape[0], ref.shape[1], -1)
     return np.einsum("cij,cqj->cqi", M, ref_vals)
 
@@ -224,7 +193,7 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
     sides = []
     for space in (row_space, col_space):
         derivative = operator != "identity" and space.family.derivative_kind == operator
-        _, ref = _reference_tab(space.family, "derivative" if derivative else "values")
+        ref = space.family.rule_derivatives if derivative else space.family.rule_values
         sides.append((_as_vector_tab(ref), _pullback(space.family, derivative, geo), ref.ndim == 3))
     (ref_r, M_r, row_vec), (ref_c, M_c, col_vec) = sides
     if row_vec != col_vec:
@@ -294,14 +263,6 @@ def assemble_derivative(space_from: DiscreteSpace, space_to: DiscreteSpace) -> s
 # -- canonical projection ------------------------------------------------------
 
 
-def _entity_program(family: ElementFamily, k: int):
-    layout = family.dof_entity_layout()
-    positions = layout.get((k, 0))
-    if positions is None:
-        return []
-    return [family.dofs[p] for p in positions]
-
-
 def _as_callable(fieldlike):
     return fieldlike.eval if hasattr(fieldlike, "eval") else fieldlike
 
@@ -309,91 +270,43 @@ def _as_callable(fieldlike):
 def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
     """DOF vector of the canonical interpolant of a smooth field.
 
-    Vertex/edge/face DOFs are evaluated once per global entity with the
-    global orientation conventions; interior DOFs are evaluated per cell
-    through the family's pullback.  The result restricted to any cell
-    coincides with the reference-element DOFs of the pulled-back field.
-    The field is called once per entity kind, on the quadrature points
-    of all entities of that kind.
+    The family's DOFs on the entities of each dimension k are applied to
+    all global k-entities at once, each entity framed by its ascending
+    vertex tuple, so the result restricted to any cell coincides with
+    the reference-element DOFs of the pulled-back field.  Cell DOFs see
+    the field through the family's Piola pullback.  The field is called
+    once per entity kind, on the quadrature points of all its entities.
     """
     f = _as_callable(fieldlike)
-    mesh = space.mesh
+    mesh, fam = space.mesh, space.family
+    layout = fam.dof_entity_layout()
+    blocks = []
+    for k in range(mesh.dim + 1):
+        dofs = [fam.dofs[p] for p in layout.get((k, 0), ())]
+        if not dofs:
+            continue
+        verts = mesh.vertices[mesh.entities[k]]
+        b, A = verts[:, 0], np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+        pullback = None
+        if k == mesh.dim and fam.mapping in ("covariant", "contravariant"):
+            geo = mesh.geometry
+            pullback = geo.B if fam.mapping == "covariant" else \
+                np.swapaxes(geo.Binv, 1, 2) * geo.detB[:, None, None]
+        blocks.append(dof_moments(dofs, b, A, f, pullback).ravel())
+    return np.concatenate(blocks)
+
+
+def _evaluate(space: DiscreteSpace, u, rule, derivative: bool):
     fam = space.family
-    out = np.zeros(space.ndofs)
-    counts = [fam.dofs_per_entity(k) for k in range(mesh.dim + 1)]
-    base = np.cumsum([0] + [counts[k] * mesh.num_entities(k) for k in range(mesh.dim + 1)])
-
-    # vertex values
-    prog0 = _entity_program(fam, 0)
-    if prog0:
-        vals = np.asarray(f(mesh.vertices))
-        for slot, dof in enumerate(prog0):
-            col = vals if dof.component is None else vals[:, dof.component]
-            out[base[0] + slot:base[1]:counts[0]] = col
-
-    # edge moments
-    prog1 = _entity_program(fam, 1)
-    if prog1:
-        rule = interval_rule()
-        s = rule.points[:, 0]
-        edges = mesh.entities[1]
-        va = mesh.vertices[edges[:, 0]]
-        tangent = mesh.vertices[edges[:, 1]] - va
-        pts = va[:, None, :] + s[None, :, None] * tangent[:, None, :]
-        vals = np.asarray(f(pts.reshape(-1, mesh.dim))).reshape(pts.shape[:2] + (-1,))
-        for slot, dof in enumerate(prog1):
-            if dof.kind == "scalar":
-                integrand = vals[:, :, 0]
-            elif dof.kind == "tangential":
-                integrand = np.einsum("eqi,ei->eq", vals, tangent)
-            elif dof.kind == "normal":
-                normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-                integrand = np.einsum("eqi,ei->eq", vals, normal)
-            else:
-                raise ValueError(f"bad edge dof kind {dof.kind}")
-            out[base[1] + slot:base[2]:counts[1]] = integrand @ (rule.weights * s ** dof.weight[0])
-
-    # 3D face moments
-    if mesh.dim == 3:
-        prog2 = _entity_program(fam, 2)
-        if prog2:
-            rule = triangle_rule()
-            s, t = rule.points[:, 0], rule.points[:, 1]
-            faces = mesh.entities[2]
-            pa = mesh.vertices[faces[:, 0]]
-            eb = mesh.vertices[faces[:, 1]] - pa
-            ec = mesh.vertices[faces[:, 2]] - pa
-            pts = pa[:, None, :] + s[None, :, None] * eb[:, None, :] + t[None, :, None] * ec[:, None, :]
-            vals = np.asarray(f(pts.reshape(-1, 3))).reshape(pts.shape)
-            flux = np.einsum("fqi,fi->fq", vals, np.cross(eb, ec))
-            for slot, dof in enumerate(prog2):
-                wmono = s ** dof.weight[0] * t ** dof.weight[1]
-                out[base[2] + slot:base[3]:counts[2]] = flux @ (rule.weights * wmono)
-
-    # interior moments through the family pullback
-    progd = _entity_program(fam, mesh.dim)
-    if progd:
-        geo = mesh.geometry
-        rule = simplex_rule(mesh.dim)
-        pts = geo.push_points(rule.points)
-        flat = np.asarray(f(pts.reshape(-1, mesh.dim)))
-        if fam.value_kind == "vector":
-            vals = flat.reshape(mesh.num_cells, -1, mesh.dim)
-            if fam.mapping == "covariant":
-                vals = np.einsum("cqi,cij->cqj", vals, geo.B)
-            elif fam.mapping == "contravariant":
-                vals = np.einsum("cqi,cji->cqj", vals, geo.Binv) * geo.detB[:, None, None]
-        else:
-            vals = flat.reshape(mesh.num_cells, -1)
-        for slot, dof in enumerate(progd):
-            wmono = np.ones(rule.points.shape[0])
-            for ax, e in enumerate(dof.weight):
-                if e:
-                    wmono = wmono * rule.points[:, ax] ** e
-            comp = vals if dof.component is None else vals[:, :, dof.component]
-            moments = comp @ (rule.weights * wmono) / reference_measure(mesh.dim)
-            out[base[mesh.dim] + np.arange(mesh.num_cells) * counts[mesh.dim] + slot] = moments
-    return out
+    geo = space.mesh.geometry
+    if rule is None:
+        rule = simplex_rule(space.mesh.dim)
+        ref = fam.rule_derivatives if derivative else fam.rule_values
+    else:
+        ref = fam.tabulate_derivative(rule.points) if derivative else fam.tabulate(rule.points)
+    vals = _field_values(space, u, ref, _pullback(fam, derivative, geo))
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
+    return geo.push_points(rule.points), wdet, vals if ref.ndim == 3 else vals[:, :, 0]
 
 
 def evaluate_on_cells(space: DiscreteSpace, u, rule=None):
@@ -402,14 +315,7 @@ def evaluate_on_cells(space: DiscreteSpace, u, rule=None):
     Returns (physical points (nc, nq, dim), weights*|det| (nc, nq),
     values (nc, nq) or (nc, nq, dim)).
     """
-    mesh = space.mesh
-    rule = rule or simplex_rule(mesh.dim)
-    geo = mesh.geometry
-    ref = space.family.tabulate(rule.points)
-    vals = _field_values(space, u, ref, _pullback(space.family, False, geo))
-    pts = geo.push_points(rule.points)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
-    return pts, wdet, vals if ref.ndim == 3 else vals[:, :, 0]
+    return _evaluate(space, u, rule, False)
 
 
 def evaluate_derivative_on_cells(space: DiscreteSpace, u, rule=None):
@@ -418,17 +324,7 @@ def evaluate_derivative_on_cells(space: DiscreteSpace, u, rule=None):
     Gradient spaces give (nc, nq, dim), 2D curl and div give (nc, nq),
     3D curl gives (nc, nq, 3).  Same return layout as evaluate_on_cells.
     """
-    mesh = space.mesh
-    fam = space.family
-    if fam.derivative_kind is None:
-        raise ValueError(f"{fam.name} has no derivative")
-    rule = rule or simplex_rule(mesh.dim)
-    geo = mesh.geometry
-    ref = fam.tabulate_derivative(rule.points)
-    vals = _field_values(space, u, ref, _pullback(fam, True, geo))
-    pts = geo.push_points(rule.points)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
-    return pts, wdet, vals if ref.ndim == 3 else vals[:, :, 0]
+    return _evaluate(space, u, rule, True)
 
 
 def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
@@ -439,8 +335,8 @@ def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     """
     mesh = space.mesh
     geo = mesh.geometry
-    rule, ref = _reference_tab(space.family, "values")
-    ref = _as_vector_tab(ref)
+    rule = simplex_rule(mesh.dim)
+    ref = _as_vector_tab(space.family.rule_values)
     M = _pullback(space.family, False, geo)
     pts = geo.push_points(rule.points)
     fv = np.asarray(_as_callable(f)(pts.reshape(-1, mesh.dim))).reshape(mesh.num_cells, rule.weights.size, -1)
@@ -448,7 +344,7 @@ def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     pulled = np.einsum("cij,cqi->cqj", M, fv) * wdet[:, :, None]
     local = pulled.reshape(mesh.num_cells, -1) @ ref.reshape(ref.shape[0], -1).T
     out = np.zeros(space.ndofs)
-    np.add.at(out, space.cell_dofs, local * space.cell_signs)
+    np.add.at(out, space.cell_dofs, local)
     return out
 
 

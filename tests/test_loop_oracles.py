@@ -6,11 +6,12 @@ The oracles below are the earlier implementations, kept verbatim in
 substance: set-and-dict entity numbering, a dict-based derivative
 scatter, quadrature-point assembly with per-cell physical tabulations,
 one field call per edge or face, per-entity incidence lookups, per-cell
-stress dualization and assembly, and the SVD-deflated dense inf-sup
-constant.  Integer tables and the derivative must match exactly; forms,
-projections and the stress element, whose summation order changed, must
-match to 1e-13 relative to the largest entry, and the inf-sup constant
-to 1e-10.
+stress dualization and assembly, the einsum displacement helpers that
+the dg1 space replaced, and the SVD-deflated dense inf-sup constant.
+Integer tables and the derivative must match exactly; forms,
+projections, the displacement helpers and the stress element, whose
+summation order changed, must match to 1e-13 relative to the largest
+entry, and the inf-sup constant to 1e-10.
 """
 
 import itertools
@@ -24,7 +25,13 @@ import scipy.sparse as sp
 
 from whitney import elasticity as el
 from whitney.complexes import compute_infsup, incidence_matrix
-from whitney.elements import FAMILY_NAMES, get_family, local_derivative_matrix
+from whitney.elements import (
+    FAMILY_NAMES,
+    apply_dofs,
+    get_family,
+    local_derivative_matrix,
+    reference_vertices,
+)
 from whitney.linalg import cholesky_solve, generalized_symmetric_eig
 from whitney.mesh import (
     Mesh,
@@ -380,8 +387,15 @@ def loop_compliance(space, cells, lam, mu):
                          shape=(space.ndofs, space.ndofs)).tocsr()
 
 
+def _dg1_moment_weights(rule):
+    """The dg1 DOFs' moment monomials at the rule points, in DOF order."""
+    return np.stack([np.prod(rule.points ** np.asarray(d.weight, dtype=float), axis=1)
+                     for d in get_family("dg1").dofs])
+
+
 def loop_divergence(space, disp, cells):
-    _, rule, _, mono = el._dg1_reference()
+    rule = triangle_rule()
+    mono = _dg1_moment_weights(rule)
     pts = space.mesh.geometry.push_points(rule.points)
     rows, cols, vals = [], [], []
     for c, cell in enumerate(cells):
@@ -392,6 +406,41 @@ def loop_divergence(space, disp, cells):
         vals.append(local.reshape(-1))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(disp.ndofs, space.ndofs)).tocsr()
+
+
+def einsum_displacement_mass(disp):
+    rule = triangle_rule()
+    tab = get_family("dg1").tabulate(rule.points)
+    local = np.einsum("iq,jq,q->ij", tab, tab, rule.weights)
+    blocks = disp.mesh.geometry.absdet[:, None, None] * local[None, :, :]
+    comp_block = np.zeros((disp.num_cells, 6, 6))
+    comp_block[:, :3, :3] = blocks
+    comp_block[:, 3:, 3:] = blocks
+    return sp.block_diag(comp_block, format="csr")
+
+
+def einsum_displacement_projection(disp, f):
+    rule = triangle_rule()
+    pts = disp.mesh.geometry.push_points(rule.points)
+    vals = np.asarray(f(pts.reshape(-1, 2))).reshape(disp.num_cells, -1, 2)
+    moments = 2.0 * np.einsum("cqi,sq,q->cis", vals, _dg1_moment_weights(rule), rule.weights)
+    return moments.reshape(-1)
+
+
+def einsum_load_vector(disp, f):
+    rule = triangle_rule()
+    tab = get_family("dg1").tabulate(rule.points)
+    geo = disp.mesh.geometry
+    vals = np.asarray(f(geo.push_points(rule.points).reshape(-1, 2))).reshape(disp.num_cells, -1, 2)
+    wdet = rule.weights[None, :] * geo.absdet[:, None]
+    return np.einsum("cqi,mq,cq->cim", vals, tab, wdet).reshape(-1)
+
+
+def einsum_evaluate_displacement(disp, u, rule):
+    tab = get_family("dg1").tabulate(rule.points)
+    geo = disp.mesh.geometry
+    vals = np.einsum("cis,sq->cqi", u.reshape(disp.num_cells, 2, 3), tab)
+    return geo.push_points(rule.points), rule.weights[None, :] * geo.absdet[:, None], vals
 
 
 def loop_interpolate_stress_edges(space, field):
@@ -572,6 +621,42 @@ def test_batched_stress_interpolation_matches_edge_loop(meshes, which):
     edge_base = 3 * mesh.num_vertices
     edges = el.interpolate_stress(space, field)[edge_base:edge_base + 4 * mesh.num_entities(1)]
     _assert_close(edges, loop_interpolate_stress_edges(space, field), which)
+
+
+@pytest.mark.parametrize("which", ["crossed2", "jittered"])
+def test_dg1_displacement_space_matches_einsum_helpers(meshes, which):
+    disp = el.build_displacement_space(_stress_meshes(meshes)[which])
+
+    def f(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.stack([np.sin(1.0 + x + 2.0 * y), np.cos(x * y - 0.3) + x ** 2], axis=-1)
+
+    M, M_old = el.displacement_mass(disp), einsum_displacement_mass(disp)
+    assert np.array_equal((M != 0).toarray(), (M_old != 0).toarray())
+    _assert_close(M, M_old, "mass")
+    _assert_close(el.displacement_projection(disp, f), einsum_displacement_projection(disp, f),
+                  "projection")
+    _assert_close(el.load_vector(disp, f), einsum_load_vector(disp, f), "load")
+    u = np.random.default_rng(5).standard_normal(disp.ndofs)
+    for rule in (None, triangle_rule(3)):
+        new = el.evaluate_displacement(disp, u, rule)
+        old = einsum_evaluate_displacement(disp, u, rule or triangle_rule())
+        for a, b, what in zip(new, old, ("points", "weights", "values")):
+            assert a.shape == b.shape
+            _assert_close(a, b, what)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_projection_on_reference_cell_is_apply_dofs(dim):
+    """One definition of each DOF: on the reference simplex, the global
+    projection restricted to the cell is the family's own DOFs."""
+    mesh = Mesh(dim, reference_vertices(dim), [list(range(dim + 1))])
+    for name in _families(dim):
+        space = build_space(mesh, name)
+        f = _smooth_field(dim, space.family.value_kind == "vector")
+        new = canonical_projection(space, f)[space.cell_dofs[0]]
+        old = apply_dofs(space.family, f)
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max(), name
 
 
 def _flux_pressure(n, pattern, bc):

@@ -6,6 +6,8 @@ center vertex per square, and Euler characteristic chi = V - E + F
 must be 1 for disk-like domains and 0 for the annulus.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,11 +71,25 @@ def test_entities_stored_ascending(cube2):
         assert np.all(np.diff(tab, axis=1) > 0)
 
 
-def test_orientation_signs_are_plus_one(disk2):
-    for c in range(disk2.num_cells):
-        for k in (1, 2):
-            for i in range(len(disk2.local_subentity_vertices(k))):
-                assert disk2.orientation_sign(c, k, i) == 1
+def test_rows_are_strictly_ascending(disk2, cube2):
+    """The invariant that makes orientation signs unnecessary: every
+    entity row and every cell row is strictly ascending, so each cell's
+    local sub-simplices (ascending local index tuples) are the stored
+    entities in the stored vertex order."""
+    rng = np.random.default_rng(11)
+    base = generate_square_mesh(3, pattern="crossed")
+    shift = np.where(base.boundary[0][:, None], 0.0, rng.uniform(-0.03, 0.03, base.vertices.shape))
+    perm = rng.permutation(base.num_vertices)
+    verts = np.empty_like(base.vertices)
+    verts[perm] = base.vertices + shift
+    jittered = Mesh(2, verts, perm[base.cells][rng.permutation(base.num_cells)])
+    for mesh in (disk2, jittered, cube2):
+        assert np.all(np.diff(mesh.cells, axis=1) > 0)
+        for k in range(mesh.dim + 1):
+            assert np.all(np.diff(mesh.entities[k], axis=1) > 0)
+            combos = list(itertools.combinations(range(mesh.dim + 1), k + 1))
+            assert np.array_equal(mesh.entities[k][mesh.cell_subentities(k)],
+                                  mesh.cells[:, combos])
 
 
 def test_entity_measures_sum(square4):
