@@ -14,7 +14,6 @@ from .complexes import (
     NotAComplexError,
     check_commuting,
     check_exactness,
-    check_s1,
     compute_infsup,
     derham_complex,
     incidence_matrix,
@@ -60,7 +59,6 @@ __all__ = [
     "build_stress_space",
     "check_commuting",
     "check_exactness",
-    "check_s1",
     "cli",
     "complexes",
     "compute_infsup",

@@ -11,10 +11,12 @@ checks certify the structural facts the element construction promises:
   fields (check_commuting over a fixed monomial battery),
 * quantitative saddle-point stability for a tail pair: the inf-sup
   constant (compute_infsup, sparse shift-invert Lanczos on the Schur
-  pencil) and coercivity on the divergence-free kernel (check_s1).
+  pencil).  The kernel condition needs no audit of its own: for a pair
+  such as face1/dg0, div maps the flux space into the pressure space,
+  and check_exactness certifies that inclusion.
 
 Dense matrices remain only in the rank audit of check_exactness (with
-the integer incidence matrices it cross-checks against) and in check_s1.
+the integer incidence matrices it cross-checks against).
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,14 +31,14 @@ from .linalg import (NotPositiveDefiniteError, as_dense, check_symmetric,
                      generalized_symmetric_eig, integer_rank, numerical_rank, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, grad, monomial_exponents
-from .spaces import DiscreteSpace, assemble_derivative, build_space, canonical_projection
+from .spaces import assemble_derivative, build_space, canonical_projection
 
 # composition residual above this (relative to the factor magnitudes)
 # disqualifies the pair of matrices from being a complex at all
 DD_RTOL = 1e-12
 # Schur-pencil eigenvalues at or below this (relative to the largest)
 # are null directions of B^T and are deflated from the inf-sup
-# eigenproblem; check_s1 applies it to the singular values of B
+# eigenproblem
 DEFLATION_RTOL = 1e-10
 # shift-invert Lanczos for the inf-sup constant: shift -SHIFT_RTOL *
 # lambda_max, INITIAL_NEV eigenvalues first (doubled while all are
@@ -46,7 +47,7 @@ SHIFT_RTOL = 1e-2
 SCALE_RTOL = 1e-4              # Lanczos tolerance on lambda_max
 INITIAL_NEV = 4
 EXPLICIT_ORDER = 8
-# commuting/kernel checks are quadrature-exact; residuals are roundoff
+# commuting checks are quadrature-exact; residuals are roundoff
 BATTERY_DEGREE = 3
 
 _FAMILY_CHAINS = {
@@ -344,66 +345,3 @@ def _smallest_kept(lam, lam_max, deflation_tol):
         raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
     kept = lam[lam > deflation_tol * lam_max]
     return math.sqrt(float(np.min(kept))) if kept.size else None
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Outcome of the kernel-coercivity condition for a tail pair."""
-
-    passed: bool
-    kernel_dim: int
-    max_kernel_divergence: float
-    gamma1: float
-
-    def __bool__(self):
-        return self.passed
-
-    def to_dict(self):
-        return {"pass": self.passed, "kernel_dim": self.kernel_dim,
-                "max_kernel_divergence": self.max_kernel_divergence,
-                "gamma1": self.gamma1}
-
-
-def check_s1(coupling, a_form, mass=None, divdiv=None,
-             deflation_tol=DEFLATION_RTOL, div_tol=1e-6) -> KernelReport:
-    """Coercivity of the a-form on the kernel of the coupling form.
-
-    Fields weakly orthogonal to the multiplier space must be honestly
-    divergence-free: when the div-div Gram matrix is supplied, every
-    kernel vector's divergence is measured against the mass norm and
-    gamma1 is the smallest Rayleigh quotient of a over mass + divdiv
-    (the graph norm) on the kernel.  Without divergence information the
-    check degrades to positive definiteness of the a-form on the kernel.
-    An empty kernel passes vacuously with gamma1 = inf.
-
-    div_tol allows for the noise floor of measuring a zero quadratic
-    form: SVD kernel vectors and the assembled Gram carry O(sqrt(eps)/h)
-    relative divergence even for exactly divergence-free pairs, while a
-    genuine violation is order one.
-    """
-    B = as_dense(coupling)
-    A = check_symmetric(as_dense(a_form), "a_form")
-    _, svals, vt = sla.svd(B, check_finite=False)
-    if svals.size and svals[0] > 0.0:
-        rank = int(np.count_nonzero(svals > deflation_tol * svals[0]))
-    else:
-        rank = 0
-    kernel = vt[rank:].T
-    kdim = kernel.shape[1]
-    if kdim == 0:
-        return KernelReport(True, 0, 0.0, math.inf)
-
-    if divdiv is not None:
-        # restriction of an all-roundoff divdiv to the kernel is only
-        # symmetric up to its own noise floor, so symmetrize by hand
-        Mk = _sym(kernel.T @ check_symmetric(as_dense(mass), "mass") @ kernel)
-        Dk = _sym(kernel.T @ as_dense(divdiv) @ kernel)
-        div_sq = sla.eigh(Dk, Mk, eigvals_only=True, check_finite=False)[-1]
-        max_div = math.sqrt(max(float(div_sq), 0.0))
-        Ak = _sym(kernel.T @ A @ kernel)
-        gamma1 = float(sla.eigh(Ak, Mk + Dk, eigvals_only=True, check_finite=False)[0])
-        return KernelReport(max_div <= div_tol and gamma1 > 0.0, kdim, max_div, gamma1)
-
-    evals = sla.eigvalsh(kernel.T @ A @ kernel, check_finite=False)
-    gamma1 = float(evals[0])
-    return KernelReport(gamma1 > 0.0, kdim, 0.0, gamma1)

@@ -104,10 +104,7 @@ def _shape_null_space() -> np.ndarray:
     The constraint kills the strictly quadratic part of the divergence:
     6 rows of the divergence operator, independent by construction.
     """
-    strict = [i for i, e in enumerate(P2) if sum(e) == 2]
-    rows = np.concatenate([np.asarray(strict), len(P2) + np.asarray(strict)])
-    C = _divergence_operator()[rows]
-    u, svals, vt = sla.svd(C)
+    u, svals, vt = sla.svd(constraint_matrix())
     rank = int(np.count_nonzero(svals > 1e-12 * svals[0]))
     if rank != 6:
         raise RuntimeError(f"divergence constraint rank {rank}, expected 6")

@@ -37,7 +37,6 @@ from .elasticity import (
 from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
-    cholesky_solve,
     generalized_symmetric_eig,
     numerical_rank,
     symmetric_indefinite_solve,
@@ -410,7 +409,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     Z = u[:, :rank]
 
     ZM2D = Z.T @ M2 @ D
-    G = ZM2D @ cholesky_solve(system.mass, ZM2D.T)
+    G = ZM2D @ symmetric_indefinite_solve(system.mass, ZM2D.T)
     Mp = Z.T @ M2 @ Z
     lam = generalized_symmetric_eig(G, Mp).eigenvalues
 
@@ -547,7 +546,7 @@ def solve_poisson(mesh: Mesh, order: int = 1, f=None):
             return 2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     K = W.restrict(assemble_stiffness_like(W, W, "grad"))
     F = W.restrict_vector(assemble_load(W, f))
-    return W, W.extend_vector(cholesky_solve(K.toarray() if sp.issparse(K) else K, F))
+    return W, W.extend_vector(symmetric_indefinite_solve(K, F))
 
 
 def galerkin_quasioptimality_demo(ns=(4, 8, 16, 32), order: int = 1,

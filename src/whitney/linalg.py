@@ -1,14 +1,16 @@
 """Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
 generalized eigensolver, and numerical plus exact integer rank.
 
-Assembled systems stay sparse: sparse_lu and the indefinite solver
-factor them with SuperLU, and check_symmetric keeps a sparse matrix
-sparse.  Dense LAPACK is used only for spectra (generalized_symmetric_eig
-and the singular values behind numerical_rank) and for the dense
-Cholesky solves that feed them.  This module pins the contracts the rest
-of the package relies on: symmetry checks, ascending B-orthonormal
-eigenpairs, residual-verified solves, and a rank that can be
-cross-checked against exact integer elimination for incidence matrices.
+Every linear system, definite or not and with one right-hand side or
+many, goes through symmetric_indefinite_solve: one SuperLU
+factorization (sparse_lu) of the matrix in CSC form, dense input
+included.  check_symmetric keeps a sparse matrix sparse.  Dense LAPACK
+is used only for spectra (generalized_symmetric_eig) and for the
+singular values behind numerical_rank.  This module pins the contracts
+the rest of the package relies on: symmetry checks, ascending
+B-orthonormal eigenpairs, residual-verified solves, and a rank that can
+be cross-checked against exact integer elimination for incidence
+matrices.
 """
 from __future__ import annotations
 
@@ -70,48 +72,17 @@ def sparse_lu(A):
         raise SingularSystemError("singular system") from exc
 
 
-def cholesky_solve(A, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A (dense)."""
-    A = check_symmetric(as_dense(A), "A")
-    b = np.asarray(b, dtype=float)
-    try:
-        factor = sla.cho_factor(A, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix not positive definite") from exc
-    return sla.cho_solve(factor, b, check_finite=False)
-
-
 def symmetric_indefinite_solve(A, b, residual_rtol=1e-8) -> np.ndarray:
-    """Solve A x = b for symmetric (possibly indefinite) A.
+    """Solve A x = b for symmetric (possibly indefinite) A; the columns
+    of a 2-D b are solved at once.
 
-    LU with partial pivoting plus one step of iterative refinement; the
-    relative residual is verified against `residual_rtol` and a failure
-    is reported as a singular system.  Sparse input keeps a sparse
-    factorization (saddle-point systems grow quadratically too fast for
-    the dense path).
+    A is taken as CSC (dense input is converted, not factored dense),
+    factored once by SuperLU and improved by one step of iterative
+    refinement; the relative residual is verified against
+    `residual_rtol` and a failure is reported as a singular system.
     """
-    if sp.issparse(A):
-        return _sparse_symmetric_solve(A, b, residual_rtol)
-    A = check_symmetric(as_dense(A), "A")
-    b = np.asarray(b, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            lu, piv = sla.lu_factor(A, check_finite=False)
-            x = sla.lu_solve((lu, piv), b, check_finite=False)
-            x = x + sla.lu_solve((lu, piv), b - A @ x, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularSystemError("singular system") from exc
-    scale = max(np.abs(A).max() * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
-    resid = np.abs(b - A @ x).max()
-    if not np.isfinite(resid) or resid > residual_rtol * scale:
-        raise SingularSystemError("singular system")
-    return x
-
-
-def _sparse_symmetric_solve(A, b, residual_rtol) -> np.ndarray:
-    A = A.tocsc()
+    A = sp.csc_matrix(A, dtype=float)
     check_symmetric(A, "A")
-    scale_A = _absmax(A)
     b = np.asarray(b, dtype=float)
     try:
         with np.errstate(all="ignore"):
@@ -120,7 +91,7 @@ def _sparse_symmetric_solve(A, b, residual_rtol) -> np.ndarray:
             x = x + factor.solve(b - A @ x)
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
-    scale = max(scale_A * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
+    scale = max(_absmax(A) * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
     resid = np.abs(b - A @ x).max()
     if not np.isfinite(resid) or resid > residual_rtol * scale:
         raise SingularSystemError("singular system")

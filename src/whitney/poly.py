@@ -265,11 +265,6 @@ def grad(p: Poly) -> VecPoly:
     return VecPoly([p.diff(ax) for ax in range(p.dim)])
 
 
-def rot2(p: Poly) -> VecPoly:
-    """Perpendicular gradient (d2 p, -d1 p) in 2D."""
-    return VecPoly([p.diff(1), -p.diff(0)])
-
-
 class SymPoly:
     """Symmetric 2x2 matrix field (s11, s12, s22) with polynomial entries."""
 

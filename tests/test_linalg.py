@@ -14,7 +14,6 @@ from whitney.linalg import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularSystemError,
-    cholesky_solve,
     generalized_symmetric_eig,
     integer_rank,
     numerical_rank,
@@ -51,12 +50,12 @@ def test_eig_rejects_asymmetric():
         generalized_symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
-def test_cholesky_solve_hand_example():
+def test_spd_solve_hand_example():
+    # A^-1 = [[3, -2], [-2, 4]] / 8, so x = (10, 12) / 8
     A = np.array([[4.0, 2.0], [2.0, 3.0]])
-    x = cholesky_solve(A, np.array([8.0, 7.0]))
+    x = symmetric_indefinite_solve(A, np.array([8.0, 7.0]))
+    assert np.allclose(x, [1.25, 1.5], rtol=0, atol=1e-14)
     assert np.allclose(A @ x, [8.0, 7.0], atol=1e-14)
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_solve(np.diag([1.0, -1.0]), np.ones(2))
 
 
 def test_saddle_point_solve_3x3():
@@ -84,6 +83,22 @@ def test_singular_system_raises():
         symmetric_indefinite_solve(np.zeros((2, 2)), np.ones(2))
     with pytest.raises(SingularSystemError):
         symmetric_indefinite_solve(sp.csr_matrix((2, 2)), np.ones(2))
+
+
+def test_matrix_right_hand_side_and_dense_input():
+    # columns are solved at once; dense and sparse input agree bit for bit
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((3, 6))
+    A = np.block([[np.diag(rng.uniform(1.0, 2.0, 6)), B.T], [B, np.zeros((3, 3))]])
+    rhs = rng.standard_normal((9, 4))
+    x = symmetric_indefinite_solve(A, rhs)
+    assert x.shape == (9, 4)
+    assert np.array_equal(x, symmetric_indefinite_solve(sp.csc_matrix(A), rhs))
+    for j in range(4):
+        assert np.allclose(x[:, j], symmetric_indefinite_solve(A, rhs[:, j]), rtol=0, atol=1e-12)
+    assert np.abs(A @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    with pytest.raises(NotSymmetricError):
+        symmetric_indefinite_solve(np.triu(A), rhs)
 
 
 def test_numerical_rank_of_incidence_like_matrix():
@@ -115,7 +130,7 @@ def test_spd_solve_residual_property(n, seed):
     R = rng.standard_normal((n, n))
     A = R @ R.T + n * np.eye(n)
     b = rng.standard_normal(n)
-    x = cholesky_solve(A, b)
+    x = symmetric_indefinite_solve(A, b)
     assert np.abs(A @ x - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
 
 

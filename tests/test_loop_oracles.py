@@ -1,17 +1,19 @@
 """The whole-array mesh tables, derivative scatter, reference-tensor
-assembly, batched projection, incidence matrices, stress element and
-sparse inf-sup test against the loops and dense algebra they replaced.
+assembly, batched projection, incidence matrices, stress element,
+sparse inf-sup test and sparse Poisson solve against the loops and
+dense algebra they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 substance: set-and-dict entity numbering, a dict-based derivative
 scatter, quadrature-point assembly with per-cell physical tabulations,
 one field call per edge or face, per-entity incidence lookups, per-cell
 stress dualization and assembly, the einsum displacement helpers that
-the dg1 space replaced, and the SVD-deflated dense inf-sup constant.
-Integer tables and the derivative must match exactly; forms,
-projections, the displacement helpers and the stress element, whose
-summation order changed, must match to 1e-13 relative to the largest
-entry, and the inf-sup constant to 1e-10.
+the dg1 space replaced, the SVD-deflated dense inf-sup constant, and a
+dense Cholesky solve of the primal Poisson system.  Integer tables and
+the derivative must match exactly; forms, projections, the
+displacement helpers and the stress element, whose summation order
+changed, must match to 1e-13 relative to the largest entry, the Poisson
+solution to 1e-12, and the inf-sup constant to 1e-10.
 """
 
 import itertools
@@ -32,7 +34,8 @@ from whitney.elements import (
     local_derivative_matrix,
     reference_vertices,
 )
-from whitney.linalg import cholesky_solve, generalized_symmetric_eig
+from whitney.experiments import solve_poisson
+from whitney.linalg import generalized_symmetric_eig
 from whitney.mesh import (
     Mesh,
     generate_annulus_mesh,
@@ -43,6 +46,7 @@ from whitney.mesh import (
 from whitney.quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
 from whitney.spaces import (
     assemble_derivative,
+    assemble_load,
     assemble_mass,
     assemble_stiffness_like,
     build_space,
@@ -297,7 +301,7 @@ def dense_infsup(coupling, a_form, mass_v, deflation_tol=1e-10):
     """gamma^2 = smallest eigenvalue of the Schur pencil restricted to
     range(B), with null directions of B^T cut by the SVD of B."""
     B = np.asarray(coupling, dtype=float)
-    schur = B @ cholesky_solve(a_form, B.T)
+    schur = B @ sla.cho_solve(sla.cho_factor(a_form), B.T)
     u, svals, _ = sla.svd(B, check_finite=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0.0
@@ -695,3 +699,16 @@ def test_explicit_infsup_matches_dense_oracle():
         assert want > 0.0
         assert abs(compute_infsup(B, a, Mv) - want) <= 1e-10 * want
         assert abs(compute_infsup(sp.csr_matrix(B), sp.csr_matrix(a), Mv) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [4, 8])
+def test_sparse_poisson_solve_matches_dense_cholesky(order, n):
+    def f(p):
+        return np.exp(p[:, 0]) * (1.0 + p[:, 1] ** 2)
+
+    W, u = solve_poisson(generate_square_mesh(n), order, f)
+    K = W.restrict(assemble_stiffness_like(W, W, "grad")).toarray()
+    F = W.restrict_vector(assemble_load(W, f))
+    want = W.extend_vector(sla.cho_solve(sla.cho_factor(K), F))
+    assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()

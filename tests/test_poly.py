@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from whitney.poly import (MixedDimensionError, Poly, SymPoly, VecPoly, grad,
-                          monomial_exponents, rot2)
+                          monomial_exponents)
 
 
 def random_poly(dim, degree, coeffs):
@@ -82,12 +82,6 @@ def test_exact_coefficients_stay_exact():
 def test_curl_of_gradient_vanishes(coeffs):
     p = random_poly(2, 3, coeffs)
     assert grad(p).curl2().almost_zero(1e-9)
-
-
-@given(coeff_lists)
-def test_divergence_of_rotation_vanishes(coeffs):
-    p = random_poly(2, 3, coeffs)
-    assert rot2(p).div().almost_zero(1e-9)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
