@@ -19,8 +19,6 @@ from .complexes import (
     incidence_matrix,
 )
 from .elasticity import (
-    aw_nodal_basis,
-    aw_shape_space,
     aw_unisolvence_check,
     build_displacement_space,
     build_stress_space,
@@ -51,8 +49,6 @@ __all__ = [
     "Mesh",
     "NotAComplexError",
     "SpectrumReport",
-    "aw_nodal_basis",
-    "aw_shape_space",
     "aw_unisolvence_check",
     "build_displacement_space",
     "build_space",

@@ -7,8 +7,10 @@ Subcommands mirror the library surface: `mesh gen|info`,
 JSON is the canonical output (written to --output or stdout, keys
 sorted so identical runs are byte-identical); `--csv PATH` adds a
 plot-ready CSV rendering; a human-readable table always goes to
-stderr.  Exit codes: 0 pass, 1 check failure, 2 usage error.  The
-environment variable WHITNEY_SEED overrides --seed.
+stderr.  Exit codes: 0 pass, 1 check failure (a failed criterion or a
+CheckFailedError from a self-audit), 2 usage error, 3 internal error
+(any other exception, with its traceback on stderr).  The environment
+variable WHITNEY_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ import io
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import experiments
-from .complexes import NotAComplexError, check_commuting, check_exactness, derham_complex
+from .complexes import check_commuting, check_exactness, derham_complex
 from .elasticity import aw_unisolvence_check, commutativity_residual
 from .elements import UnknownFamilyError
+from .linalg import CheckFailedError
 from .mesh import (
     MeshFormatError,
     generate_annulus_mesh,
@@ -523,9 +527,13 @@ def main(argv=None) -> int:
     except (MeshFormatError, ValueError, OSError) as exc:
         print(f"whitney: {exc}", file=sys.stderr)
         return 2
-    except (NotAComplexError, RuntimeError) as exc:
+    except CheckFailedError as exc:
         print(f"whitney: check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"whitney: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     payload = dict(outcome.payload)
     payload["config"] = _run_config(args).to_dict()

@@ -15,8 +15,8 @@ checks certify the structural facts the element construction promises:
   such as face1/dg0, div maps the flux space into the pressure space,
   and check_exactness certifies that inclusion.
 
-Dense matrices remain only in the rank audit of check_exactness (with
-the integer incidence matrices it cross-checks against).
+Dense matrices remain only in the rank audits of check_exactness (the
+sparse incidence matrices are densified for exact elimination).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import (NotPositiveDefiniteError, as_dense, check_symmetric,
+from .linalg import (CheckFailedError, NotPositiveDefiniteError, as_dense, check_symmetric,
                      generalized_symmetric_eig, integer_rank, numerical_rank, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, grad, monomial_exponents
@@ -57,7 +57,7 @@ _FAMILY_CHAINS = {
 }
 
 
-class NotAComplexError(RuntimeError):
+class NotAComplexError(CheckFailedError):
     """Composition of two consecutive derivative matrices is nonzero."""
 
 
@@ -121,11 +121,11 @@ def derham_complex(mesh: Mesh, order: int = 1, bc: str = "none") -> DiscreteComp
     return DiscreteComplex(spaces, derivs)
 
 
-def incidence_matrix(mesh: Mesh, k: int) -> np.ndarray:
+def incidence_matrix(mesh: Mesh, k: int) -> sp.csr_matrix:
     """Signed coboundary matrix from k-entities to (k+1)-entities.
 
     Entities carry ascending vertex tuples; the entry for the facet of
-    (v_0..v_{k+1}) that drops v_i is (-1)^i.  Integer-valued, so exact
+    (v_0..v_{k+1}) that drops v_i is (-1)^i.  Sparse and int64, so exact
     rank arithmetic applies (linalg.integer_rank).
     """
     if not 0 <= k < mesh.dim:
@@ -134,12 +134,11 @@ def incidence_matrix(mesh: Mesh, k: int) -> np.ndarray:
     # mixed-radix keys ascend with the lexsorted k-entity table
     dims = (mesh.num_vertices,) * (k + 1)
     keys = np.ravel_multi_index(mesh.entities[k].T, dims)
-    M = np.zeros((high.shape[0], mesh.num_entities(k)), dtype=np.int64)
-    rows = np.arange(high.shape[0])
-    for i in range(k + 2):
-        facets = np.delete(high, i, axis=1)
-        M[rows, np.searchsorted(keys, np.ravel_multi_index(facets.T, dims))] = (-1) ** i
-    return M
+    facets = [np.ravel_multi_index(np.delete(high, i, axis=1).T, dims) for i in range(k + 2)]
+    cols = np.searchsorted(keys, np.stack(facets, axis=1))
+    signs = np.tile((-1) ** np.arange(k + 2, dtype=np.int64), len(high))
+    return sp.csr_matrix((signs, cols.ravel(), (k + 2) * np.arange(len(high) + 1)),
+                         shape=(len(high), mesh.num_entities(k)))
 
 
 # -- exactness -----------------------------------------------------------------
@@ -195,11 +194,10 @@ def check_exactness(cx: DiscreteComplex, expected_betti) -> ComplexReport:
     ranks = [numerical_rank(D) for D in mats] + [0]
     if cx.lowest_order:
         for k, rank in enumerate(ranks[:-1]):
-            sub = incidence_matrix(cx.mesh, k)[np.ix_(cx.spaces[k + 1].free,
-                                                      cx.spaces[k].free)]
+            sub = incidence_matrix(cx.mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
             exact = integer_rank(sub)
             if rank != exact:
-                raise RuntimeError(
+                raise CheckFailedError(
                     f"rank cross-check failed at level {k}: float {rank}, integer {exact}")
 
     levels = []

@@ -7,7 +7,7 @@ minus 6 independent constraints).  Displacements are discontinuous
 piecewise linear vector fields.
 
 The stress element is not generated from a reference cell by a Piola
-map (its DOF set is not affine-equivariant); each cell carries its own
+map (its DOF set is not affine-equivariant); each cell has its own
 nodal basis, built in centered, diameter-scaled coordinates for
 conditioning.  DOFs are defined by global conventions so that shared
 entities induce shared functionals:
@@ -23,14 +23,17 @@ Edge moments plus endpoint values pin all four coefficients of each
 cubic component of tau n along an edge, so the assembled fields are
 H(div, S)-conforming with single-valued vertex stresses.
 
-The per-cell bases are computed for all cells at once: the DOF tables
-are a (cells, 24, 30) stack, dualized by one batched condition number
-and one stacked solve, and every global operator is a contraction of the
-stacked nodal coefficients followed by a single sparse scatter.
+One DOF applicator (_stress_dofs) applies these functionals on stacked
+entities: the canonical interpolant runs it on the global vertices,
+edges and cells, the per-cell DOF tables on each cell's own entities
+with the 30 monomial fields of P3(T, S) as a batch.  The bases exist
+only as stacked arrays, with no per-cell objects: the (cells, 24, 30)
+DOF tables are dualized by one batched condition number and one stacked
+solve, and every global operator is a contraction of the stacked nodal
+coefficients followed by a single sparse scatter.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .elements import get_family, moment_rule
-from .linalg import numerical_rank, symmetric_indefinite_solve
+from .linalg import CheckFailedError, numerical_rank, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, SymPoly, monomial_exponents
 from .quadrature import interval_rule, triangle_rule
@@ -50,6 +53,7 @@ from .spaces import (
     build_space,
     canonical_projection,
     evaluate_on_cells,
+    scatter_cell_blocks,
 )
 
 P3 = monomial_exponents(2, 3)           # 10 monomials per component
@@ -118,27 +122,6 @@ def constraint_matrix() -> np.ndarray:
     return _divergence_operator()[rows].copy()
 
 
-def _coeffs_to_sympoly(coeffs: np.ndarray) -> SymPoly:
-    comps = []
-    for block in range(3):
-        terms = {e: c for e, c in zip(P3, coeffs[block * len(P3):(block + 1) * len(P3)])}
-        comps.append(Poly(2, terms))
-    return SymPoly(*comps)
-
-
-def aw_shape_space(vertices) -> list[SymPoly]:
-    """Orthonormal basis of S_T in centered, scaled local coordinates."""
-    _triangle_sizes(_one_triangle(vertices)[None])
-    return [_coeffs_to_sympoly(row) for row in _shape_null_space()]
-
-
-def _one_triangle(vertices) -> np.ndarray:
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape != (3, 2):
-        raise ValueError(f"triangle needs 3 plane vertices, got {vertices.shape}")
-    return vertices
-
-
 def _triangle_sizes(vertices: np.ndarray):
     """(area, diameter) of stacked triangles (nc, 3, 2); rejects slivers."""
     edges = vertices[:, [0, 0, 1]] - vertices[:, [1, 2, 2]]
@@ -150,92 +133,89 @@ def _triangle_sizes(vertices: np.ndarray):
     return area, diam
 
 
-def _dof_matrix_on_monomials(vertices: np.ndarray, origin, scale) -> np.ndarray:
-    """(nc, 24, 30) stack: each DOF applied to each single-monomial field,
-    for triangles (nc, 3, 2) in frames (origin (nc, 2), scale (nc,))."""
-    nc, nmono = vertices.shape[0], len(P3)
-    W = np.zeros((nc, NDOF, 3, nmono))
-    origin, scale = origin[:, None, :], scale[:, None, None]
+def _stress_dofs(points: np.ndarray, edges: np.ndarray, triangles: np.ndarray, f):
+    """The 24 stress DOFs of a field on stacked entities.
 
-    vmono = _monomials((vertices - origin) / scale, P3)          # (nc, 3, 10)
-    for comp in range(3):
-        W[:, comp:9:3, comp] = vmono
+    f maps points (N, 2) to values (N, ..., 3) in (s11, s12, s22); the
+    batch axes "..." are kept.  Edges (n1, 2) are parametrized from
+    their first vertex and triangles (n2, 3) from theirs.  Returns the
+    vertex values (n0, 3, ...), the traction moments (n1, 4, ...) in
+    slot order component*2 + degree, and the interior means (n2, 3, ...).
+    """
+    vertex = np.moveaxis(np.asarray(f(points)), -1, 1)
 
     erule = interval_rule()
     s = erule.points[:, 0]
     smom = np.stack([erule.weights, erule.weights * s])           # (2, nq)
-    for le, (a, b) in enumerate(_EDGE_LOCAL):
-        pa, t = vertices[:, a], vertices[:, b] - vertices[:, a]
-        pts = (pa[:, None, :] + s[None, :, None] * t[:, None, :] - origin) / scale
-        moments = smom @ _monomials(pts, P3)                      # (nc, 2, 10)
-        for comp, (r1, r2) in enumerate(_ROWS):
-            rows = slice(9 + le * 4 + comp * 2, 11 + le * 4 + comp * 2)
-            # n = (t_y, -t_x), the clockwise rotation of the edge vector
-            W[:, rows, r1] = t[:, 1, None, None] * moments
-            W[:, rows, r2] = -t[:, 0, None, None] * moments
+    pa = points[edges[:, 0]]
+    t = points[edges[:, 1]] - pa
+    pts = pa[:, None, :] + s[None, :, None] * t[:, None, :]
+    vals = np.asarray(f(pts.reshape(-1, 2)))
+    batch = vals.shape[1:-1]
+    m = (smom @ vals.reshape(len(t), len(s), -1)).reshape(len(t), 2, -1, 3)
+    # traction (tau n)_c with n = (t_y, -t_x), the clockwise rotation of
+    # the edge vector; rows of tau from _ROWS
+    traction = np.stack([t[:, 1, None, None] * m[..., r1] - t[:, 0, None, None] * m[..., r2]
+                         for r1, r2 in _ROWS], axis=1)
 
     trule = triangle_rule()
-    B = np.stack([vertices[:, 1] - vertices[:, 0], vertices[:, 2] - vertices[:, 0]], axis=2)
-    phys = vertices[:, None, 0] + trule.points @ np.swapaxes(B, 1, 2)
-    mono = _monomials((phys - origin) / scale, P3)               # (nc, nq, 10)
-    # weights sum to 1/2; contiguous (nc, 10, nq) rows round like one triangle's
-    means = 2.0 * (np.ascontiguousarray(np.swapaxes(mono, 1, 2)) @ trule.weights)
-    for comp in range(3):
-        W[:, 21 + comp, comp] = means
-    return W.reshape(nc, NDOF, NCOEF)
+    tri = points[triangles]
+    B = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
+    phys = tri[:, None, 0] + trule.points @ np.swapaxes(B, 1, 2)
+    vals = np.asarray(f(phys.reshape(-1, 2))).reshape(phys.shape[:2] + batch + (3,))
+    # weights sum to 1/2; contiguous (n2, 3, ..., nq) rows round like one triangle's
+    vals = np.ascontiguousarray(np.moveaxis(vals, (1, -1), (-1, 1)))
+    return vertex, traction.reshape((len(t), 4) + batch), 2.0 * (vals @ trule.weights)
+
+
+def _dof_matrix_on_monomials(vertices: np.ndarray, origin, scale) -> np.ndarray:
+    """(nc, 24, 30) stack: each DOF applied to each single-monomial field,
+    for triangles (nc, 3, 2) in frames (origin (nc, 2), scale (nc,))."""
+    nc = vertices.shape[0]
+    origin, scale = origin[:, None, :], scale[:, None, None]
+
+    def monomial_fields(points):
+        """(N, 3, 10, 3): block b, monomial k is the field with P3[k] in
+        component b, at cell-major points in their cells' frames."""
+        mono = _monomials((points.reshape(nc, -1, 2) - origin) / scale, P3)
+        fields = np.zeros((len(points), 3, len(P3), 3))
+        for block in range(3):
+            fields[:, block, :, block] = mono.reshape(len(points), -1)
+        return fields
+
+    own = 3 * np.arange(nc)[:, None]
+    dofs = _stress_dofs(vertices.reshape(-1, 2), (own[:, :, None] + _EDGE_LOCAL).reshape(-1, 2),
+                        own + np.arange(3), monomial_fields)
+    return np.concatenate([d.reshape(nc, -1, NCOEF) for d in dofs], axis=1)
+
+
+def _shape_dof_matrix(vertices: np.ndarray):
+    """(origin, scale, V) of stacked triangles (nc, 3, 2): frames at the
+    centroid and diameter, V (nc, 24, 24) the DOFs applied to the
+    orthonormal shape basis."""
+    _, scale = _triangle_sizes(vertices)
+    origin = vertices.mean(axis=1)
+    V = _dof_matrix_on_monomials(vertices, origin, scale) @ _shape_null_space().T
+    return origin, scale, V
 
 
 def _dualize(vertices: np.ndarray):
     """Nodal bases of stacked triangles (nc, 3, 2).
 
-    Returns (area, origin, scale, coeffs (nc, 24, 30), cond (nc,)): the
-    frames are centroid and diameter, and coeffs[c] holds the nodal
-    fields dual to the 24 DOFs as rows over the P3(T, S) monomials.
+    Returns (origin, scale, coeffs (nc, 24, 30), cond (nc,)): coeffs[c]
+    holds the nodal fields dual to the 24 DOFs as rows over the
+    P3(T, S) monomials.
     """
-    area, scale = _triangle_sizes(vertices)
-    origin = vertices.mean(axis=1)
+    origin, scale, V = _shape_dof_matrix(vertices)
     null = _shape_null_space()
-    V = _dof_matrix_on_monomials(vertices, origin, scale) @ null.T   # dofs x shape basis
     cond = np.linalg.cond(V)
     bad = ~(cond <= COND_MAX)
     if bad.any():
-        raise RuntimeError(
+        raise CheckFailedError(
             f"stress element dualization ill-conditioned: {np.max(cond[bad]):.2e}")
     # nodal_j = sum_i X[i, j] shape_i with V X = I, so rows of X^T null
     coeffs = np.linalg.solve(np.swapaxes(V, 1, 2), np.broadcast_to(null, (len(V),) + null.shape))
-    return area, origin, scale, coeffs, cond
-
-
-@dataclass
-class AWCell:
-    """Nodal stress basis of one triangle in its scaled local frame."""
-
-    vertices: np.ndarray
-    origin: np.ndarray
-    scale: float
-    area: float
-    coeffs: np.ndarray        # (24, 30) nodal coefficients, scaled coords
-    cond: float
-
-    def local_points(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.origin) / self.scale
-
-    def tabulate(self, points: np.ndarray) -> np.ndarray:
-        """(24, npoints, 3) stress components at physical points."""
-        mono = _monomials(self.local_points(points), P3).T
-        vals = self.coeffs.reshape(NDOF, 3, len(P3)) @ mono
-        return np.transpose(vals, (0, 2, 1))
-
-    def nodal_fields(self) -> list[SymPoly]:
-        return [_coeffs_to_sympoly(row) for row in self.coeffs]
-
-
-def aw_nodal_basis(vertices) -> AWCell:
-    """Dualize the shape basis against the 24 DOFs of one triangle."""
-    vertices = _one_triangle(vertices)
-    area, origin, scale, coeffs, cond = _dualize(vertices[None])
-    return AWCell(vertices, origin[0], float(scale[0]), float(area[0]), coeffs[0],
-                  float(cond[0]))
+    return origin, scale, coeffs, cond
 
 
 @dataclass(frozen=True)
@@ -250,10 +230,10 @@ class UnisolvenceReport:
 
 def aw_unisolvence_check(vertices) -> UnisolvenceReport:
     """Rank and conditioning of the DOF matrix on the shape basis."""
-    vertices = _one_triangle(vertices)[None]
-    _, diam = _triangle_sizes(vertices)
-    W = _dof_matrix_on_monomials(vertices, vertices.mean(axis=1), diam)[0]
-    V = W @ _shape_null_space().T
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape != (3, 2):
+        raise ValueError(f"triangle needs 3 plane vertices, got {vertices.shape}")
+    V = _shape_dof_matrix(vertices[None])[2][0]
     rank = numerical_rank(V)
     return UnisolvenceReport(rank, float(np.linalg.cond(V)), rank == NDOF)
 
@@ -282,28 +262,9 @@ class StressSpace:
     def num_cells(self):
         return self.mesh.num_cells
 
-    @property
-    def cells(self) -> Sequence:
-        """cells[c] is the AWCell of cell c, a view of the stacked basis."""
-        return _CellViews(self)
-
     def local_points(self, points: np.ndarray) -> np.ndarray:
         """Physical points (num_cells, nq, 2) in each cell's local frame."""
         return (points - self.origin[:, None, :]) / self.scale[:, None, None]
-
-
-class _CellViews(Sequence):
-    def __init__(self, space: StressSpace):
-        self._space = space
-
-    def __len__(self):
-        return self._space.num_cells
-
-    def __getitem__(self, c):
-        space, mesh = self._space, self._space.mesh
-        return AWCell(mesh.vertices[mesh.cells[c]], space.origin[c], float(space.scale[c]),
-                      float(0.5 * mesh.geometry.absdet[c]), space.coeffs[c],
-                      float(space.cond[c]))
 
 
 def build_stress_space(mesh: Mesh) -> StressSpace:
@@ -316,7 +277,7 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
         (3 * mesh.cells[:, :, None] + np.arange(3)).reshape(nt, 9),
         (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
         cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
-    _, origin, scale, coeffs, cond = _dualize(mesh.vertices[mesh.cells])
+    origin, scale, coeffs, cond = _dualize(mesh.vertices[mesh.cells])
     return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond)
 
 
@@ -389,14 +350,6 @@ def evaluate_stress(space: StressSpace, sigma: np.ndarray, rule=None):
     return pts, wdet, vals
 
 
-def _scatter(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
-    """Sum the cell blocks local (nc, r, s) into a CSR matrix."""
-    nr, ns = local.shape[1:]
-    rows = np.repeat(row_dofs, ns, axis=1)
-    cols = np.tile(col_dofs, (1, nr))
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
-
-
 # -- global operators -------------------------------------------------------
 
 
@@ -427,7 +380,7 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     C = space.coeffs.reshape(-1, NDOF, 3, len(P3))
     KCG = np.einsum("ij,csjn->csin", K, C @ gram[:, None])
     local = KCG.reshape(-1, NDOF, NCOEF) @ np.swapaxes(space.coeffs, 1, 2)
-    return _scatter(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
+    return scatter_cell_blocks(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
 
 
 def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
@@ -441,7 +394,7 @@ def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_m
     local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
     nc = space.num_cells
     rows = 6 * np.arange(nc)[:, None] + np.arange(6)
-    return _scatter(local.reshape(nc, 6, NDOF), rows, space.cell_dofs,
+    return scatter_cell_blocks(local.reshape(nc, 6, NDOF), rows, space.cell_dofs,
                     (disp.ndofs, space.ndofs))
 
 
@@ -464,31 +417,8 @@ def interpolate_stress(space: StressSpace, field) -> np.ndarray:
     Shared DOFs are evaluated once per global entity.
     """
     mesh = space.mesh
-    out = np.zeros(space.ndofs)
-    vals = np.asarray(field(mesh.vertices))
-    out[:3 * mesh.num_vertices] = vals.reshape(-1)
-
-    erule = interval_rule()
-    s = erule.points[:, 0]
-    smom = np.stack([erule.weights, erule.weights * s])
-    pa, pb = mesh.vertices[mesh.entities[1][:, 0]], mesh.vertices[mesh.entities[1][:, 1]]
-    t = pb - pa
-    normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
-    pts = pa[:, None, :] + s[None, :, None] * t[:, None, :]
-    comp = np.asarray(field(pts.reshape(-1, 2))).reshape(len(t), len(s), 3)
-    # traction (tau n)_c = tau_{c,x} n_x + tau_{c,y} n_y, rows of tau from _ROWS
-    traction = np.stack([comp[:, :, r1] * normal[:, None, 0] + comp[:, :, r2] * normal[:, None, 1]
-                         for r1, r2 in _ROWS], axis=1)                # (ne, 2, nq)
-    edge_base = 3 * mesh.num_vertices
-    out[edge_base:edge_base + 4 * len(t)] = (traction @ smom.T).reshape(-1)
-
-    trule = triangle_rule()
-    pts = mesh.geometry.push_points(trule.points)
-    vals = np.asarray(field(pts.reshape(-1, 2))).reshape(mesh.num_cells, -1, 3)
-    means = 2.0 * np.einsum("cqi,q->ci", vals, trule.weights)
-    cell_base = 3 * mesh.num_vertices + 4 * mesh.num_entities(1)
-    out[cell_base:] = means.reshape(-1)
-    return out
+    dofs = _stress_dofs(mesh.vertices, mesh.entities[1], mesh.cells, field)
+    return np.concatenate([d.ravel() for d in dofs])
 
 
 def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:

@@ -37,6 +37,7 @@ from .elasticity import (
 from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
+    CheckFailedError,
     generalized_symmetric_eig,
     numerical_rank,
     symmetric_indefinite_solve,
@@ -229,7 +230,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
     zero_count, threshold = _zero_split(lam)
     kernel_dim = W.num_free - numerical_rank(K)
     if zero_count != kernel_dim:
-        raise RuntimeError(
+        raise CheckFailedError(
             f"zero-eigenvalue threshold count {zero_count} disagrees with "
             f"rank-based kernel dimension {kernel_dim}")
 
@@ -283,7 +284,7 @@ def edge_cavity_system(n: int, pattern: str = "crossed") -> CavitySystem:
     A_direct = assemble_stiffness_like(Q, Q, "curl")
     gap = abs(A - A_direct).max()
     if gap > STRUCTURE_RTOL * max(abs(A).max(), 1.0):
-        raise RuntimeError(f"curl-curl != D^T M2 D (gap {gap:.3e})")
+        raise CheckFailedError(f"curl-curl != D^T M2 D (gap {gap:.3e})")
     MQ = assemble_mass(Q)
     interior = int(np.count_nonzero(~mesh.boundary[0]))
     return CavitySystem(
@@ -356,7 +357,7 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     zero_count, threshold = _zero_split(lam)
     kernel_dim = lam.size - numerical_rank(system.curlcurl)
     if zero_count != kernel_dim:
-        raise RuntimeError(
+        raise CheckFailedError(
             f"zero-eigenvalue threshold count {zero_count} disagrees with "
             f"rank-based kernel dimension {kernel_dim}")
 
@@ -419,9 +420,9 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
 
     zero_count, threshold = _zero_split(lam)
     if zero_count != 0:
-        raise RuntimeError(f"mixed cavity spectrum has {zero_count} zero eigenvalues")
+        raise CheckFailedError(f"mixed cavity spectrum has {zero_count} zero eigenvalues")
     if lam.size != rank:
-        raise RuntimeError("mixed spectrum size disagrees with rank of the curl matrix")
+        raise CheckFailedError("mixed spectrum size disagrees with rank of the curl matrix")
 
     match_gap = float(np.abs(lam - g_pos).max() / np.abs(g_pos).max()) \
         if lam.size == g_pos.size else np.inf

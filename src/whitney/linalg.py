@@ -25,6 +25,10 @@ SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
 
 
+class CheckFailedError(RuntimeError):
+    """A self-audit ran and failed: the check failed, nothing crashed."""
+
+
 class NotSymmetricError(ValueError):
     pass
 

@@ -211,11 +211,16 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
         R = np.einsum("rqa,sqb,q->abrs", ref_r, ref_c, rule.weights)
     nr, ns = ref_r.shape[0], ref_c.shape[0]
     local = G.reshape(mesh.num_cells, -1) @ R.reshape(-1, nr * ns)
+    return scatter_cell_blocks(local.reshape(-1, nr, ns), row_space.cell_dofs,
+                               col_space.cell_dofs, (row_space.ndofs, col_space.ndofs))
 
-    rows = np.repeat(row_space.cell_dofs, ns, axis=1).ravel()
-    cols = np.tile(col_space.cell_dofs, (1, nr)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(row_space.ndofs, col_space.ndofs))
-    return A.tocsr()
+
+def scatter_cell_blocks(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
+    """Sum the cell blocks local (nc, r, s) into CSR at rows row_dofs[c], cols col_dofs[c]."""
+    nr, ns = local.shape[1:]
+    rows = np.repeat(row_dofs, ns, axis=1)
+    cols = np.tile(col_dofs, (1, nr))
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 def assemble_mass(space: DiscreteSpace, coefficient=1.0) -> sp.csr_matrix:

@@ -2,7 +2,8 @@
 
 All invocations go through main(argv) in-process; stdout carries the
 canonical JSON payload, stderr the human table.  Exit code oracle:
-0 = pass, 1 = a check ran and failed, 2 = bad invocation.
+0 = pass, 1 = a check ran and failed, 2 = bad invocation, 3 = the
+program crashed.
 """
 
 import json
@@ -10,8 +11,10 @@ import json
 import numpy as np
 import pytest
 
+from whitney import experiments
 from whitney.cli import DEFAULT_SEED, build_parser, emit_csv, main
 from whitney.experiments import ConvergenceReport, SpectrumReport
+from whitney.linalg import CheckFailedError
 from whitney.mesh import read_mesh
 
 ALL_SUBCOMMANDS = [
@@ -103,6 +106,22 @@ def test_maxwell_nodal_and_mixed(capsys):
     code, out, _ = run(capsys, "eig", "maxwell-mixed", "--n", "4")
     assert code == 0
     assert json.loads(out)["notes"]["equivalence_gap"] <= 1e-8
+
+
+def test_crashes_are_distinct_from_failed_checks(capsys, monkeypatch):
+    def raises(exc):
+        def handler(*args, **kwargs):
+            raise exc
+        return handler
+
+    monkeypatch.setattr(experiments, "laplace_eigenvalues", raises(TypeError("bad operand")))
+    code, out, err = run(capsys, "eig", "laplace", "--n", "4")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "internal error: TypeError: bad operand" in err
+    monkeypatch.setattr(experiments, "laplace_eigenvalues",
+                        raises(CheckFailedError("threshold count disagrees")))
+    code, _, err = run(capsys, "eig", "laplace", "--n", "4")
+    assert code == 1 and "check failed: threshold count disagrees" in err
 
 
 def test_unknown_commands_are_usage_errors(capsys):

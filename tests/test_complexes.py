@@ -85,8 +85,8 @@ def test_complex_shape_validation(square4, crossed2):
 
 def test_incidence_signs_on_single_triangle():
     tri = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0, 1, 2)])
-    d0 = incidence_matrix(tri, 0)
-    d1 = incidence_matrix(tri, 1)
+    d0 = incidence_matrix(tri, 0).toarray()
+    d1 = incidence_matrix(tri, 1).toarray()
     assert np.array_equal(d0, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     assert np.array_equal(d1, [[1, -1, 1]])  # facet dropping v_i gets (-1)^i
     assert np.array_equal(d1 @ d0, [[0, 0, 0]])
@@ -96,14 +96,14 @@ def test_incidence_signs_on_single_triangle():
 
 def test_gradient_assembly_equals_incidence(square4):
     cx = derham_complex(square4)
-    assert np.array_equal(_dense(cx.derivatives[0]), incidence_matrix(square4, 0))
+    assert np.array_equal(_dense(cx.derivatives[0]), incidence_matrix(square4, 0).toarray())
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_grad_and_curl_assembly_equal_incidence_3d(cube2, k):
     # the step into dg0_3d is incidence / det B (density), so it is not checked here
     cx = derham_complex(cube2)
-    assert np.array_equal(_dense(cx.derivatives[k]), incidence_matrix(cube2, k))
+    assert np.array_equal(_dense(cx.derivatives[k]), incidence_matrix(cube2, k).toarray())
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -11,11 +11,10 @@ differences of the manufactured stress.
 import numpy as np
 import pytest
 
+from whitney import elasticity as el
 from whitney.elasticity import (
     NDOF,
     P3,
-    aw_nodal_basis,
-    aw_shape_space,
     aw_unisolvence_check,
     assemble_coupling,
     assemble_divergence,
@@ -33,16 +32,36 @@ from whitney.elasticity import (
     solve_mixed_elasticity,
 )
 from whitney.linalg import numerical_rank
-from whitney.mesh import generate_annulus_mesh, generate_square_mesh
-from whitney.poly import monomial_exponents
+from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
+from whitney.poly import Poly, SymPoly, monomial_exponents
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def _sympoly(coeffs):
+    """The symmetric field with P3(T, S) coefficients (s11, s12, s22 blocks)."""
+    blocks = np.reshape(coeffs, (3, len(P3)))
+    return SymPoly(*[Poly(2, dict(zip(P3, block))) for block in blocks])
+
+
+def _nodal_fields(space, c):
+    """The 24 nodal fields of cell c as SymPolys in its local frame."""
+    return [_sympoly(row) for row in space.coeffs[c]]
+
+
+def _tabulate(space, c, points):
+    """(24, npoints, 3) nodal stresses of cell c at physical points."""
+    local = (points - space.origin[c]) / space.scale[c]
+    mono = np.stack([local[:, 0] ** a * local[:, 1] ** b for a, b in P3])
+    return np.transpose(space.coeffs[c].reshape(NDOF, 3, len(P3)) @ mono, (0, 2, 1))
+
+
 def test_shape_space_has_24_dimensions():
-    basis = aw_shape_space(REF)
-    assert len(basis) == NDOF == 24
+    null = el._shape_null_space()
+    assert null.shape == (NDOF, 3 * len(P3)) and NDOF == 24
     assert np.linalg.matrix_rank(constraint_matrix()) == 6
+    assert np.max(np.abs(null @ null.T - np.eye(NDOF))) <= 1e-13
+    assert np.max(np.abs(constraint_matrix() @ null.T)) <= 1e-13
 
 
 def test_all_quadratics_satisfy_the_constraint():
@@ -80,20 +99,22 @@ def test_unisolvence_reference_and_random_triangles(rng):
 def test_degenerate_triangle_rejected():
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="degenerate"):
-        aw_nodal_basis(collinear)
+        aw_unisolvence_check(collinear)
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
+    with pytest.raises(ValueError, match="degenerate"):
+        el._dualize(np.stack([REF, sliver]))
+    with pytest.raises(ValueError, match="3 plane vertices"):
+        aw_unisolvence_check(REF[:2])
 
 
 def test_nodal_basis_dual_to_global_dofs():
     # a one-cell mesh makes global interpolation apply exactly the 24
     # local functionals; each nodal field must produce a unit vector
-    from whitney.mesh import Mesh
-
     mesh = Mesh(2, np.array([[0.0, 0.0], [1.2, 0.1], [0.3, 0.9]]), [(0, 1, 2)])
     space = build_stress_space(mesh)
-    cell = space.cells[0]
-    for j, field in enumerate(cell.nodal_fields()):
-        def phys(points, field=field, cell=cell):
-            return field.eval(cell.local_points(points))
+    for j, field in enumerate(_nodal_fields(space, 0)):
+        def phys(points, field=field):
+            return field.eval((points - space.origin[0]) / space.scale[0])
         dofs = interpolate_stress(space, phys)[space.cell_dofs[0]]
         target = np.zeros(NDOF)
         target[j] = 1.0
@@ -101,8 +122,8 @@ def test_nodal_basis_dual_to_global_dofs():
 
 
 def test_nodal_divergences_are_affine():
-    cell = aw_nodal_basis(np.array([[0.0, 0.0], [1.0, 0.2], [0.4, 1.1]]))
-    for field in cell.nodal_fields():
+    mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.2], [0.4, 1.1]]), [(0, 1, 2)])
+    for field in _nodal_fields(build_stress_space(mesh), 0):
         div = field.div()
         for comp in div.comps:
             coeffs = np.array(list(comp.terms.values()))
@@ -150,7 +171,7 @@ def test_assembled_fields_are_hdiv_conforming(crossed2, rng):
     pts = pa[None, :] + np.linspace(0.15, 0.85, 5)[:, None] * t[None, :]
     tractions = []
     for c in cells:
-        tab = space.cells[c].tabulate(pts)          # (24, nq, 3)
+        tab = _tabulate(space, c, pts)              # (24, nq, 3)
         comp = np.einsum("s,sqi->qi", sigma[space.cell_dofs[c]], tab)
         tractions.append(np.stack([comp[:, 0] * n[0] + comp[:, 1] * n[1],
                                    comp[:, 1] * n[0] + comp[:, 2] * n[1]], axis=-1))
@@ -166,7 +187,7 @@ def test_vertex_stresses_are_single_valued(crossed2, rng):
     values = []
     for c in range(crossed2.num_cells):
         if vid in crossed2.cells[c]:
-            tab = space.cells[c].tabulate(point)
+            tab = _tabulate(space, c, point)
             values.append(np.einsum("s,sqi->qi", sigma[space.cell_dofs[c]], tab)[0])
     assert len(values) >= 2
     for v in values[1:]:
