@@ -110,11 +110,8 @@ def emit_csv(report) -> str:
         hs = report.hs
         lead = report.errors[keys[0]]
         for i, h in enumerate(hs):
-            if i == 0:
-                order = ""
-            else:
-                order = repr(float(np.log(lead[i - 1] / lead[i])
-                                   / np.log(hs[i - 1] / hs[i])))
+            order = "" if i == 0 else repr(float(np.log(lead[i - 1] / lead[i])
+                                                 / np.log(hs[i - 1] / hs[i])))
             writer.writerow([repr(float(h)),
                              *(repr(float(report.errors[k][i])) for k in keys),
                              order])
@@ -173,10 +170,7 @@ def _convergence_table(rep: experiments.ConvergenceReport) -> str:
 
 
 def _kv_table(title: str, payload: dict) -> str:
-    lines = [title]
-    for key in sorted(payload):
-        lines.append(f"  {key}: {payload[key]}")
-    return "\n".join(lines)
+    return "\n".join([title] + [f"  {key}: {payload[key]}" for key in sorted(payload)])
 
 
 # -- mesh sources ----------------------------------------------------------
@@ -226,12 +220,11 @@ def _generate(args):
 
 
 def _mesh_info(mesh) -> dict:
-    info = {"dim": mesh.dim, "domain": mesh.domain_tag,
+    return {"dim": mesh.dim, "domain": mesh.domain_tag,
             "entities": {str(k): int(mesh.num_entities(k)) for k in range(mesh.dim + 1)},
             "euler_characteristic": mesh.euler_characteristic(),
             "boundary_facets": int(np.count_nonzero(mesh.boundary[mesh.dim - 1])),
             "boundary_vertices": int(np.count_nonzero(mesh.boundary[0]))}
-    return info
 
 
 def _int_list(text: str) -> tuple:

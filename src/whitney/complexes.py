@@ -5,8 +5,8 @@ the assembled derivative matrices between consecutive pairs.  The
 checks certify the structural facts the element construction promises:
 
 * d o d = 0 and the cohomology dimensions match the Betti numbers of
-  the domain (check_exactness; rank arithmetic, with an exact integer
-  cross-check against combinatorial incidence at lowest order),
+  the domain (check_exactness; exact ranks by collapse and coreduction,
+  cross-checked against combinatorial incidence at lowest order),
 * the canonical projections commute with the derivatives on smooth
   fields (check_commuting over a fixed monomial battery),
 * quantitative saddle-point stability for a tail pair: the inf-sup
@@ -15,8 +15,8 @@ checks certify the structural facts the element construction promises:
   such as face1/dg0, div maps the flux space into the pressure space,
   and check_exactness certifies that inclusion.
 
-Dense matrices remain only in the rank audits of check_exactness (the
-sparse incidence matrices are densified for exact elimination).
+Every audit here is sparse, except the explicit inf-sup pencil of at
+most EXPLICIT_ORDER multipliers.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import (CheckFailedError, NotPositiveDefiniteError, as_dense, check_symmetric,
-                     generalized_symmetric_eig, integer_rank, numerical_rank, sparse_lu)
+from .linalg import (CheckFailedError, NotPositiveDefiniteError, check_symmetric, complex_ranks,
+                     generalized_symmetric_eig, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, grad, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
@@ -125,8 +125,7 @@ def incidence_matrix(mesh: Mesh, k: int) -> sp.csr_matrix:
     """Signed coboundary matrix from k-entities to (k+1)-entities.
 
     Entities carry ascending vertex tuples; the entry for the facet of
-    (v_0..v_{k+1}) that drops v_i is (-1)^i.  Sparse and int64, so exact
-    rank arithmetic applies (linalg.integer_rank).
+    (v_0..v_{k+1}) that drops v_i is (-1)^i.  Sparse and int64.
     """
     if not 0 <= k < mesh.dim:
         raise ValueError(f"no coboundary from dimension {k} on a {mesh.dim}D mesh")
@@ -174,28 +173,29 @@ def check_exactness(cx: DiscreteComplex, expected_betti) -> ComplexReport:
 
     Works on the free DOFs, so a bc="none" complex reports the absolute
     cohomology of the domain and a bc="essential" complex the relative
-    one.  Raises NotAComplexError if any composition D_{k+1} D_k fails
-    to vanish; cohomology at level k is dim ker D_k - rank D_{k-1} by
-    rank-nullity.  At lowest order every float rank is cross-checked
-    against exact integer elimination on the combinatorial incidence
-    matrix (mismatch raises, it would mean a broken assembly).
+    one.  Raises NotAComplexError if any sparse product D_{k+1} D_k
+    fails to vanish; cohomology at level k is dim ker D_k - rank D_{k-1}
+    by rank-nullity.  The ranks come from one exact path,
+    linalg.complex_ranks on the restricted derivatives.  At lowest order
+    the same path runs on the combinatorial incidence matrices as an
+    audit (a mismatch raises: it would mean a broken assembly).
     """
     expected = tuple(int(b) for b in expected_betti)
     if len(expected) != len(cx):
         raise ValueError(f"expected_betti needs {len(cx)} entries, got {len(expected)}")
 
-    mats = [as_dense(cx.restricted_derivative(k)) for k in range(len(cx) - 1)]
+    mats = [cx.restricted_derivative(k) for k in range(len(cx) - 1)]
     for k in range(len(mats) - 1):
-        err = np.abs(mats[k + 1] @ mats[k]).max() if mats[k].size and mats[k + 1].size else 0.0
-        scale = max(1.0, _absmax(mats[k]) * _absmax(mats[k + 1]))
+        err = _absmax((mats[k + 1] @ mats[k]).data)
+        scale = max(1.0, _absmax(mats[k].data) * _absmax(mats[k + 1].data))
         if err > DD_RTOL * scale:
             raise NotAComplexError(f"not a complex: |D{k + 1} D{k}| = {err:.3e}")
 
-    ranks = [numerical_rank(D) for D in mats] + [0]
+    ranks = complex_ranks(mats) + [0]
     if cx.lowest_order:
-        for k, rank in enumerate(ranks[:-1]):
-            sub = incidence_matrix(cx.mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
-            exact = integer_rank(sub)
+        incidence = [incidence_matrix(cx.mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
+                     for k in range(len(mats))]
+        for k, (rank, exact) in enumerate(zip(ranks, complex_ranks(incidence))):
             if rank != exact:
                 raise CheckFailedError(
                     f"rank cross-check failed at level {k}: float {rank}, integer {exact}")
@@ -331,7 +331,7 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
 
 def _explicit_infsup(schur, Mv, deflation_tol) -> float:
     eye = np.eye(schur.shape[0])
-    lam = generalized_symmetric_eig(_sym(schur @ eye), Mv @ eye).eigenvalues
+    lam = generalized_symmetric_eig(_sym(schur @ eye), Mv @ eye)
     return _smallest_kept(lam, lam[-1], deflation_tol)
 
 

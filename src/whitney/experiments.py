@@ -38,6 +38,7 @@ from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
     CheckFailedError,
+    complex_ranks,
     generalized_symmetric_eig,
     numerical_rank,
     symmetric_indefinite_solve,
@@ -225,7 +226,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
     W = build_space(mesh, fam, bc="essential")
     K = W.restrict(assemble_stiffness_like(W, W, "grad"))
     M = W.restrict(assemble_mass(W))
-    lam = generalized_symmetric_eig(K, M).eigenvalues
+    lam = generalized_symmetric_eig(K, M)
 
     zero_count, threshold = _zero_split(lam)
     kernel_dim = W.num_free - numerical_rank(K)
@@ -261,8 +262,8 @@ class CavitySystem:
     curlcurl: np.ndarray
     mass: np.ndarray
     interior_vertices: int
-    gradient: np.ndarray | None = None   # free-restricted derivative W -> Q
-    curl: np.ndarray | None = None       # free-restricted derivative Q -> V
+    gradient: sp.csr_matrix | None = None   # free-restricted derivative W -> Q
+    curl: sp.csr_matrix | None = None       # free-restricted derivative Q -> V
     cell_mass: np.ndarray | None = None
 
 
@@ -292,8 +293,8 @@ def edge_cavity_system(n: int, pattern: str = "crossed") -> CavitySystem:
         curlcurl=Q.restrict(A).toarray(),
         mass=Q.restrict(MQ).toarray(),
         interior_vertices=interior,
-        gradient=D0.toarray()[np.ix_(Q.free, W.free)],
-        curl=D1.toarray()[:, Q.free],
+        gradient=D0.tocsr()[Q.free][:, W.free],
+        curl=D1.tocsr()[:, Q.free],
         cell_mass=M2.toarray(),
     )
 
@@ -353,9 +354,12 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     else:
         raise ValueError(f"unknown cavity family {family!r}")
 
-    lam = generalized_symmetric_eig(system.curlcurl, system.mass).eigenvalues
+    lam = generalized_symmetric_eig(system.curlcurl, system.mass)
     zero_count, threshold = _zero_split(lam)
-    kernel_dim = lam.size - numerical_rank(system.curlcurl)
+    # edge1: M2 is SPD, so rank(curl-curl) = rank(curl), exact from the complex
+    rank = (numerical_rank(system.curlcurl) if system.gradient is None
+            else complex_ranks([system.gradient, system.curl])[1])
+    kernel_dim = lam.size - rank
     if zero_count != kernel_dim:
         raise CheckFailedError(
             f"zero-eigenvalue threshold count {zero_count} disagrees with "
@@ -403,7 +407,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     asserts exactly that equivalence, computed side by side.
     """
     system = edge_cavity_system(n, pattern)
-    D = system.curl
+    D = system.curl.toarray()
     M2 = system.cell_mass
     u, svals, _ = np.linalg.svd(D, full_matrices=False)
     rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
@@ -412,9 +416,9 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     ZM2D = Z.T @ M2 @ D
     G = ZM2D @ symmetric_indefinite_solve(system.mass, ZM2D.T)
     Mp = Z.T @ M2 @ Z
-    lam = generalized_symmetric_eig(G, Mp).eigenvalues
+    lam = generalized_symmetric_eig(G, Mp)
 
-    galerkin = generalized_symmetric_eig(system.curlcurl, system.mass).eigenvalues
+    galerkin = generalized_symmetric_eig(system.curlcurl, system.mass)
     g_zero, _ = _zero_split(galerkin)
     g_pos = galerkin[g_zero:]
 

@@ -1,20 +1,20 @@
 """Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
-generalized eigensolver, and numerical plus exact integer rank.
+generalized eigensolver, numerical rank, and exact ranks of complexes.
 
 Every linear system, definite or not and with one right-hand side or
 many, goes through symmetric_indefinite_solve: one SuperLU
 factorization (sparse_lu) of the matrix in CSC form, dense input
 included.  check_symmetric keeps a sparse matrix sparse.  Dense LAPACK
 is used only for spectra (generalized_symmetric_eig) and for the
-singular values behind numerical_rank.  This module pins the contracts
-the rest of the package relies on: symmetry checks, ascending
-B-orthonormal eigenpairs, residual-verified solves, and a rank that can
-be cross-checked against exact integer elimination for incidence
-matrices.
+singular values behind numerical_rank, which serves operators that
+belong to no complex.  The ranks of a complex are exact and sparse:
+complex_ranks pivots on the sparsity pattern alone and hands what is
+left to exact_rank, an elimination over the rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,15 +29,15 @@ class CheckFailedError(RuntimeError):
     """A self-audit ran and failed: the check failed, nothing crashed."""
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(RuntimeError):
     pass
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(RuntimeError):
     pass
 
 
-class SingularSystemError(ValueError):
+class SingularSystemError(RuntimeError):
     pass
 
 
@@ -102,27 +102,16 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-8) -> np.ndarray:
     return x
 
 
-@dataclass
-class Spectrum:
-    """Ascending eigenvalues with B-orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __iter__(self):
-        return iter((self.eigenvalues, self.eigenvectors))
-
-
-def generalized_symmetric_eig(A, B) -> Spectrum:
-    """Solve A x = lambda B x with A symmetric and B symmetric positive
-    definite.  Dense reduction through the Cholesky factor of B."""
+def generalized_symmetric_eig(A, B) -> np.ndarray:
+    """Ascending eigenvalues of A x = lambda B x with A symmetric and B
+    symmetric positive definite.  Dense reduction through the Cholesky
+    factor of B."""
     A = check_symmetric(as_dense(A), "A")
     B = check_symmetric(as_dense(B), "B")
     try:
-        vals, vecs = sla.eigh(A, B, check_finite=False)
+        return sla.eigh(A, B, eigvals_only=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix not positive definite") from exc
-    return Spectrum(vals, vecs)
 
 
 def numerical_rank(A, rel_tol=RANK_RTOL) -> int:
@@ -136,64 +125,76 @@ def numerical_rank(A, rel_tol=RANK_RTOL) -> int:
     return int(np.count_nonzero(svals > rel_tol * svals[0]))
 
 
-def integer_rank(M) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination.
+def complex_ranks(mats) -> list[int]:
+    """Exact ranks of the derivatives D_k (level k -> k+1) of one complex.
 
-    Bareiss' algorithm keeps every intermediate entry an exact integer
-    (a minor of M).  For incidence matrices these minors are tiny, so
-    int64 suffices; a Python bigint fallback guards the general case.
+    A live column of D_k with one live nonzero, or a live row with one,
+    adds 1 to rank D_k and its entity pair is deleted.  As D_{k+1} D_k =
+    0, the deletion keeps the ranks of D_{k-1} and D_{k+1} (collapses and
+    coreductions: Kaczynski, Mischaikow & Mrozek, Computational Homology,
+    2004).  Neighbour counts that drop to 1 are queued; the core left
+    over goes to exact_rank.  The pattern alone picks pivots: no tolerance.
     """
-    M = as_dense(M)
-    if M.size == 0:
-        return 0
-    R = np.rint(M).astype(np.int64)
-    if np.abs(M - R).max() > 0:
-        raise ValueError("integer_rank requires an integer matrix")
-    try:
-        return _bareiss_rank_int64(R.copy())
-    except OverflowError:
-        return _bareiss_rank_bigint([[int(x) for x in row] for row in R.tolist()])
+    mats = [sp.csr_matrix(D) for D in mats]
+    if any(a.shape[0] != b.shape[1] for a, b in zip(mats, mats[1:])):
+        raise ValueError("consecutive derivatives do not chain")
+    sizes = [D.shape[1] for D in mats] + [mats[-1].shape[0]]
+    off = np.cumsum([0] + sizes)
+    level = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    # the pattern of the whole complex on one entity numbering: column g
+    # of T lists the cofaces of entity g, row g its faces
+    B = sp.block_diag(mats, format="coo")
+    B.eliminate_zeros()
+    T = sp.csr_matrix((B.data, (B.row + sizes[0], B.col)), shape=(off[-1], off[-1]))
+    adj = [(A.indptr.tolist(), A.indices.tolist()) for A in (T.tocsc(), T)]
+    count = [np.diff(ptr).tolist() for ptr, _ in adj]
+    alive = [True] * off[-1]
+    # (g, side): side 0 pairs g with its only live coface, side 1 with its only face
+    queue = deque((g, side) for side in (0, 1) for g, c in enumerate(count[side]) if c == 1)
+    ranks = [0] * len(mats)
 
+    def delete(g):
+        alive[g] = False
+        for side, (ptr, idx) in enumerate(adj):
+            for f in idx[ptr[g]:ptr[g + 1]]:
+                if alive[f]:
+                    count[1 - side][f] -= 1
+                    if count[1 - side][f] == 1:
+                        queue.append((f, 1 - side))
 
-def _bareiss_rank_int64(M: np.ndarray) -> int:
-    nrows, ncols = M.shape
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivots = np.nonzero(M[r:, c])[0]
-        if pivots.size == 0:
+    while queue:
+        g, side = queue.popleft()
+        if not alive[g] or count[side][g] != 1:
             continue
-        p = r + pivots[0]
-        if p != r:
-            M[[r, p]] = M[[p, r]]
-        if np.abs(M).max() > 2**30:
-            raise OverflowError
-        piv = M[r, c]
-        below = M[r + 1 :, :]
-        below[:] = (below * piv - np.outer(M[r + 1 :, c], M[r])) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+        ptr, idx = adj[side]
+        partner = next(f for f in idx[ptr[g]:ptr[g + 1]] if alive[f])
+        ranks[level[g] - side] += 1
+        delete(g)
+        delete(partner)
+
+    alive = np.array(alive)
+    for k, D in enumerate(mats):
+        core = D[alive[off[k + 1]:off[k + 2]]][:, alive[off[k]:off[k + 1]]]
+        if core.nnz:
+            ranks[k] += exact_rank(core)
+    return ranks
 
 
-def _bareiss_rank_bigint(M: list[list[int]]) -> int:
-    nrows = len(M)
-    ncols = len(M[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if M[i][c] != 0), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        piv = M[r][c]
-        for i in range(r + 1, nrows):
-            fac = M[i][c]
-            M[i] = [(piv * M[i][j] - fac * M[r][j]) // prev for j in range(ncols)]
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+def exact_rank(A) -> int:
+    """Rank over Q by sparse Gaussian elimination on Fractions: every
+    float is an exact rational, so this is the rank of A as stored."""
+    A = sp.csr_matrix(A)
+    pivots = {}                                  # leading column -> normalized row
+    for i in range(A.shape[0]):
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        row = {j: Fraction(v) for j, v in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())
+               if v}
+        while row and (lead := min(row)) in pivots:
+            factor = row[lead]
+            for j, v in pivots[lead].items():
+                row[j] = row.get(j, 0) - factor * v
+                if not row[j]:
+                    del row[j]
+        if row:
+            pivots[lead] = {j: v / row[lead] for j, v in row.items()}
+    return len(pivots)

@@ -108,7 +108,7 @@ def build_space(mesh: Mesh, family, bc: str = "none") -> DiscreteSpace:
 # -- pullbacks and assembly ----------------------------------------------------
 
 
-class DerivativeNotSingleValuedError(ValueError):
+class DerivativeNotSingleValuedError(RuntimeError):
     """Cells sharing a target DOF disagree on its derivative entry."""
 
 

@@ -11,10 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from whitney import experiments
+from whitney import cli, experiments
 from whitney.cli import DEFAULT_SEED, build_parser, emit_csv, main
+from whitney.complexes import DiscreteComplex, derham_complex
 from whitney.experiments import ConvergenceReport, SpectrumReport
-from whitney.linalg import CheckFailedError
+from whitney.linalg import CheckFailedError, SingularSystemError
 from whitney.mesh import read_mesh
 
 ALL_SUBCOMMANDS = [
@@ -118,10 +119,41 @@ def test_crashes_are_distinct_from_failed_checks(capsys, monkeypatch):
     code, out, err = run(capsys, "eig", "laplace", "--n", "4")
     assert code == 3 and out == ""
     assert "Traceback" in err and "internal error: TypeError: bad operand" in err
+    # a singular solve is a crash, not bad input
+    monkeypatch.setattr(experiments, "laplace_eigenvalues",
+                        raises(SingularSystemError("singular system")))
+    code, out, err = run(capsys, "eig", "laplace", "--n", "4")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "internal error: SingularSystemError: singular system" in err
     monkeypatch.setattr(experiments, "laplace_eigenvalues",
                         raises(CheckFailedError("threshold count disagrees")))
     code, _, err = run(capsys, "eig", "laplace", "--n", "4")
     assert code == 1 and "check failed: threshold count disagrees" in err
+
+
+def test_zeroed_cell_row_fails_complex_check(capsys, monkeypatch):
+    # a zeroed cell row keeps d o d = 0 but fails the rank cross-check
+    def broken(mesh, order=1, bc="none"):
+        cx = derham_complex(mesh, order=order, bc=bc)
+        D1 = cx.derivatives[1].tolil()
+        D1[0, :] = 0.0
+        return DiscreteComplex(cx.spaces, (cx.derivatives[0], D1.tocsr()))
+
+    monkeypatch.setattr(cli, "derham_complex", broken)
+    code, out, err = run(capsys, "complex", "check", "--domain", "square", "--n", "2",
+                         "--betti", "1,0,0")
+    assert code == 1 and out == ""
+    assert "check failed: rank cross-check failed at level 1" in err
+
+
+@pytest.mark.parametrize("bc,betti,ranks", [("none", "1,0,0,0", [728, 3456, 3072]),
+                                            ("essential", "0,0,0,1", [343, 2689, 3071])])
+def test_cube8_complex_check(capsys, bc, betti, ranks):
+    code, out, _ = run(capsys, "complex", "check", "--domain", "cube", "--n", "8",
+                       "--bc", bc, "--betti", betti)
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    assert [lv["rank"] for lv in payload["levels"]] == ranks + [0]
 
 
 def test_unknown_commands_are_usage_errors(capsys):

@@ -20,8 +20,9 @@ from whitney.complexes import (
     derham_complex,
     incidence_matrix,
 )
-from whitney.linalg import NotPositiveDefiniteError
-from whitney.mesh import Mesh, generate_square_mesh
+from whitney.linalg import CheckFailedError, NotPositiveDefiniteError
+from whitney.mesh import (Mesh, generate_annulus_mesh, generate_cube_mesh, generate_disk_mesh,
+                          generate_square_mesh)
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
 
 
@@ -69,6 +70,28 @@ def test_tampered_derivative_is_not_a_complex(crossed2):
     D1[i, j] = 2.0 * D1[i, j]
     broken = DiscreteComplex(cx.spaces, (cx.derivatives[0], D1.tocsr()))
     with pytest.raises(NotAComplexError, match="not a complex"):
+        check_exactness(broken, (1, 0, 0))
+
+
+@pytest.mark.parametrize("domain,n,order", [("annulus", 16, 1), ("disk", 4, 2), ("cube", 4, 1)])
+@pytest.mark.parametrize("bc", ["none", "essential"])
+def test_readme_complexes_compose_to_exact_zero(domain, n, order, bc):
+    # the identity complex_ranks relies on holds exactly, not to roundoff
+    mesh = {"annulus": generate_annulus_mesh, "disk": generate_disk_mesh,
+            "cube": generate_cube_mesh}[domain](n)
+    cx = derham_complex(mesh, order=order, bc=bc)
+    for k in range(len(cx) - 2):
+        assert (cx.derivatives[k + 1] @ cx.derivatives[k]).count_nonzero() == 0
+        assert (cx.restricted_derivative(k + 1) @ cx.restricted_derivative(k)).count_nonzero() == 0
+
+
+def test_zeroed_cell_row_fails_rank_cross_check(square4):
+    # d o d still vanishes, but the assembled ranks no longer match incidence
+    cx = derham_complex(square4)
+    D1 = cx.derivatives[1].tolil()
+    D1[3, :] = 0.0
+    broken = DiscreteComplex(cx.spaces, (cx.derivatives[0], D1.tocsr()))
+    with pytest.raises(CheckFailedError, match="rank cross-check failed at level 1"):
         check_exactness(broken, (1, 0, 0))
 
 

@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from whitney.linalg import generalized_symmetric_eig
 from whitney.mesh import generate_square_mesh
 from whitney.experiments import (
     ConvergenceReport,
@@ -65,13 +65,13 @@ def test_laplace_validation_and_ellipse():
 
 def test_edge_cavity_zero_modes_are_gradients():
     system = edge_cavity_system(4)
-    spec = generalized_symmetric_eig(system.curlcurl, system.mass)
-    lam = spec.eigenvalues
+    lam, vecs = sla.eigh(system.curlcurl, system.mass)
     nz = int(np.searchsorted(lam, 1e-8 * max(abs(lam[0]), abs(lam[-1]))))
     assert nz == system.interior_vertices
-    Z = spec.eigenvectors[:, :nz]
-    coef, *_ = np.linalg.lstsq(system.gradient, Z, rcond=None)
-    assert np.abs(system.gradient @ coef - Z).max() <= 1e-8
+    Z = vecs[:, :nz]
+    G = system.gradient.toarray()
+    coef, *_ = np.linalg.lstsq(G, Z, rcond=None)
+    assert np.abs(G @ coef - Z).max() <= 1e-8
 
 
 def test_edge_cavity_spectrum_converges():

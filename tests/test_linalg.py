@@ -1,12 +1,14 @@
 """Dense/sparse linear algebra kernels against hand-computed examples.
 
 The generalized eigensolver oracle is a 2x2 pencil solved by hand via
-its characteristic polynomial; rank oracles are integer matrices whose
-rank is known by construction (products of full-rank factors).
+its characteristic polynomial, and eigenvectors from scipy.linalg.eigh
+pair with the returned eigenvalues; rank oracles are integer matrices
+whose rank is known by construction (products of full-rank factors).
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,9 @@ from whitney.linalg import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularSystemError,
+    complex_ranks,
+    exact_rank,
     generalized_symmetric_eig,
-    integer_rank,
     numerical_rank,
     symmetric_indefinite_solve,
 )
@@ -25,19 +28,21 @@ def test_generalized_eig_hand_example():
     # A = [[2, 0], [0, 6]], B = [[1, 0], [0, 2]]: eigenvalues 2 and 3
     A = np.diag([2.0, 6.0])
     B = np.diag([1.0, 2.0])
-    spec = generalized_symmetric_eig(A, B)
-    assert np.allclose(spec.eigenvalues, [2.0, 3.0])
-    # eigenvectors normalized in the B inner product
-    assert np.allclose(spec.eigenvectors.T @ B @ spec.eigenvectors, np.eye(2), atol=1e-14)
+    lam = generalized_symmetric_eig(A, B)
+    assert np.allclose(lam, [2.0, 3.0])
+    # eigenvectors normalized in the B inner product pair with lam
+    _, vecs = sla.eigh(A, B)
+    assert np.allclose(vecs.T @ B @ vecs, np.eye(2), atol=1e-14)
+    assert np.allclose(A @ vecs, B @ vecs * lam, atol=1e-14)
 
 
 def test_generalized_eig_nondiagonal_hand_example():
     # det(A - t B) = 0 for A = [[4, 2], [2, 3]], B = I:
     # t = (7 +- sqrt(17)) / 2
     A = np.array([[4.0, 2.0], [2.0, 3.0]])
-    spec = generalized_symmetric_eig(A, np.eye(2))
+    lam = generalized_symmetric_eig(A, np.eye(2))
     expected = np.array([(7 - np.sqrt(17)) / 2, (7 + np.sqrt(17)) / 2])
-    assert np.allclose(spec.eigenvalues, expected)
+    assert np.allclose(lam, expected)
 
 
 def test_eig_rejects_indefinite_B():
@@ -107,20 +112,27 @@ def test_numerical_rank_of_incidence_like_matrix():
     for i in range(4):
         D[i, i], D[i, i + 1] = -1.0, 1.0
     assert numerical_rank(D) == 4
-    assert integer_rank(D.astype(np.int64)) == 4
+    assert exact_rank(D.astype(np.int64)) == 4
+    # with the vertex-path complex's second derivative empty
+    assert complex_ranks([sp.csr_matrix(D), sp.csr_matrix((0, 4))]) == [4, 0]
 
 
-def test_integer_vs_float_rank_on_products():
+def test_exact_vs_float_rank_on_products():
     rng = np.random.default_rng(11)
     for r in (1, 2, 3):
         M = (rng.integers(-2, 3, (6, r)) @ rng.integers(-2, 3, (r, 5))).astype(np.int64)
-        assert integer_rank(M) == numerical_rank(M.astype(float)) == np.linalg.matrix_rank(M)
+        assert exact_rank(M) == numerical_rank(M.astype(float)) == np.linalg.matrix_rank(M)
+        assert exact_rank(M * 0.5) == exact_rank(sp.csr_matrix(M)) == exact_rank(M)
 
 
-def test_integer_rank_exactness_where_floats_would_dither():
+def test_exact_rank_where_floats_would_dither():
     # Hilbert-like integer scaling keeps entries exact
     M = np.array([[1, 1, 1], [1, 2, 3], [2, 3, 4]], dtype=np.int64)
-    assert integer_rank(M) == 2
+    assert exact_rank(M) == 2
+    # a perturbation below the float rank tolerance still counts exactly:
+    # 4 + 2^-40 is stored without rounding
+    P = M + np.diag([0.0, 0.0, 2.0 ** -40])
+    assert exact_rank(P) == 3 and numerical_rank(P) == 2
 
 
 @settings(deadline=None, max_examples=25)
@@ -141,7 +153,8 @@ def test_eigenvalues_ascending_and_consistent(n, seed):
     R = rng.standard_normal((n, n))
     A = R + R.T
     B = np.eye(n)
-    spec = generalized_symmetric_eig(A, B)
-    assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
-    for lam, v in zip(spec.eigenvalues, spec.eigenvectors.T):
+    vals = generalized_symmetric_eig(A, B)
+    assert np.all(np.diff(vals) >= -1e-12)
+    _, vecs = sla.eigh(A, B)
+    for lam, v in zip(vals, vecs.T):
         assert np.allclose(A @ v, lam * v, atol=1e-8 * max(1.0, abs(lam)))

@@ -1,16 +1,17 @@
 """The whole-array mesh tables, derivative scatter, reference-tensor
 assembly, batched projection, incidence matrices, stress element,
-sparse inf-sup test and sparse Poisson solve against the loops and
-dense algebra they replaced.
+sparse inf-sup test, sparse Poisson solve and exact complex ranks
+against the loops and dense algebra they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 substance: set-and-dict entity numbering, a dict-based derivative
 scatter, quadrature-point assembly with per-cell physical tabulations,
 one field call per edge or face, per-entity incidence lookups, per-cell
 stress dualization and assembly, the einsum displacement helpers that
-the dg1 space replaced, the SVD-deflated dense inf-sup constant, and a
-dense Cholesky solve of the primal Poisson system.  Integer tables and
-the derivative must match exactly; forms, projections, the
+the dg1 space replaced, the SVD-deflated dense inf-sup constant, a
+dense Cholesky solve of the primal Poisson system, and dense Bareiss
+elimination plus SVD rank for the ranks of a complex.  Integer tables,
+ranks and the derivative must match exactly; forms, projections, the
 displacement helpers and the stress element, whose summation order
 changed, must match to 1e-13 relative to the largest entry, the Poisson
 solution to 1e-12, and the inf-sup constant to 1e-10.
@@ -26,7 +27,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from whitney import elasticity as el
-from whitney.complexes import compute_infsup, incidence_matrix
+from whitney.complexes import compute_infsup, derham_complex, incidence_matrix
 from whitney.elements import (
     FAMILY_NAMES,
     apply_dofs,
@@ -35,7 +36,7 @@ from whitney.elements import (
     reference_vertices,
 )
 from whitney.experiments import solve_poisson
-from whitney.linalg import generalized_symmetric_eig
+from whitney.linalg import complex_ranks, generalized_symmetric_eig, numerical_rank
 from whitney.mesh import (
     Mesh,
     generate_annulus_mesh,
@@ -307,8 +308,33 @@ def dense_infsup(coupling, a_form, mass_v, deflation_tol=1e-10):
         return 0.0
     rank = int(np.count_nonzero(svals > deflation_tol * svals[0]))
     basis = u[:, :rank]
-    spec = generalized_symmetric_eig(basis.T @ schur @ basis, basis.T @ mass_v @ basis)
-    return math.sqrt(max(float(spec.eigenvalues[0]), 0.0))
+    lam = generalized_symmetric_eig(basis.T @ schur @ basis, basis.T @ mass_v @ basis)
+    return math.sqrt(max(float(lam[0]), 0.0))
+
+
+def bareiss_rank(M):
+    """Exact rank of an integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate entry is an integer minor of M, small
+    enough for int64 on incidence matrices."""
+    M = np.rint(M).astype(np.int64)
+    nrows, ncols = M.shape
+    prev, r = 1, 0
+    for c in range(ncols):
+        pivots = np.nonzero(M[r:, c])[0]
+        if pivots.size == 0:
+            continue
+        p = r + pivots[0]
+        if p != r:
+            M[[r, p]] = M[[p, r]]
+        assert np.abs(M).max() <= 2 ** 30, "minors outgrew int64"
+        piv = M[r, c]
+        below = M[r + 1:, :]
+        below[:] = (below * piv - np.outer(M[r + 1:, c], M[r])) // prev
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def loop_stress_dof_matrix(vertices, origin, scale):
@@ -715,6 +741,30 @@ def test_explicit_infsup_matches_dense_oracle():
         assert want > 0.0
         assert abs(compute_infsup(B, a, Mv) - want) <= 1e-10 * want
         assert abs(compute_infsup(sp.csr_matrix(B), sp.csr_matrix(a), Mv) - want) <= 1e-10 * want
+
+
+RANK_MESHES = {"cube": generate_cube_mesh, "annulus": generate_annulus_mesh,
+               "disk": generate_disk_mesh,
+               "crossed": lambda n: generate_square_mesh(n, pattern="crossed")}
+
+
+@pytest.mark.parametrize("bc", ["none", "essential"])
+@pytest.mark.parametrize("domain,n,order", [
+    ("cube", 2, 1), ("cube", 4, 1), ("crossed", 4, 1), ("crossed", 8, 1), ("crossed", 16, 1),
+    ("crossed", 4, 2), ("crossed", 8, 2), ("annulus", 8, 1), ("annulus", 16, 1),
+    ("annulus", 8, 2), ("annulus", 16, 2), ("disk", 4, 2)])
+def test_complex_ranks_match_dense_and_bareiss(domain, n, order, bc):
+    mesh = RANK_MESHES[domain](n)
+    cx = derham_complex(mesh, order=order, bc=bc)
+    mats = [cx.restricted_derivative(k) for k in range(len(cx) - 1)]
+    ranks = complex_ranks(mats)
+    assert ranks == [numerical_rank(D) for D in mats]
+    if cx.lowest_order:
+        incidence = [incidence_matrix(mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
+                     for k in range(len(mats))]
+        assert ranks == complex_ranks(incidence)
+        if mesh.num_cells <= 512:     # dense Bareiss is cubic: 9 s on 1,024 cells
+            assert ranks == [bareiss_rank(M.toarray()) for M in incidence]
 
 
 @pytest.mark.parametrize("order", [1, 2])
