@@ -27,10 +27,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .elements import _exterior_derivative
 from .linalg import (CheckFailedError, NotPositiveDefiniteError, check_symmetric, complex_ranks,
                      generalized_symmetric_eig, sparse_lu)
 from .mesh import Mesh
-from .poly import Poly, VecPoly, grad, monomial_exponents
+from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
 
 # composition residual above this (relative to the factor magnitudes)
@@ -224,25 +225,13 @@ def _sym(A):
 
 def _battery(family, degree):
     """Monomial test fields (u, du) shaped for a family's value type."""
-    dim = family.mesh_dim
-    exps = monomial_exponents(dim, degree)
-    if family.value_kind == "scalar":
-        for e in exps:
+    dim, scalar = family.mesh_dim, family.value_kind == "scalar"
+    for comp in range(1 if scalar else dim):
+        for e in monomial_exponents(dim, degree):
             u = Poly.monomial(dim, e)
-            yield u, grad(u)
-        return
-    kind = family.derivative_kind
-    for comp in range(dim):
-        for e in exps:
-            parts = [Poly.constant(dim, 0.0) for _ in range(dim)]
-            parts[comp] = Poly.monomial(dim, e)
-            u = VecPoly(parts)
-            if kind == "curl":
-                yield u, (u.curl2() if dim == 2 else u.curl3())
-            elif kind == "div":
-                yield u, u.div()
-            else:
-                raise ValueError(f"{family.name} has no outgoing derivative")
+            if not scalar:
+                u = VecPoly([u if c == comp else Poly.constant(dim, 0.0) for c in range(dim)])
+            yield u, _exterior_derivative(u, family.derivative_kind)
 
 
 def check_commuting(cx: DiscreteComplex, degree: int = BATTERY_DEGREE) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .elements import get_family, moment_rule
+from .elements import _read_only, get_family, moment_rule
 from .linalg import CheckFailedError, numerical_rank, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, SymPoly, monomial_exponents
@@ -98,7 +98,7 @@ def _divergence_operator() -> np.ndarray:
                 lower = list(e)
                 lower[axis] -= 1
                 D[comp * len(P2) + index2[tuple(lower)], col] += e[axis]
-    return D
+    return _read_only(D)
 
 
 @lru_cache(maxsize=1)
@@ -112,14 +112,14 @@ def _shape_null_space() -> np.ndarray:
     rank = int(np.count_nonzero(svals > 1e-12 * svals[0]))
     if rank != 6:
         raise RuntimeError(f"divergence constraint rank {rank}, expected 6")
-    return vt[rank:]
+    return _read_only(vt[rank:])
 
 
 def constraint_matrix() -> np.ndarray:
     """The (6, 30) map from coefficients to the quadratic part of div."""
     strict = [i for i, e in enumerate(P2) if sum(e) == 2]
     rows = np.concatenate([np.asarray(strict), len(P2) + np.asarray(strict)])
-    return _divergence_operator()[rows].copy()
+    return _divergence_operator()[rows]
 
 
 def _triangle_sizes(vertices: np.ndarray):
@@ -330,17 +330,17 @@ def displacement_projection(space: DisplacementSpace, f) -> np.ndarray:
                          for comp in (0, 1)])
 
 
-def evaluate_displacement(space: DisplacementSpace, u: np.ndarray, rule=None):
+def evaluate_displacement(space: DisplacementSpace, u: np.ndarray):
     """(points, weights*|det|, values (nc, nq, 2)) of a DOF vector."""
-    comps = [evaluate_on_cells(space.scalar, u.reshape(-1, 2, 3)[:, comp].ravel(), rule)
+    comps = [evaluate_on_cells(space.scalar, u.reshape(-1, 2, 3)[:, comp].ravel())
              for comp in (0, 1)]
     pts, wdet, _ = comps[0]
     return pts, wdet, np.stack([vals for _, _, vals in comps], axis=-1)
 
 
-def evaluate_stress(space: StressSpace, sigma: np.ndarray, rule=None):
+def evaluate_stress(space: StressSpace, sigma: np.ndarray):
     """(points, weights*|det|, values (nc, nq, 3)) of a stress DOF vector."""
-    rule = rule or triangle_rule()
+    rule = triangle_rule()
     geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
     coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs)

@@ -16,9 +16,11 @@ returns a structured report:
   per-level inf-sup monitoring, for the primal Poisson problem at
   orders 1 and 2, and for the mixed elasticity solver.
 
-Eigensolves are dense and full-spectrum.  Zero-eigenvalue counts are
-never trusted from thresholding alone: every report cross-checks the
-threshold count against rank arithmetic and raises on mismatch.
+Every spectrum comes from one checked eigensolve, dense and
+full-spectrum: its zero count from thresholding is cross-checked
+against the rank of the operator, and a mismatch raises.  The cavity
+pair stays sparse until the eigensolver densifies it.  The sweeps share
+one refinement loop, one order fit per series and one L2 error integral.
 """
 
 from __future__ import annotations
@@ -189,16 +191,24 @@ def cavity_reference(count: int) -> tuple:
     return tuple(float(v) for v in vals[:count])
 
 
-def _zero_split(eigenvalues: np.ndarray):
-    scale = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    threshold = ZERO_EIGENVALUE_RTOL * scale
-    return int(np.searchsorted(eigenvalues, threshold)), threshold
-
-
 def _signed_errors(positive: np.ndarray, reference) -> tuple:
     k = min(len(reference), positive.size)
     ref = np.asarray(reference[:k], dtype=float)
     return tuple((positive[:k] - ref) / ref)
+
+
+def _spectrum(A, M, rank: int):
+    """Ascending eigenvalues of A x = lambda M x, their zero count and the
+    zero threshold.  The count from thresholding must equal the kernel
+    dimension size - rank, or the run aborts."""
+    lam = generalized_symmetric_eig(A, M)
+    threshold = ZERO_EIGENVALUE_RTOL * max(abs(lam[0]), abs(lam[-1]))
+    zero_count = int(np.searchsorted(lam, threshold))
+    if zero_count != lam.size - rank:
+        raise CheckFailedError(
+            f"zero-eigenvalue threshold count {zero_count} disagrees with "
+            f"rank-based kernel dimension {lam.size - rank}")
+    return lam, zero_count, threshold
 
 
 # -- Laplace eigenvalues -------------------------------------------------------
@@ -226,15 +236,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
     W = build_space(mesh, fam, bc="essential")
     K = W.restrict(assemble_stiffness_like(W, W, "grad"))
     M = W.restrict(assemble_mass(W))
-    lam = generalized_symmetric_eig(K, M)
-
-    zero_count, threshold = _zero_split(lam)
-    kernel_dim = W.num_free - numerical_rank(K)
-    if zero_count != kernel_dim:
-        raise CheckFailedError(
-            f"zero-eigenvalue threshold count {zero_count} disagrees with "
-            f"rank-based kernel dimension {kernel_dim}")
-
+    lam, zero_count, threshold = _spectrum(K, M, numerical_rank(K))
     if domain == "square":
         reference = square_dirichlet_reference(count)
         errors = _signed_errors(lam[zero_count:], reference)
@@ -246,7 +248,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
         passed = zero_count == 0
     return SpectrumReport(
         family=family, mesh=mesh.domain_tag, eigenvalues=lam,
-        zero_count=zero_count, zero_threshold=threshold, kernel_dim=kernel_dim,
+        zero_count=zero_count, zero_threshold=threshold, kernel_dim=zero_count,
         reference=reference, relative_errors=errors, passed=passed,
         notes={"free_dofs": int(W.num_free)})
 
@@ -256,15 +258,22 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
 
 @dataclass(frozen=True)
 class CavitySystem:
-    """Assembled (curl-curl, mass) pair on free DOFs plus cross-check data."""
+    """Assembled sparse (curl-curl, mass) pair on free DOFs.
+
+    `rank` is the rank of `curlcurl`, computed by the builder, so the
+    kernel dimension to cross-check is curlcurl.shape[0] - rank.  The
+    edge builder also keeps the free-restricted derivatives and the cell
+    mass of the complex, for the gradient-kernel and mixed-form runs.
+    """
 
     mesh: Mesh
-    curlcurl: np.ndarray
-    mass: np.ndarray
+    curlcurl: sp.csr_matrix
+    mass: sp.csr_matrix
     interior_vertices: int
+    rank: int
     gradient: sp.csr_matrix | None = None   # free-restricted derivative W -> Q
     curl: sp.csr_matrix | None = None       # free-restricted derivative Q -> V
-    cell_mass: np.ndarray | None = None
+    cell_mass: sp.csr_matrix | None = None
 
 
 def edge_cavity_system(n: int, pattern: str = "crossed") -> CavitySystem:
@@ -272,31 +281,27 @@ def edge_cavity_system(n: int, pattern: str = "crossed") -> CavitySystem:
 
     Tangential essential BC; the curl-curl stiffness is assembled both
     directly and as D^T M2 D and the two must agree, which exercises
-    the derivative-matrix path end to end.
+    the derivative-matrix path end to end.  M2 is SPD, so the rank of
+    the curl-curl operator is that of the curl, exact from the complex.
     """
     mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
     W = build_space(mesh, get_family("lagrange1"), bc="essential")
     Q = build_space(mesh, get_family("edge1"), bc="essential")
     V = build_space(mesh, get_family("dg0"))
-    D0 = assemble_derivative(W, Q)
     D1 = assemble_derivative(Q, V)
     M2 = assemble_mass(V)
     A = (D1.T @ M2 @ D1).tocsr()
-    A_direct = assemble_stiffness_like(Q, Q, "curl")
-    gap = abs(A - A_direct).max()
+    gap = abs(A - assemble_stiffness_like(Q, Q, "curl")).max()
     if gap > STRUCTURE_RTOL * max(abs(A).max(), 1.0):
         raise CheckFailedError(f"curl-curl != D^T M2 D (gap {gap:.3e})")
-    MQ = assemble_mass(Q)
-    interior = int(np.count_nonzero(~mesh.boundary[0]))
+    gradient = assemble_derivative(W, Q)[Q.free][:, W.free]
+    curl = D1[:, Q.free]
+    mass = Q.restrict(assemble_mass(Q))
+    mass.eliminate_zeros()   # entries that cancel to 0.0 would steer the LU ordering
     return CavitySystem(
-        mesh=mesh,
-        curlcurl=Q.restrict(A).toarray(),
-        mass=Q.restrict(MQ).toarray(),
-        interior_vertices=interior,
-        gradient=D0.tocsr()[Q.free][:, W.free],
-        curl=D1.tocsr()[:, Q.free],
-        cell_mass=M2.toarray(),
-    )
+        mesh=mesh, curlcurl=Q.restrict(A), mass=mass,
+        interior_vertices=int(np.count_nonzero(~mesh.boundary[0])),
+        rank=complex_ranks([gradient, curl])[1], gradient=gradient, curl=curl, cell_mass=M2)
 
 
 def nodal_cavity_system(n: int, pattern: str = "uniform") -> CavitySystem:
@@ -309,26 +314,17 @@ def nodal_cavity_system(n: int, pattern: str = "uniform") -> CavitySystem:
     """
     mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
     W = build_space(mesh, get_family("lagrange1"))
-    nv = W.ndofs
     K = [[assemble_component_products(W, a, b) for b in range(2)] for a in range(2)]
     # curl E = d1 Ey - d2 Ex, so testing with (phi, 0) picks up d2 and
     # with (0, phi) picks up d1, with a sign flip on the cross blocks
-    A = sp.bmat([[K[1][1], -K[1][0]], [-K[0][1], K[0][0]]]).toarray()
-    Mw = assemble_mass(W)
-    M = sp.block_diag([Mw, Mw]).toarray()
-
-    free = np.ones(2 * nv, dtype=bool)
-    bnd = np.nonzero(mesh.boundary[0])[0]
-    free[bnd] = False
-    free[nv + bnd] = False
-    idx = np.nonzero(free)[0]
-    interior = int(np.count_nonzero(~mesh.boundary[0]))
+    A = sp.bmat([[K[1][1], -K[1][0]], [-K[0][1], K[0][0]]], format="csr")
+    M = sp.block_diag([assemble_mass(W)] * 2, format="csr")
+    free = np.tile(~mesh.boundary[0], 2)
+    curlcurl = A[free][:, free]
     return CavitySystem(
-        mesh=mesh,
-        curlcurl=A[np.ix_(idx, idx)],
-        mass=M[np.ix_(idx, idx)],
-        interior_vertices=interior,
-    )
+        mesh=mesh, curlcurl=curlcurl, mass=M[free][:, free],
+        interior_vertices=int(np.count_nonzero(~mesh.boundary[0])),
+        rank=numerical_rank(curlcurl))
 
 
 def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
@@ -354,20 +350,9 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     else:
         raise ValueError(f"unknown cavity family {family!r}")
 
-    lam = generalized_symmetric_eig(system.curlcurl, system.mass)
-    zero_count, threshold = _zero_split(lam)
-    # edge1: M2 is SPD, so rank(curl-curl) = rank(curl), exact from the complex
-    rank = (numerical_rank(system.curlcurl) if system.gradient is None
-            else complex_ranks([system.gradient, system.curl])[1])
-    kernel_dim = lam.size - rank
-    if zero_count != kernel_dim:
-        raise CheckFailedError(
-            f"zero-eigenvalue threshold count {zero_count} disagrees with "
-            f"rank-based kernel dimension {kernel_dim}")
-
+    lam, zero_count, threshold = _spectrum(system.curlcurl, system.mass, system.rank)
     reference = cavity_reference(count)
-    positive = lam[zero_count:]
-    errors = _signed_errors(positive, reference)
+    errors = _signed_errors(lam[zero_count:], reference)
     notes = {"n": int(n), "pattern": pattern,
              "interior_vertices": int(system.interior_vertices),
              "free_dofs": int(lam.size)}
@@ -391,7 +376,7 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
 
     return SpectrumReport(
         family=family, mesh=system.mesh.domain_tag, eigenvalues=lam,
-        zero_count=zero_count, zero_threshold=threshold, kernel_dim=kernel_dim,
+        zero_count=zero_count, zero_threshold=threshold, kernel_dim=zero_count,
         reference=reference, relative_errors=errors, passed=passed, notes=notes)
 
 
@@ -400,50 +385,78 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     """Mixed form of the cavity problem on P_h = curl Q_h.
 
     The multiplier space is realized as an orthonormal basis Z of the
-    range of the curl matrix inside dg0; the eigenproblem becomes
-    G p = lambda M_p p with G = Z^T M2 D A^{-1} D^T M2 Z (A the edge
-    mass) and M_p = Z^T M2 Z.  Its spectrum must equal the positive
-    Galerkin cavity spectrum, with no zero eigenvalues; `passed`
-    asserts exactly that equivalence, computed side by side.
+    range of the curl matrix inside dg0: its first `rank` left singular
+    vectors, with the exact rank from the complex.  The eigenproblem
+    becomes G p = lambda M_p p with G = Z^T M2 D A^{-1} D^T M2 Z (A the
+    edge mass) and M_p = Z^T M2 Z.  Its spectrum must equal the positive
+    Galerkin cavity spectrum, with no zero eigenvalues; `passed` asserts
+    exactly that equivalence, computed side by side.
     """
     system = edge_cavity_system(n, pattern)
     D = system.curl.toarray()
-    M2 = system.cell_mass
-    u, svals, _ = np.linalg.svd(D, full_matrices=False)
-    rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
-    Z = u[:, :rank]
+    M2 = system.cell_mass.toarray()
+    Z = np.linalg.svd(D, full_matrices=False)[0][:, :system.rank]
 
     ZM2D = Z.T @ M2 @ D
     G = ZM2D @ symmetric_indefinite_solve(system.mass, ZM2D.T)
     Mp = Z.T @ M2 @ Z
-    lam = generalized_symmetric_eig(G, Mp)
-
-    galerkin = generalized_symmetric_eig(system.curlcurl, system.mass)
-    g_zero, _ = _zero_split(galerkin)
+    lam, _, threshold = _spectrum(G, Mp, system.rank)
+    galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank)
     g_pos = galerkin[g_zero:]
 
-    zero_count, threshold = _zero_split(lam)
-    if zero_count != 0:
-        raise CheckFailedError(f"mixed cavity spectrum has {zero_count} zero eigenvalues")
-    if lam.size != rank:
-        raise CheckFailedError("mixed spectrum size disagrees with rank of the curl matrix")
-
-    match_gap = float(np.abs(lam - g_pos).max() / np.abs(g_pos).max()) \
-        if lam.size == g_pos.size else np.inf
+    # both checked spectra have `rank` positive values, so they pair up
+    match_gap = float(np.abs(lam - g_pos).max() / np.abs(g_pos).max())
     reference = cavity_reference(count)
     errors = _signed_errors(lam, reference)
-    passed = bool(lam.size == g_pos.size and match_gap <= SPECTRUM_MATCH_RTOL)
-    notes = {"n": int(n), "pattern": pattern,
-             "multiplier_dim": rank,
-             "galerkin_zero_count": int(g_zero),
-             "equivalence_gap": match_gap}
+    passed = bool(match_gap <= SPECTRUM_MATCH_RTOL)
+    notes = {"n": int(n), "pattern": pattern, "multiplier_dim": system.rank,
+             "galerkin_zero_count": int(g_zero), "equivalence_gap": match_gap}
     return SpectrumReport(
         family="edge1-mixed", mesh=system.mesh.domain_tag, eigenvalues=lam,
         zero_count=0, zero_threshold=threshold, kernel_dim=0,
         reference=reference, relative_errors=errors, passed=passed, notes=notes)
 
 
-# -- mixed Poisson sweep -------------------------------------------------------
+# -- refinement sweeps ---------------------------------------------------------
+
+
+def _sin_sin(p):
+    """The manufactured potential u = sin(pi x) sin(pi y)."""
+    return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+
+
+def _grad_sin_sin(p):
+    return np.stack([np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
+                     np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])], axis=1)
+
+
+def _squared_error(evaluation, exact, metric=None):
+    """Squared L2 error of the (points, weights*|det|, values) triple of an
+    evaluate_* call against exact(points); `metric` weights the components
+    of vector values, which are otherwise summed."""
+    pts, wdet, vals = evaluation
+    sq = (vals - exact(pts.reshape(-1, pts.shape[-1])).reshape(vals.shape))**2
+    if sq.ndim == 3:
+        sq = np.sum(sq, axis=-1) if metric is None else sq @ metric
+    return np.sum(wdet * sq)
+
+
+def _sweep(ns, pattern: str, level, keys):
+    """Run level(mesh) -> {name: number} on the unit square at each n.
+
+    Returns the per-level series of every name, and the hs, errors,
+    orders and fit_residuals fields of a ConvergenceReport over the
+    error series named in `keys`.
+    """
+    hs, series = [], {}
+    for n in ns:
+        for name, value in level(generate_square_mesh(n, pattern=pattern)).items():
+            series.setdefault(name, []).append(value)
+        hs.append(1.0 / n)
+    fits = {k: observed_order(hs, series.get(k, ())) for k in keys}
+    return series, {"hs": tuple(hs), "errors": {k: tuple(series[k]) for k in keys},
+                    "orders": {k: order for k, (order, _) in fits.items()},
+                    "fit_residuals": {k: resid for k, (_, resid) in fits.items()}}
 
 
 def _coefficient_matrix(coefficient) -> np.ndarray:
@@ -468,21 +481,12 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     C = _coefficient_matrix(coefficient)
     Cinv = np.linalg.inv(C)
 
-    def u_exact(p):
-        return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-
-    def grad_u(p):
-        return np.stack([np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-                         np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])],
-                        axis=1)
-
     def sigma_exact(p):
-        return grad_u(p) @ C.T
+        return _grad_sin_sin(p) @ C.T
 
     def f(p):
-        ss = np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         cc = np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
-        return np.pi**2 * ((C[0, 0] + C[1, 1]) * ss - 2 * C[0, 1] * cc)
+        return np.pi**2 * ((C[0, 0] + C[1, 1]) * _sin_sin(p) - 2 * C[0, 1] * cc)
 
     S = build_space(mesh, get_family("face1"))
     V = build_space(mesh, get_family("dg0"))
@@ -496,12 +500,8 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     rhs = np.concatenate([np.zeros(S.ndofs), -F])
     sol = symmetric_indefinite_solve(K, rhs)
     sigma_h, u_h = sol[:S.ndofs], sol[S.ndofs:]
-
-    pts, wdet, uv = evaluate_on_cells(V, u_h)
-    err_u = float(np.sqrt(np.sum(wdet * (uv - u_exact(pts.reshape(-1, 2)).reshape(uv.shape))**2)))
-    pts, wdet, sv = evaluate_on_cells(S, sigma_h)
-    diff = sv - sigma_exact(pts.reshape(-1, 2)).reshape(sv.shape)
-    err_sigma = float(np.sqrt(np.sum(wdet * np.sum(diff**2, axis=-1))))
+    err_u = float(np.sqrt(_squared_error(evaluate_on_cells(V, u_h), _sin_sin)))
+    err_sigma = float(np.sqrt(_squared_error(evaluate_on_cells(S, sigma_h), sigma_exact)))
 
     gamma = compute_infsup(B, A + D.T @ MV @ D, MV)
     return sigma_h, u_h, err_sigma, err_u, gamma
@@ -515,31 +515,19 @@ def mixed_poisson_convergence(ns=(4, 8, 16, 32), coefficient=1.0,
     the inf-sup constant of the discrete pair at every level (its
     near-constancy across levels is the stability statement).
     """
-    hs, err_u, err_s, gammas = [], [], [], []
-    for n in ns:
-        mesh = generate_square_mesh(n, pattern=pattern)
-        _, _, es, eu, gamma = solve_mixed_poisson(mesh, coefficient)
-        hs.append(1.0 / n)
-        err_u.append(eu)
-        err_s.append(es)
-        gammas.append(gamma)
-    order_u, resid_u = observed_order(hs, err_u)
-    order_s, resid_s = observed_order(hs, err_s)
+    def level(mesh):
+        _, _, err_sigma, err_u, gamma = solve_mixed_poisson(mesh, coefficient)
+        return {"err_u": err_u, "err_sigma": err_sigma, "infsup": gamma}
+
+    series, fit = _sweep(ns, pattern, level, ("err_u", "err_sigma"))
+    gammas = series["infsup"]
     spread = (max(gammas) - min(gammas)) / max(gammas)
-    passed = order_u >= 0.9 and order_s >= 0.9 and spread < 0.10
+    passed = all(order >= 0.9 for order in fit["orders"].values()) and spread < 0.10
     return ConvergenceReport(
-        name="mixed-poisson",
-        hs=tuple(hs),
-        errors={"err_u": tuple(err_u), "err_sigma": tuple(err_s)},
-        orders={"err_u": order_u, "err_sigma": order_s},
-        fit_residuals={"err_u": resid_u, "err_sigma": resid_s},
-        infsup=tuple(gammas),
+        name="mixed-poisson", **fit, infsup=tuple(gammas),
         notes={"coefficient": _coefficient_matrix(coefficient).tolist(),
                "pattern": pattern, "infsup_spread": float(spread),
                "passed": bool(passed)})
-
-
-# -- primal Poisson sweep ------------------------------------------------------
 
 
 def solve_poisson(mesh: Mesh, order: int = 1, f=None):
@@ -565,39 +553,17 @@ def galerkin_quasioptimality_demo(ns=(4, 8, 16, 32), order: int = 1,
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 
-    def u_exact(p):
-        return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-
-    def grad_u(p):
-        return np.stack([np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-                         np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])],
-                        axis=1)
-
-    hs, err_h1, err_l2 = [], [], []
-    for n in ns:
-        mesh = generate_square_mesh(n, pattern=pattern)
+    def level(mesh):
         W, u_h = solve_poisson(mesh, order)
-        pts, wdet, vals = evaluate_on_cells(W, u_h)
-        l2sq = np.sum(wdet * (vals - u_exact(pts.reshape(-1, 2)).reshape(vals.shape))**2)
-        pts, wdet, grads = evaluate_derivative_on_cells(W, u_h)
-        gdiff = grads - grad_u(pts.reshape(-1, 2)).reshape(grads.shape)
-        h1sq = l2sq + np.sum(wdet * np.sum(gdiff**2, axis=-1))
-        hs.append(1.0 / n)
-        err_l2.append(float(np.sqrt(l2sq)))
-        err_h1.append(float(np.sqrt(h1sq)))
-    order_h1, resid_h1 = observed_order(hs, err_h1)
-    order_l2, resid_l2 = observed_order(hs, err_l2)
-    passed = order_h1 >= order - 0.1
+        l2sq = _squared_error(evaluate_on_cells(W, u_h), _sin_sin)
+        h1sq = l2sq + _squared_error(evaluate_derivative_on_cells(W, u_h), _grad_sin_sin)
+        return {"err_h1": float(np.sqrt(h1sq)), "err_l2": float(np.sqrt(l2sq))}
+
+    _, fit = _sweep(ns, pattern, level, ("err_h1", "err_l2"))
+    passed = fit["orders"]["err_h1"] >= order - 0.1
     return ConvergenceReport(
-        name=f"poisson-p{order}",
-        hs=tuple(hs),
-        errors={"err_h1": tuple(err_h1), "err_l2": tuple(err_l2)},
-        orders={"err_h1": order_h1, "err_l2": order_l2},
-        fit_residuals={"err_h1": resid_h1, "err_l2": resid_l2},
+        name=f"poisson-p{order}", **fit,
         notes={"order": int(order), "pattern": pattern, "passed": bool(passed)})
-
-
-# -- mixed elasticity sweep ----------------------------------------------------
 
 
 def elasticity_convergence(ns=(4, 8, 16), lam: float = 1.0, mu: float = 1.0,
@@ -609,28 +575,19 @@ def elasticity_convergence(ns=(4, 8, 16), lam: float = 1.0, mu: float = 1.0,
     is recorded per level and must stay at solver precision.
     """
     u_exact, sigma_exact, f = manufactured_solution(lam, mu)
-    hs, err_u, err_s, residuals = [], [], [], []
-    for n in ns:
-        mesh = generate_square_mesh(n, pattern=pattern)
+
+    def level(mesh):
         sol = solve_mixed_elasticity(mesh, lam=lam, mu=mu, f=f)
-        pts, wdet, uv = evaluate_displacement(sol.displacement_space, sol.u)
-        udiff = uv - u_exact(pts.reshape(-1, 2)).reshape(uv.shape)
-        err_u.append(float(np.sqrt(np.sum(wdet * np.sum(udiff**2, axis=-1)))))
-        pts, wdet, sv = evaluate_stress(sol.stress_space, sol.sigma)
-        sdiff = sv - sigma_exact(pts.reshape(-1, 2)).reshape(sv.shape)
-        metric = np.array([1.0, 2.0, 1.0])
-        err_s.append(float(np.sqrt(np.sum(wdet * (sdiff**2 @ metric)))))
-        residuals.append(float(sol.equilibrium_residual))
-        hs.append(1.0 / n)
-    order_u, resid_u = observed_order(hs, err_u)
-    order_s, resid_s = observed_order(hs, err_s)
-    passed = order_u >= 1.0 and order_s >= 1.0 and max(residuals) <= 1e-9
+        u_sq = _squared_error(evaluate_displacement(sol.displacement_space, sol.u), u_exact)
+        s_sq = _squared_error(evaluate_stress(sol.stress_space, sol.sigma), sigma_exact,
+                              np.array([1.0, 2.0, 1.0]))
+        return {"err_u": float(np.sqrt(u_sq)), "err_sigma": float(np.sqrt(s_sq)),
+                "residual": float(sol.equilibrium_residual)}
+
+    series, fit = _sweep(ns, pattern, level, ("err_u", "err_sigma"))
+    residuals = series["residual"]
+    passed = all(order >= 1.0 for order in fit["orders"].values()) and max(residuals) <= 1e-9
     return ConvergenceReport(
-        name="mixed-elasticity",
-        hs=tuple(hs),
-        errors={"err_u": tuple(err_u), "err_sigma": tuple(err_s)},
-        orders={"err_u": order_u, "err_sigma": order_s},
-        fit_residuals={"err_u": resid_u, "err_sigma": resid_s},
+        name="mixed-elasticity", **fit,
         notes={"lambda": float(lam), "mu": float(mu), "pattern": pattern,
-               "equilibrium_residuals": [float(r) for r in residuals],
-               "passed": bool(passed)})
+               "equilibrium_residuals": residuals, "passed": bool(passed)})

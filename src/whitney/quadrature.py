@@ -24,14 +24,17 @@ class QuadratureRule:
 
     Weights sum to the reference measure: 1 for the parameter interval
     [0, 1], 1/2 for the unit triangle, 1/6 for the unit tetrahedron.
+    Both arrays are read-only copies, since the rules are shared.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=float))
+        for name in ("points", "weights"):
+            arr = np.array(getattr(self, name), dtype=float, order="C")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def reference_measure(dim: int) -> float:

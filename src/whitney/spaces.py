@@ -301,35 +301,32 @@ def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _evaluate(space: DiscreteSpace, u, rule, derivative: bool):
+def _evaluate(space: DiscreteSpace, u, derivative: bool):
     fam = space.family
     geo = space.mesh.geometry
-    if rule is None:
-        rule = simplex_rule(space.mesh.dim)
-        ref = fam.rule_derivatives if derivative else fam.rule_values
-    else:
-        ref = fam.tabulate_derivative(rule.points) if derivative else fam.tabulate(rule.points)
+    rule = simplex_rule(space.mesh.dim)
+    ref = fam.rule_derivatives if derivative else fam.rule_values
     vals = _field_values(space, u, ref, _pullback(fam, derivative, geo))
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     return geo.push_points(rule.points), wdet, vals if ref.ndim == 3 else vals[:, :, 0]
 
 
-def evaluate_on_cells(space: DiscreteSpace, u, rule=None):
+def evaluate_on_cells(space: DiscreteSpace, u):
     """Field values of a DOF vector at quadrature points of every cell.
 
     Returns (physical points (nc, nq, dim), weights*|det| (nc, nq),
     values (nc, nq) or (nc, nq, dim)).
     """
-    return _evaluate(space, u, rule, False)
+    return _evaluate(space, u, False)
 
 
-def evaluate_derivative_on_cells(space: DiscreteSpace, u, rule=None):
+def evaluate_derivative_on_cells(space: DiscreteSpace, u):
     """Exterior-derivative values of a DOF vector at cell quadrature points.
 
     Gradient spaces give (nc, nq, dim), 2D curl and div give (nc, nq),
     3D curl gives (nc, nq, 3).  Same return layout as evaluate_on_cells.
     """
-    return _evaluate(space, u, rule, True)
+    return _evaluate(space, u, True)
 
 
 def assemble_load(space: DiscreteSpace, f) -> np.ndarray:

@@ -34,6 +34,7 @@ from whitney.elasticity import (
 from whitney.linalg import numerical_rank
 from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
 from whitney.poly import Poly, SymPoly, monomial_exponents
+from whitney.quadrature import interval_rule, tetrahedron_rule, triangle_rule
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -62,6 +63,17 @@ def test_shape_space_has_24_dimensions():
     assert np.linalg.matrix_rank(constraint_matrix()) == 6
     assert np.max(np.abs(null @ null.T - np.eye(NDOF))) <= 1e-13
     assert np.max(np.abs(constraint_matrix() @ null.T)) <= 1e-13
+
+
+def test_shared_cached_arrays_are_read_only():
+    """Arrays handed out by cached builders are shared by every later
+    caller, so an in-place write must fail instead of leaking."""
+    rules = (interval_rule(), triangle_rule(), tetrahedron_rule())
+    shared = [a for r in rules for a in (r.points, r.weights)]
+    shared += [el._divergence_operator(), el._shape_null_space()]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_all_quadratics_satisfy_the_constraint():

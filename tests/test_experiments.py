@@ -11,10 +11,13 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from whitney.linalg import CheckFailedError
 from whitney.mesh import generate_square_mesh
 from whitney.experiments import (
     ConvergenceReport,
+    _spectrum,
     cavity_reference,
     edge_cavity_system,
     elasticity_convergence,
@@ -23,6 +26,7 @@ from whitney.experiments import (
     maxwell_eigenvalues,
     maxwell_mixed_eigenvalues,
     mixed_poisson_convergence,
+    nodal_cavity_system,
     observed_order,
     solve_mixed_poisson,
     solve_poisson,
@@ -65,13 +69,33 @@ def test_laplace_validation_and_ellipse():
 
 def test_edge_cavity_zero_modes_are_gradients():
     system = edge_cavity_system(4)
-    lam, vecs = sla.eigh(system.curlcurl, system.mass)
+    lam, vecs = sla.eigh(system.curlcurl.toarray(), system.mass.toarray())
     nz = int(np.searchsorted(lam, 1e-8 * max(abs(lam[0]), abs(lam[-1]))))
     assert nz == system.interior_vertices
     Z = vecs[:, :nz]
     G = system.gradient.toarray()
     coef, *_ = np.linalg.lstsq(G, Z, rcond=None)
     assert np.abs(G @ coef - Z).max() <= 1e-8
+
+
+def test_cavity_systems_are_sparse_with_exact_rank():
+    edge = edge_cavity_system(4)
+    for A in (edge.curlcurl, edge.mass, edge.cell_mass):
+        assert sp.issparse(A) and A.format == "csr"
+    assert edge.rank == edge.curlcurl.shape[0] - edge.interior_vertices
+    nodal = nodal_cavity_system(4)
+    assert sp.issparse(nodal.curlcurl) and sp.issparse(nodal.mass)
+    assert nodal.rank == np.linalg.matrix_rank(nodal.curlcurl.toarray())
+
+
+def test_spectrum_rejects_a_rank_off_by_one():
+    system = edge_cavity_system(4)
+    lam, zero_count, _ = _spectrum(system.curlcurl, system.mass, system.rank)
+    assert zero_count == lam.size - system.rank == system.interior_vertices
+    for rank in (system.rank - 1, system.rank + 1):
+        with pytest.raises(CheckFailedError,
+                           match="disagrees with rank-based kernel dimension"):
+            _spectrum(system.curlcurl, system.mass, rank)
 
 
 def test_edge_cavity_spectrum_converges():
