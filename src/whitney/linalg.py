@@ -2,14 +2,16 @@
 generalized eigensolver, numerical rank, and exact ranks of complexes.
 
 Every linear system, definite or not and with one right-hand side or
-many, goes through symmetric_indefinite_solve: one SuperLU
-factorization (sparse_lu) of the matrix in CSC form, dense input
-included.  check_symmetric keeps a sparse matrix sparse.  Dense LAPACK
-is used only for spectra (generalized_symmetric_eig) and for the
-singular values behind numerical_rank, which serves operators that
-belong to no complex.  The ranks of a complex are exact and sparse:
-complex_ranks pivots on the sparsity pattern alone and hands what is
-left to exact_rank, an elimination over the rationals.
+many, goes through symmetric_indefinite_solve (dense input is converted
+to CSC): a zero diagonal shifted to make a saddle matrix quasi-definite
+(Vanderbei 1995), one sparse_lu factorization without pivoting, and
+refinement against the true matrix (Gill, Saunders & Shinnerl 1996).
+check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used
+only for spectra (generalized_symmetric_eig) and for the singular
+values behind numerical_rank, which serves operators that belong to no
+complex.  The ranks of a complex are exact and sparse: complex_ranks
+pivots on the sparsity pattern alone and hands what is left to
+exact_rank, an elimination over the rationals.
 """
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ import scipy.sparse.linalg as spla
 
 SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
+SADDLE_SHIFT = 1e-8
+MAX_REFINEMENT_STEPS = 8
 
 
 class CheckFailedError(RuntimeError):
@@ -68,36 +72,42 @@ def _absmax(A) -> float:
 
 
 def sparse_lu(A):
-    """SuperLU factorization of a square sparse matrix; an exactly
-    singular matrix raises SingularSystemError."""
+    """SuperLU on the minimum-degree ordering of A + A^T with diagonal pivots
+    (off-diagonal only for an exact zero); a singular A raises SingularSystemError."""
     try:
-        return spla.splu(sp.csc_matrix(A))
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError("singular system") from exc
 
 
-def symmetric_indefinite_solve(A, b, residual_rtol=1e-8) -> np.ndarray:
+def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     """Solve A x = b for symmetric (possibly indefinite) A; the columns
     of a 2-D b are solved at once.
 
-    A is taken as CSC (dense input is converted, not factored dense),
-    factored once by SuperLU and improved by one step of iterative
-    refinement; the relative residual is verified against
-    `residual_rtol` and a failure is reported as a singular system.
+    sparse_lu factors A once, its zero-diagonal rows shifted by
+    -SADDLE_SHIFT * max|A|; refinement against A runs while the
+    residual falls, at most MAX_REFINEMENT_STEPS times.  A relative
+    residual above `residual_rtol` means a singular A: its shifted
+    matrix is regular and leaves a residual of order SADDLE_SHIFT.
     """
     A = sp.csc_matrix(A, dtype=float)
     check_symmetric(A, "A")
     b = np.asarray(b, dtype=float)
+    x, r = np.zeros_like(b), b
     try:
         with np.errstate(all="ignore"):
-            factor = sparse_lu(A)
-            x = factor.solve(b)
-            x = x + factor.solve(b - A @ x)
+            factor = sparse_lu(A - sp.diags(SADDLE_SHIFT * _absmax(A) * (A.diagonal() == 0)))
+            for _ in range(1 + MAX_REFINEMENT_STEPS):    # one solve, then refinement
+                x_next = x + factor.solve(r)
+                r_next = b - A @ x_next
+                if not np.abs(r_next).max() < np.abs(r).max():
+                    break
+                x, r = x_next, r_next
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
     scale = max(_absmax(A) * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
-    resid = np.abs(b - A @ x).max()
-    if not np.isfinite(resid) or resid > residual_rtol * scale:
+    if not np.abs(r).max() <= residual_rtol * scale:
         raise SingularSystemError("singular system")
     return x
 

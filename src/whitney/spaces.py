@@ -216,11 +216,14 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
 
 
 def scatter_cell_blocks(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
-    """Sum the cell blocks local (nc, r, s) into CSR at rows row_dofs[c], cols col_dofs[c]."""
+    """Sum the cell blocks local (nc, r, s) into CSR at rows row_dofs[c], cols col_dofs[c];
+    sums that cancel to 0.0 are dropped, so roundoff cannot steer the LU ordering."""
     nr, ns = local.shape[1:]
     rows = np.repeat(row_dofs, ns, axis=1)
     cols = np.tile(col_dofs, (1, nr))
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    A = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_mass(space: DiscreteSpace, coefficient=1.0) -> sp.csr_matrix:

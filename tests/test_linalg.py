@@ -90,6 +90,18 @@ def test_singular_system_raises():
         symmetric_indefinite_solve(sp.csr_matrix((2, 2)), np.ones(2))
 
 
+def test_singular_saddle_raises():
+    # B has a repeated row, so K is singular, but the shifted matrix that
+    # is factored is not: only the residual check can see the singularity
+    B = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
+    K = sp.csr_matrix(np.block([[np.eye(3), B.T], [B, np.zeros((2, 2))]]))
+    with pytest.raises(SingularSystemError):
+        symmetric_indefinite_solve(K, np.array([0.0, 0.0, 0.0, 1.0, 2.0]))
+    # a consistent right-hand side still has a solution
+    rhs = np.array([1.0, 2.0, 3.0, 4.0, 4.0])
+    assert np.abs(K @ symmetric_indefinite_solve(K, rhs) - rhs).max() <= 1e-14
+
+
 def test_matrix_right_hand_side_and_dense_input():
     # columns are solved at once; dense and sparse input agree bit for bit
     rng = np.random.default_rng(5)

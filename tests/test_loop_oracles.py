@@ -1,7 +1,7 @@
 """The whole-array mesh tables, derivative scatter, reference-tensor
 assembly, batched projection, incidence matrices, stress element,
-sparse inf-sup test, sparse Poisson solve and exact complex ranks
-against the loops and dense algebra they replaced.
+sparse inf-sup test, sparse Poisson and saddle solves and exact complex
+ranks against the loops and dense algebra they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 substance: set-and-dict entity numbering, a dict-based derivative
@@ -9,24 +9,28 @@ scatter, quadrature-point assembly with per-cell physical tabulations,
 one field call per edge or face, per-entity incidence lookups, per-cell
 stress dualization and assembly, the einsum displacement helpers that
 the dg1 space replaced, the SVD-deflated dense inf-sup constant, a
-dense Cholesky solve of the primal Poisson system, and dense Bareiss
-elimination plus SVD rank for the ranks of a complex.  Integer tables,
-ranks and the derivative must match exactly; forms, projections, the
+dense Cholesky solve of the primal Poisson system, a dense LU solve of
+the saddle systems (refined with exact rational residuals), and dense
+Bareiss elimination plus SVD rank for the ranks of a complex.  Integer
+tables, ranks and the derivative must match exactly; forms, projections, the
 displacement helpers and the stress element, whose summation order
 changed, must match to 1e-13 relative to the largest entry, the Poisson
-solution to 1e-12, and the inf-sup constant to 1e-10.
+and saddle solutions to 1e-12, and the inf-sup constant to 1e-10.
 """
 
 import itertools
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from whitney import elasticity as el
+from whitney import experiments, linalg
 from whitney.complexes import compute_infsup, derham_complex, incidence_matrix
 from whitney.elements import (
     FAMILY_NAMES,
@@ -310,6 +314,19 @@ def dense_infsup(coupling, a_form, mass_v, deflation_tol=1e-10):
     basis = u[:, :rank]
     lam = generalized_symmetric_eig(basis.T @ schur @ basis, basis.T @ mass_v @ basis)
     return math.sqrt(max(float(lam[0]), 0.0))
+
+
+def dense_refined_solve(K, b):
+    """Dense LU solve of K x = b and one refinement step whose residual
+    b - K x is computed in exact rationals and rounded once, so that x
+    is accurate to roundoff rather than to cond(K) times roundoff."""
+    K = sp.csr_matrix(K)
+    dense = K.toarray()
+    x = np.linalg.solve(dense, b)
+    r = [float(Fraction(b[i]) - sum(Fraction(v) * Fraction(x[j])
+                                    for j, v in zip(K.indices[lo:hi], K.data[lo:hi])))
+         for i, (lo, hi) in enumerate(zip(K.indptr[:-1], K.indptr[1:]))]
+    return x + np.linalg.solve(dense, r)
 
 
 def bareiss_rank(M):
@@ -777,3 +794,34 @@ def test_sparse_poisson_solve_matches_dense_cholesky(order, n):
     F = W.restrict_vector(assemble_load(W, f))
     want = W.extend_vector(sla.cho_solve(sla.cho_factor(K), F))
     assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", [("uniform", 4), ("crossed", 2), "elasticity"],
+                         ids=["mixed-poisson-uniform4", "mixed-poisson-crossed2", "elasticity4"])
+def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case):
+    seen = {}
+    solve, lu = linalg.symmetric_indefinite_solve, linalg.sparse_lu
+
+    def spy_solve(K, rhs):
+        seen.update(K=K, rhs=rhs, x=solve(K, rhs))
+        return seen["x"]
+
+    def spy_lu(K_tau):
+        seen.update(K_tau=K_tau, factor=lu(K_tau))
+        return seen["factor"]
+
+    monkeypatch.setattr(linalg, "sparse_lu", spy_lu)
+    if case == "elasticity":
+        monkeypatch.setattr(el, "symmetric_indefinite_solve", spy_solve)
+        el.solve_mixed_elasticity(generate_square_mesh(4), f=el.manufactured_solution()[2])
+    else:
+        monkeypatch.setattr(experiments, "symmetric_indefinite_solve", spy_solve)
+        experiments.solve_mixed_poisson(generate_square_mesh(case[1], pattern=case[0]))
+    want = dense_refined_solve(seen["K"], seen["rhs"])
+    assert np.abs(seen["x"] - want).max() <= 1e-12 * np.abs(want).max()
+    # the shifted matrix is factored on its diagonal, with no more fill
+    # than a COLAMD partial-pivoting LU of it
+    factor = seen["factor"]
+    assert np.array_equal(factor.perm_r, factor.perm_c)
+    pivoted = spla.splu(sp.csc_matrix(seen["K_tau"]))
+    assert factor.L.nnz + factor.U.nnz <= pivoted.L.nnz + pivoted.U.nnz
