@@ -257,7 +257,6 @@ class ElementFamily:
             raise ValueError(f"{name}: {len(span)} span functions vs {len(dofs)} dofs")
         self._nodal = None
         self._deriv = None
-        self._derivative_to = {}    # target family -> read-only local_derivative_matrix
 
     # -- basic facts ---------------------------------------------------------
 
@@ -515,7 +514,7 @@ def local_derivative_matrix(fam_from: ElementFamily, fam_to: ElementFamily) -> n
     rounded once, so integer entries (every catalog step) are exact.
     The image of the derivative must lie in the target shape space;
     this is verified exactly by reconstructing each image from its
-    target DOFs.  The read-only result is kept per target on fam_from.
+    target DOFs.
     """
     if fam_from.mesh_dim != fam_to.mesh_dim:
         raise IncompatibleFamiliesError("families live on different reference simplices")
@@ -527,8 +526,6 @@ def local_derivative_matrix(fam_from: ElementFamily, fam_to: ElementFamily) -> n
     image = "scalar" if kind == "div" or (kind == "curl" and fam_from.mesh_dim == 2) else "vector"
     if image != fam_to.value_kind:
         raise IncompatibleFamiliesError(f"{kind} of {fam_from.name} lands in a {image} space")
-    if fam_to in fam_from._derivative_to:
-        return fam_from._derivative_to[fam_to]
     target = fam_to._exact_basis
     columns = []
     for p in fam_from._exact_basis:
@@ -537,8 +534,7 @@ def local_derivative_matrix(fam_from: ElementFamily, fam_to: ElementFamily) -> n
         if not (dp - _combine(target, coeffs)).almost_zero(0):
             raise IncompatibleFamiliesError("derivative target does not contain image")
         columns.append(coeffs)
-    fam_from._derivative_to[fam_to] = _read_only(np.array(columns, dtype=float).T)
-    return fam_from._derivative_to[fam_to]
+    return np.array(columns, dtype=float).T
 
 
 def _combine(basis, coeffs):

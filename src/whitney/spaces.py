@@ -216,13 +216,12 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
 
 
 def scatter_cell_blocks(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
-    """Sum the cell blocks local (nc, r, s) into CSR at rows row_dofs[c], cols col_dofs[c];
-    sums that cancel to 0.0 are dropped, so roundoff cannot steer the LU ordering."""
+    """Sum the cell blocks local (nc, r, s) into CSR at rows row_dofs[c], cols col_dofs[c]."""
     nr, ns = local.shape[1:]
     rows = np.repeat(row_dofs, ns, axis=1)
     cols = np.tile(col_dofs, (1, nr))
     A = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
-    A.eliminate_zeros()
+    A.eliminate_zeros()     # sums that cancel to 0.0 would steer the LU ordering
     return A
 
 

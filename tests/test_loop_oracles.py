@@ -796,9 +796,15 @@ def test_sparse_poisson_solve_matches_dense_cholesky(order, n):
     assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", [("uniform", 4), ("crossed", 2), "elasticity"],
-                         ids=["mixed-poisson-uniform4", "mixed-poisson-crossed2", "elasticity4"])
-def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case):
+@pytest.mark.parametrize("case, pattern, n, scale", [
+    ("mixed-poisson", "uniform", 4, 1.0), ("mixed-poisson", "crossed", 2, 1.0),
+    ("mixed-poisson", "uniform", 4, 1e-4), ("elasticity", "uniform", 4, 1.0),
+    ("elasticity", "uniform", 4, 1e-4)],
+    ids=["mixed-poisson-uniform4", "mixed-poisson-crossed2", "mixed-poisson-coefficient1e-4",
+         "elasticity4", "elasticity4-mu1e-4"])
+def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case, pattern, n, scale):
+    # scale is the Poisson coefficient or the shear modulus mu: the
+    # factored shift must not depend on how the A block is scaled
     seen = {}
     solve, lu = linalg.symmetric_indefinite_solve, linalg.sparse_lu
 
@@ -811,12 +817,13 @@ def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case):
         return seen["factor"]
 
     monkeypatch.setattr(linalg, "sparse_lu", spy_lu)
+    mesh = generate_square_mesh(n, pattern=pattern)
     if case == "elasticity":
         monkeypatch.setattr(el, "symmetric_indefinite_solve", spy_solve)
-        el.solve_mixed_elasticity(generate_square_mesh(4), f=el.manufactured_solution()[2])
+        el.solve_mixed_elasticity(mesh, mu=scale, f=el.manufactured_solution(mu=scale)[2])
     else:
         monkeypatch.setattr(experiments, "symmetric_indefinite_solve", spy_solve)
-        experiments.solve_mixed_poisson(generate_square_mesh(case[1], pattern=case[0]))
+        experiments.solve_mixed_poisson(mesh, coefficient=scale)
     want = dense_refined_solve(seen["K"], seen["rhs"])
     assert np.abs(seen["x"] - want).max() <= 1e-12 * np.abs(want).max()
     # the shifted matrix is factored on its diagonal, with no more fill
