@@ -6,7 +6,9 @@ checks certify the structural facts the element construction promises:
 
 * d o d = 0 and the cohomology dimensions match the Betti numbers of
   the domain (check_exactness; exact ranks by collapse and coreduction,
-  cross-checked against combinatorial incidence at lowest order),
+  and at lowest order an audit that each derivative is the
+  combinatorial incidence matrix scaled row by row, so it has the
+  incidence ranks),
 * the canonical projections commute with the derivatives on smooth
   fields (check_commuting over a fixed monomial battery),
 * quantitative saddle-point stability for a tail pair: the inf-sup
@@ -178,8 +180,11 @@ def check_exactness(cx: DiscreteComplex, expected_betti) -> ComplexReport:
     fails to vanish; cohomology at level k is dim ker D_k - rank D_{k-1}
     by rank-nullity.  The ranks come from one exact path,
     linalg.complex_ranks on the restricted derivatives.  At lowest order
-    the same path runs on the combinatorial incidence matrices as an
-    audit (a mismatch raises: it would mean a broken assembly).
+    each restricted derivative must be the incidence slice with every row
+    multiplied by one nonzero factor: 1 below the top level, and at the
+    top one over the cell's signed volume.  A row scaling keeps the
+    rank, so this audit certifies the incidence ranks without computing
+    them again (a mismatch raises: it would mean a broken assembly).
     """
     expected = tuple(int(b) for b in expected_betti)
     if len(expected) != len(cx):
@@ -192,14 +197,14 @@ def check_exactness(cx: DiscreteComplex, expected_betti) -> ComplexReport:
         if err > DD_RTOL * scale:
             raise NotAComplexError(f"not a complex: |D{k + 1} D{k}| = {err:.3e}")
 
-    ranks = complex_ranks(mats) + [0]
     if cx.lowest_order:
-        incidence = [incidence_matrix(cx.mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
-                     for k in range(len(mats))]
-        for k, (rank, exact) in enumerate(zip(ranks, complex_ranks(incidence))):
-            if rank != exact:
+        for k, D in enumerate(mats):
+            incidence = incidence_matrix(cx.mesh, k)[cx.spaces[k + 1].free][:, cx.spaces[k].free]
+            if not _is_row_scaled(D, incidence, unit=k < len(mats) - 1):
                 raise CheckFailedError(
-                    f"rank cross-check failed at level {k}: float {rank}, integer {exact}")
+                    f"rank cross-check failed at level {k}: D{k} is not a row scaling "
+                    "of the incidence matrix")
+    ranks = complex_ranks(mats) + [0]
 
     levels = []
     for k, space in enumerate(cx.spaces):
@@ -210,6 +215,20 @@ def check_exactness(cx: DiscreteComplex, expected_betti) -> ComplexReport:
     alternating = sum((-1) ** k * lv.dim for k, lv in enumerate(levels))
     passed = all(lv.cohomology == b for lv, b in zip(levels, expected))
     return ComplexReport(tuple(levels), alternating, expected, passed)
+
+
+def _is_row_scaled(D, incidence, unit):
+    """Whether D is the incidence matrix with each row multiplied by one
+    nonzero factor (by 1 when `unit`): the same pattern, one ratio per row."""
+    D, incidence = sp.csr_matrix(D, copy=True), incidence.sorted_indices()
+    D.sum_duplicates()
+    D.eliminate_zeros()
+    if not (np.array_equal(D.indptr, incidence.indptr)
+            and np.array_equal(D.indices, incidence.indices)):
+        return False
+    ratio = D.data / incidence.data
+    factor = 1.0 if unit else ratio[np.repeat(D.indptr[:-1], np.diff(D.indptr))]
+    return bool(np.all(ratio == factor))
 
 
 def _absmax(A):

@@ -9,9 +9,10 @@ returns a structured report:
   the edge-element discretization (correct: zero eigenvalues counted
   exactly by interior vertices, positive eigenvalues accurate) against
   the nodal vector discretization (polluted spectrum),
-* the mixed form of the cavity problem posed on the range of the
-  discrete curl, whose spectrum must reproduce the positive Galerkin
-  spectrum with the zero eigenspace suppressed,
+* the mixed form of the cavity problem on the range of the discrete
+  curl, whose spectrum must reproduce the positive Galerkin spectrum
+  with the zero eigenspace suppressed (posed on all of dg0, with the
+  extra zeros counted by the exact rank and dropped),
 * convergence sweeps for the mixed Poisson pair face1/dg0 with
   per-level inf-sup monitoring, for the primal Poisson problem at
   orders 1 and 2, and for the mixed elasticity solver.
@@ -382,23 +383,20 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
                               count: int = 10) -> SpectrumReport:
     """Mixed form of the cavity problem on P_h = curl Q_h.
 
-    The multiplier space is realized as an orthonormal basis Z of the
-    range of the curl matrix inside dg0: its first `rank` left singular
-    vectors, with the exact rank from the complex.  The eigenproblem
-    becomes G p = lambda M_p p with G = Z^T M2 D A^{-1} D^T M2 Z (A the
-    edge mass) and M_p = Z^T M2 Z.  Its spectrum must equal the positive
-    Galerkin cavity spectrum, with no zero eigenvalues; `passed` asserts
-    exactly that equivalence, computed side by side.
+    The pencil G q = lambda M2 q, with G = (M2 D) A^{-1} (M2 D)^T (D the
+    curl, A the edge mass, M2 the cell mass), is posed on all of dg0.  G
+    vanishes exactly on the M2-orthogonal complement of range(D), so the
+    spectrum on P_h is the dg0 spectrum with its cells - rank zeros
+    dropped, and _spectrum certifies that zero count against the exact
+    rank from the complex.  The spectrum on P_h must equal the positive
+    Galerkin cavity spectrum; `passed` asserts exactly that equivalence,
+    computed side by side.
     """
     system = edge_cavity_system(n, pattern)
-    D = system.curl.toarray()
-    M2 = system.cell_mass.toarray()
-    Z = np.linalg.svd(D, full_matrices=False)[0][:, :system.rank]
-
-    ZM2D = Z.T @ M2 @ D
-    G = ZM2D @ symmetric_indefinite_solve(system.mass, ZM2D.T)
-    Mp = Z.T @ M2 @ Z
-    lam, _, threshold = _spectrum(G, Mp, system.rank)
+    M2D = system.cell_mass @ system.curl
+    G = M2D @ symmetric_indefinite_solve(system.mass, M2D.T.toarray())
+    full, zeros, threshold = _spectrum(G, system.cell_mass, system.rank)
+    lam = full[zeros:]
     galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank)
     g_pos = galerkin[g_zero:]
 

@@ -78,9 +78,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def copy(self) -> "Poly":
-        return Poly(self.dim, dict(self.terms))
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(self.dim, other)
@@ -212,12 +209,6 @@ class VecPoly:
     def dim(self):
         return self.comps[0].dim
 
-    def __len__(self):
-        return len(self.comps)
-
-    def __getitem__(self, i):
-        return self.comps[i]
-
     def __add__(self, other):
         return VecPoly([a + b for a, b in zip(self.comps, other.comps)])
 
@@ -251,9 +242,6 @@ class VecPoly:
             q2.diff(0) - q1.diff(1),
         ])
 
-    def compose_affine(self, A, b) -> "VecPoly":
-        return VecPoly([c.compose_affine(A, b) for c in self.comps])
-
     def almost_zero(self, tol=1e-12) -> bool:
         return all(c.almost_zero(tol) for c in self.comps)
 
@@ -274,24 +262,6 @@ class SymPoly:
     def __init__(self, s11: Poly, s12: Poly, s22: Poly):
         self.s11, self.s12, self.s22 = s11, s12, s22
 
-    @property
-    def dim(self):
-        return self.s11.dim
-
-    def components(self):
-        return (self.s11, self.s12, self.s22)
-
-    def __add__(self, other):
-        return SymPoly(self.s11 + other.s11, self.s12 + other.s12, self.s22 + other.s22)
-
-    def __sub__(self, other):
-        return SymPoly(self.s11 - other.s11, self.s12 - other.s12, self.s22 - other.s22)
-
-    def __mul__(self, scalar):
-        return SymPoly(self.s11 * scalar, self.s12 * scalar, self.s22 * scalar)
-
-    __rmul__ = __mul__
-
     def div(self) -> VecPoly:
         """Row-wise divergence (d1 s11 + d2 s12, d1 s12 + d2 s22)."""
         return VecPoly([
@@ -302,13 +272,3 @@ class SymPoly:
     def eval(self, points) -> np.ndarray:
         """Shape (N, 3), components ordered (s11, s12, s22)."""
         return np.stack([self.s11.eval(points), self.s12.eval(points), self.s22.eval(points)], axis=-1)
-
-    def compose_affine(self, A, b) -> "SymPoly":
-        return SymPoly(
-            self.s11.compose_affine(A, b),
-            self.s12.compose_affine(A, b),
-            self.s22.compose_affine(A, b),
-        )
-
-    def almost_zero(self, tol=1e-12) -> bool:
-        return all(c.almost_zero(tol) for c in self.components())

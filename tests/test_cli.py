@@ -219,6 +219,40 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# the README's complex check and eig commands: exit code 0 and the
+# integers they report (eigenvalues counts the spectrum entries)
+README_COUNTS = [
+    (("complex", "check", "--domain", "annulus", "--n", "16", "--betti", "1,1,0"),
+     {"ranks": [47, 64, 0], "cohomology": [1, 1, 0]}),
+    (("eig", "laplace", "--n", "16", "--count", "10"),
+     {"zero_count": 0, "kernel_dim": 0, "eigenvalues": 225}),
+    (("eig", "maxwell", "--n", "16", "--count", "10"),
+     {"zero_count": 481, "kernel_dim": 481, "eigenvalues": 1504}),
+    (("eig", "maxwell", "--family", "nodal", "--n", "8"),
+     {"zero_count": 0, "kernel_dim": 0, "eigenvalues": 98}),
+    (("eig", "maxwell-mixed", "--n", "8"),
+     {"zero_count": 0, "kernel_dim": 0, "eigenvalues": 255, "multiplier_dim": 255}),
+]
+
+
+@pytest.mark.parametrize("argv,counts", README_COUNTS, ids=[
+    "complex-check-annulus", "eig-laplace", "eig-maxwell", "eig-maxwell-nodal",
+    "eig-maxwell-mixed"])
+def test_readme_commands_keep_their_counts(capsys, argv, counts):
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    if "levels" in payload:
+        got = {"ranks": [lv["rank"] for lv in payload["levels"]],
+               "cohomology": [lv["cohomology"] for lv in payload["levels"]]}
+    else:
+        got = {"zero_count": payload["zero_count"], "kernel_dim": payload["kernel_dim"],
+               "eigenvalues": len(payload["eigenvalues"])}
+        if "multiplier_dim" in counts:
+            got["multiplier_dim"] = payload["notes"]["multiplier_dim"]
+    assert code == 0
+    assert got == counts
+
+
 def test_emit_csv_spectrum_alignment():
     report = SpectrumReport(
         family="edge1", mesh="m", eigenvalues=np.array([0.0, 1.5, 4.5]),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from whitney import complexes
 from whitney.complexes import (
     DiscreteComplex,
     NotAComplexError,
@@ -20,7 +21,7 @@ from whitney.complexes import (
     derham_complex,
     incidence_matrix,
 )
-from whitney.linalg import CheckFailedError, NotPositiveDefiniteError
+from whitney.linalg import CheckFailedError, NotPositiveDefiniteError, complex_ranks
 from whitney.mesh import (Mesh, generate_annulus_mesh, generate_cube_mesh, generate_disk_mesh,
                           generate_square_mesh)
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
@@ -93,6 +94,52 @@ def test_zeroed_cell_row_fails_rank_cross_check(square4):
     broken = DiscreteComplex(cx.spaces, (cx.derivatives[0], D1.tocsr()))
     with pytest.raises(CheckFailedError, match="rank cross-check failed at level 1"):
         check_exactness(broken, (1, 0, 0))
+
+
+def test_doubled_cell_entry_fails_rank_cross_check(square4):
+    # an edge with no free vertex drops out of D0, so doubling its entry in
+    # a cell row keeps d o d = 0, the pattern and (here) the rank
+    cx = derham_complex(square4, bc="essential")
+    D0, D1 = (cx.restricted_derivative(k) for k in range(2))
+    loose = np.flatnonzero(np.diff(D0.indptr) == 0)
+    cell, edge = next((c, e) for c in range(D1.shape[0])
+                      for e in D1.indices[D1.indptr[c]:D1.indptr[c + 1]]
+                      if e in loose and D1.indptr[c + 1] - D1.indptr[c] > 1)
+    D1 = cx.derivatives[1].tolil()
+    D1[cell, cx.spaces[1].free[edge]] *= 2.0
+    broken = DiscreteComplex(cx.spaces, (cx.derivatives[0], D1.tocsr()))
+    restricted = [broken.restricted_derivative(k) for k in range(2)]
+    assert (restricted[1] != 0).nnz == (cx.restricted_derivative(1) != 0).nnz
+    assert (restricted[1] @ restricted[0]).count_nonzero() == 0
+    assert complex_ranks(restricted) == complex_ranks([D0, cx.restricted_derivative(1)])
+    with pytest.raises(CheckFailedError, match="rank cross-check failed at level 1"):
+        check_exactness(broken, (0, 0, 1))
+
+
+def test_explicit_zero_row_fails_rank_cross_check(square4):
+    cx = derham_complex(square4)
+    D1 = cx.derivatives[1].tocsr(copy=True)
+    D1.data[D1.indptr[3]:D1.indptr[4]] = 0.0
+    assert D1.nnz == cx.derivatives[1].nnz        # the zeros stay stored
+    broken = DiscreteComplex(cx.spaces, (cx.derivatives[0], D1))
+    with pytest.raises(CheckFailedError, match="rank cross-check failed at level 1"):
+        check_exactness(broken, (1, 0, 0))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_check_exactness_ranks_once(square4, cube2, monkeypatch, order):
+    calls = []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return complex_ranks(mats)
+
+    monkeypatch.setattr(complexes, "complex_ranks", counted)
+    meshes = (square4, cube2) if order == 1 else (square4,)
+    for mesh in meshes:
+        for bc in ("none", "essential"):
+            check_exactness(derham_complex(mesh, order=order, bc=bc), (0,) * (mesh.dim + 1))
+    assert calls == [mesh.dim for mesh in meshes for _ in range(2)]
 
 
 def test_complex_shape_validation(square4, crossed2):

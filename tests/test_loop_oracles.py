@@ -10,12 +10,14 @@ one field call per edge or face, per-entity incidence lookups, per-cell
 stress dualization and assembly, the einsum displacement helpers that
 the dg1 space replaced, the SVD-deflated dense inf-sup constant, a
 dense Cholesky solve of the primal Poisson system, a dense LU solve of
-the saddle systems (refined with exact rational residuals), and dense
-Bareiss elimination plus SVD rank for the ranks of a complex.  Integer
-tables, ranks and the derivative must match exactly; forms, projections, the
+the saddle systems (refined with exact rational residuals), dense
+Bareiss elimination plus SVD rank for the ranks of a complex, and the
+mixed cavity pencil on an SVD basis of range(curl).  Integer tables,
+ranks and the derivative must match exactly; forms, projections, the
 displacement helpers and the stress element, whose summation order
 changed, must match to 1e-13 relative to the largest entry, the Poisson
-and saddle solutions to 1e-12, and the inf-sup constant to 1e-10.
+and saddle solutions to 1e-12, and the inf-sup constant and the mixed
+cavity eigenvalues to 1e-10.
 """
 
 import itertools
@@ -794,6 +796,22 @@ def test_sparse_poisson_solve_matches_dense_cholesky(order, n):
     F = W.restrict_vector(assemble_load(W, f))
     want = W.extend_vector(sla.cho_solve(sla.cho_factor(K), F))
     assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pattern", ["crossed", "uniform"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_mixed_cavity_on_dg0_matches_svd_basis(pattern, n):
+    # the pencil on range(curl) itself: an orthonormal basis Z of it from
+    # an SVD, G = Z^T M2 D A^-1 D^T M2 Z against M_p = Z^T M2 Z
+    system = experiments.edge_cavity_system(n, pattern)
+    D, M2 = system.curl.toarray(), system.cell_mass.toarray()
+    Z = np.linalg.svd(D, full_matrices=False)[0][:, :system.rank]
+    ZM2D = Z.T @ M2 @ D
+    G = ZM2D @ sla.cho_solve(sla.cho_factor(system.mass.toarray()), ZM2D.T)
+    want = generalized_symmetric_eig(G, Z.T @ M2 @ Z)
+    got = experiments.maxwell_mixed_eigenvalues(n, pattern).eigenvalues
+    assert got.shape == want.shape == (system.rank,)
+    assert np.all(np.abs(got - want) <= 1e-10 * want), np.abs(got / want - 1).max()
 
 
 @pytest.mark.parametrize("case, pattern, n, scale", [
