@@ -26,11 +26,12 @@ H(div, S)-conforming with single-valued vertex stresses.
 One DOF applicator (_stress_dofs) applies these functionals on stacked
 entities: the canonical interpolant runs it on the global vertices,
 edges and cells, the per-cell DOF tables on each cell's own entities
-with the 30 monomial fields of P3(T, S) as a batch.  The bases exist
-only as stacked arrays, with no per-cell objects: the (cells, 24, 30)
-DOF tables are dualized by one batched condition number and one stacked
-solve, and every global operator is a contraction of the stacked nodal
-coefficients followed by a single sparse scatter.
+with the 10 cubic monomials in one component as a batch, from which
+the table over the 30 monomial fields of P3(T, S) is placed.  The
+bases exist only as stacked arrays, with no per-cell objects: the
+(cells, 24, 30) DOF tables are dualized by one batched condition number
+and one stacked solve, and every global operator is a contraction of
+the stacked nodal coefficients followed by a single sparse scatter.
 """
 from __future__ import annotations
 
@@ -170,23 +171,37 @@ def _stress_dofs(points: np.ndarray, edges: np.ndarray, triangles: np.ndarray, f
 
 def _dof_matrix_on_monomials(vertices: np.ndarray, origin, scale) -> np.ndarray:
     """(nc, 24, 30) stack: each DOF applied to each single-monomial field,
-    for triangles (nc, 3, 2) in frames (origin (nc, 2), scale (nc,))."""
+    for triangles (nc, 3, 2) in frames (origin (nc, 2), scale (nc,)).
+
+    The DOFs run once, on the 10 monomials in component s12.  A monomial
+    in any one component has the same vertex values and means, and tau n
+    = (t_y s11 - t_x s12, t_y s12 - t_x s22) takes from its two rows the
+    -t_x and t_y multiples of the edge moments.
+    """
     nc = vertices.shape[0]
     origin, scale = origin[:, None, :], scale[:, None, None]
 
-    def monomial_fields(points):
-        """(N, 3, 10, 3): block b, monomial k is the field with P3[k] in
-        component b, at cell-major points in their cells' frames."""
+    def monomials_in_s12(points):
+        """(N, 10, 3) at cell-major points in their cells' frames."""
         mono = _monomials((points.reshape(nc, -1, 2) - origin) / scale, P3)
-        fields = np.zeros((len(points), 3, len(P3), 3))
-        for block in range(3):
-            fields[:, block, :, block] = mono.reshape(len(points), -1)
+        fields = np.zeros((len(points), len(P3), 3))
+        fields[:, :, 1] = mono.reshape(len(points), -1)
         return fields
 
     own = 3 * np.arange(nc)[:, None]
-    dofs = _stress_dofs(vertices.reshape(-1, 2), (own[:, :, None] + _EDGE_LOCAL).reshape(-1, 2),
-                        own + np.arange(3), monomial_fields)
-    return np.concatenate([d.reshape(nc, -1, NCOEF) for d in dofs], axis=1)
+    vertex, traction, mean = _stress_dofs(
+        vertices.reshape(-1, 2), (own[:, :, None] + _EDGE_LOCAL).reshape(-1, 2),
+        own + np.arange(3), monomials_in_s12)
+    table = np.zeros((nc, NDOF, 3, len(P3)))          # columns: component blocks
+    edge = table[:, 9:21].reshape(nc, 3, 2, 2, 3, len(P3))    # edge, component, degree
+    moments = traction.reshape(nc, 3, 2, 2, len(P3))           # rows: -t_x M, t_y M
+    for c, (r1, r2) in enumerate(_ROWS):
+        edge[:, :, c, :, r1] = moments[:, :, 1]
+        edge[:, :, c, :, r2] = moments[:, :, 0]
+    for c in range(3):
+        table[:, c:9:3, c] = vertex[:, 1].reshape(nc, 3, len(P3))
+        table[:, 21 + c, c] = mean[:, 1]
+    return table.reshape(nc, NDOF, NCOEF)
 
 
 def _shape_dof_matrix(vertices: np.ndarray):

@@ -17,11 +17,13 @@ returns a structured report:
   per-level inf-sup monitoring, for the primal Poisson problem at
   orders 1 and 2, and for the mixed elasticity solver.
 
-Every spectrum comes from one checked eigensolve, dense and
-full-spectrum: its zero count from thresholding is cross-checked
-against the rank of the operator, and a mismatch raises.  The cavity
-pair stays sparse until the eigensolver densifies it.  The sweeps share
-one refinement loop, one order fit per series and one L2 error integral.
+Every spectrum comes from one checked eigensolve, full-spectrum: its
+zero count from thresholding is cross-checked against the rank of the
+operator, and a mismatch raises.  The edge cavity hands its gradients
+to the eigensolver, which splits them off along a spanning tree and
+densifies only the cotree block; every other pencil is dense.  The
+sweeps share one refinement loop, one order fit per series and one L2
+error integral.
 """
 
 from __future__ import annotations
@@ -198,11 +200,13 @@ def _signed_errors(positive: np.ndarray, reference) -> tuple:
     return tuple((positive[:k] - ref) / ref)
 
 
-def _spectrum(A, M, rank: int):
+def _spectrum(A, M, rank: int, kernel=None):
     """Ascending eigenvalues of A x = lambda M x, their zero count and the
     zero threshold.  The count from thresholding must equal the kernel
-    dimension size - rank, or the run aborts."""
-    lam = generalized_symmetric_eig(A, M)
+    dimension size - rank, or the run aborts.  `kernel`, a known part of
+    ker A (the edge gradients), splits the eigensolve along a spanning
+    tree; the count still runs on every computed value."""
+    lam = generalized_symmetric_eig(A, M, kernel)
     threshold = ZERO_EIGENVALUE_RTOL * max(abs(lam[0]), abs(lam[-1]))
     zero_count = int(np.searchsorted(lam, threshold))
     if zero_count != lam.size - rank:
@@ -349,7 +353,8 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     else:
         raise ValueError(f"unknown cavity family {family!r}")
 
-    lam, zero_count, threshold = _spectrum(system.curlcurl, system.mass, system.rank)
+    lam, zero_count, threshold = _spectrum(system.curlcurl, system.mass, system.rank,
+                                           system.gradient)
     reference = cavity_reference(count)
     errors = _signed_errors(lam[zero_count:], reference)
     notes = {"n": int(n), "pattern": pattern,
@@ -397,7 +402,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     G = M2D @ symmetric_indefinite_solve(system.mass, M2D.T.toarray())
     full, zeros, threshold = _spectrum(G, system.cell_mass, system.rank)
     lam = full[zeros:]
-    galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank)
+    galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank, system.gradient)
     g_pos = galerkin[g_zero:]
 
     # both checked spectra have `rank` positive values, so they pair up

@@ -6,12 +6,19 @@ many, goes through symmetric_indefinite_solve (dense input is converted
 to CSC): a zero diagonal shifted to make a saddle matrix quasi-definite
 (Vanderbei 1995), one sparse_lu factorization without pivoting, and
 refinement against the true matrix (Gill, Saunders & Shinnerl 1996).
-check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used
-only for spectra (generalized_symmetric_eig) and for the singular
-values behind numerical_rank, which serves operators that belong to no
-complex.  The ranks of a complex are exact and sparse: complex_ranks
-pivots on the sparsity pattern alone and hands what is left to
-exact_rank, an elimination over the rationals.
+Its refinement judges rows that a sparse right-hand side leaves empty
+by the omega_2 scale of Arioli, Demmel & Duff (1989).  check_symmetric
+keeps a sparse matrix sparse.  Dense LAPACK is used only for spectra
+(generalized_symmetric_eig) and for the singular values behind
+numerical_rank, which serves operators that belong to no complex.  A
+spectrum with a known kernel, such as the gradients in an edge space,
+is split along a breadth-first spanning tree of that kernel's graph
+(spanning_tree_rows; the tree-cotree gauge of Albanese & Rubinacci,
+1988): only the cotree block, against a Schur complement of the mass,
+is dense, and the kernel keeps its computed Ritz values.  The ranks of
+a complex are exact and sparse: complex_ranks pivots on the sparsity
+pattern alone and hands what is left to exact_rank, an elimination
+over the rationals.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ import scipy.sparse.linalg as spla
 SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
 SADDLE_SHIFT = 1e-8
+KERNEL_RTOL = 1e-12
 MAX_REFINEMENT_STEPS = 8
 
 
@@ -88,15 +96,22 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     sparse_lu factors A once, each zero-diagonal row i shifted by
     -SADDLE_SHIFT * sum_j A_ij^2 / |A_jj| (nonzero A_jj only): the
     diagonal of the Schur complement B diag(A)^-1 B^T, which scales with
-    the system.  Refinement against A stops at a componentwise backward
-    error of 4 eps, when the residual stops falling, or after
-    MAX_REFINEMENT_STEPS.  A relative residual above `residual_rtol`
-    means a singular A: its shifted matrix is regular.
+    the system.  Refinement against A stops when every residual entry is
+    within 4 eps of its row's scale, when the residual stops falling, or
+    after MAX_REFINEMENT_STEPS.  The row scale is (|A||x| + |b|)_i, or
+    (|A||x|)_i + |A_i|_inf |x|_inf where that is roundoff next to the
+    second term, as it is in the empty rows of a sparse b (the omega_1 /
+    omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  A relative
+    residual above `residual_rtol` means a singular A: its shifted matrix
+    is regular.
     """
     A = sp.csc_matrix(A, dtype=float)
     check_symmetric(A, "A")
     b = np.asarray(b, dtype=float)
     d, x, r = np.abs(A.diagonal()), np.zeros_like(b), b
+    eps, absA = np.finfo(float).eps, abs(A)
+    # |A_i|_inf, shaped to scale the rows of x
+    row_max = absA.max(axis=1).toarray().reshape((-1,) + (1,) * (b.ndim - 1))
     try:
         with np.errstate(all="ignore"):
             schur = A.multiply(A) @ np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
@@ -107,7 +122,11 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
                 if not np.abs(r_next).max() < np.abs(r).max():
                     break
                 x, r = x_next, r_next
-                if np.all(np.abs(r) <= 4 * np.finfo(float).eps * (abs(A) @ np.abs(x) + np.abs(b))):
+                ax, far = absA @ np.abs(x), row_max * np.abs(x).max(axis=0)
+                near = ax + np.abs(b)
+                tiny = near <= 1000 * A.shape[0] * eps * (far + np.abs(b))
+                scale = np.where(tiny, ax + far, near)
+                if np.all(np.abs(r) <= 4 * eps * scale):
                     break
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
@@ -117,16 +136,84 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     return x
 
 
-def generalized_symmetric_eig(A, B) -> np.ndarray:
+def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     """Ascending eigenvalues of A x = lambda B x with A symmetric and B
     symmetric positive definite.  Dense reduction through the Cholesky
-    factor of B."""
-    A = check_symmetric(as_dense(A), "A")
-    B = check_symmetric(as_dense(B), "B")
+    factor of B.
+
+    `kernel`, a matrix whose columns lie in ker A and whose rows hold at
+    most two nonzeros (the gradient of an edge space), splits the
+    spectrum along a spanning tree (the tree-cotree gauge).  The rows
+    spanning_tree_rows(kernel) make its tree block square and
+    triangular, so the kernel columns and the unit vectors of the other
+    (cotree) rows C form a basis.  In that basis A is diag(0, A_CC), up
+    to the roundoff that max|A kernel| is checked against, so the
+    spectrum is the Ritz values on span(kernel), which are roundoff,
+    merged with those of (A_CC, S), S the Schur complement of the kernel
+    block of B.  Only the cotree pencil is dense at its full size.  A
+    kernel the split misses, such as a harmonic field, shows as computed
+    near-zero values of the cotree pencil.
+    """
+    if kernel is None or kernel.shape[1] == 0:
+        return _dense_eig(check_symmetric(as_dense(A), "A"), check_symmetric(as_dense(B), "B"))
+    A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
+    B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
+    G = sp.csc_matrix(kernel, dtype=float)
+    AG = A @ G
+    if _absmax(AG) > KERNEL_RTOL * _absmax(A) * _absmax(G):
+        raise CheckFailedError(f"kernel is not in ker A: max|A G| = {_absmax(AG):.3e}")
+    cotree = np.ones(A.shape[0], dtype=bool)
+    cotree[spanning_tree_rows(G)] = False
+    BG = B @ G
+    GBG = check_symmetric(G.T @ BG, "G^T B G")
+    GAG = (G.T @ AG).toarray()
+    ritz = _dense_eig(0.5 * (GAG + GAG.T), GBG.toarray())     # roundoff: not checked
+    B_cG = BG[cotree]
+    S = B[cotree][:, cotree].toarray() - B_cG @ symmetric_indefinite_solve(GBG, B_cG.T.toarray())
+    S = check_symmetric(S, "S")
+    return np.sort(np.concatenate([ritz, _dense_eig(A[cotree][:, cotree].toarray(), S)]))
+
+
+def _dense_eig(A, B) -> np.ndarray:
     try:
-        return sla.eigh(A, B, eigvals_only=True, check_finite=False)
+        return sla.eigh(A, B, eigvals_only=True, driver="gv", check_finite=False)
     except sla.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix not positive definite") from exc
+
+
+def spanning_tree_rows(G) -> np.ndarray:
+    """Row tree[v] of G for each column v: the edges of a breadth-first
+    spanning tree of the graph whose vertices are G's columns and whose
+    edges are its rows, a row with one nonzero joining its column to a
+    root (the contracted boundary).  G[tree] is triangular in
+    breadth-first order, with the nonzero diagonal G[tree[v], v]: +-1 for
+    a signed incidence matrix.  Rows may hold at most two nonzeros; a
+    column the root does not reach raises CheckFailedError.
+    """
+    # imported on first use: csgraph adds ~7 ms and ~1 MB to every start-up
+    from scipy.sparse.csgraph import breadth_first_order
+
+    G = sp.csr_matrix(G, copy=True)
+    G.eliminate_zeros()
+    m = G.shape[1]
+    count = np.diff(G.indptr)
+    if count.size and count.max() > 2:
+        raise ValueError("a spanning tree needs at most two nonzeros per row")
+    # ends of each row: its two columns, or its column and the root m
+    ends = np.full((G.shape[0], 2), m)
+    first = G.indptr[:-1]
+    ends[count > 0, 0] = G.indices[first[count > 0]]
+    ends[count == 2, 1] = G.indices[first[count == 2] + 1]
+    edges = np.flatnonzero(count > 0)
+    pairs, pick = np.unique(np.sort(ends[edges], axis=1), axis=0, return_index=True)
+    ids = edges[pick] + 1                       # 1-based: a stored 0 would vanish
+    graph = sp.csr_matrix((np.concatenate([ids, ids]),
+                           (np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))),
+                          shape=(m + 1, m + 1))
+    _, parent = breadth_first_order(graph, m, directed=True)
+    if np.any(parent[:m] < 0):
+        raise CheckFailedError("kernel columns are dependent: the root does not reach them all")
+    return np.asarray(graph[parent[:m], np.arange(m)]).ravel() - 1
 
 
 def numerical_rank(A, rel_tol=RANK_RTOL) -> int:

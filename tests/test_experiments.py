@@ -13,8 +13,10 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from whitney.linalg import CheckFailedError
-from whitney.mesh import generate_square_mesh
+from whitney.elements import get_family
+from whitney.linalg import CheckFailedError, complex_ranks, spanning_tree_rows
+from whitney.mesh import generate_annulus_mesh, generate_disk_mesh, generate_square_mesh
+from whitney.spaces import assemble_derivative, assemble_mass, build_space
 from whitney.experiments import (
     ConvergenceReport,
     _spectrum,
@@ -90,12 +92,58 @@ def test_cavity_systems_are_sparse_with_exact_rank():
 
 def test_spectrum_rejects_a_rank_off_by_one():
     system = edge_cavity_system(4)
-    lam, zero_count, _ = _spectrum(system.curlcurl, system.mass, system.rank)
-    assert zero_count == lam.size - system.rank == system.interior_vertices
-    for rank in (system.rank - 1, system.rank + 1):
-        with pytest.raises(CheckFailedError,
-                           match="disagrees with rank-based kernel dimension"):
-            _spectrum(system.curlcurl, system.mass, rank)
+    for kernel in (None, system.gradient):
+        lam, zero_count, _ = _spectrum(system.curlcurl, system.mass, system.rank, kernel)
+        assert zero_count == lam.size - system.rank == system.interior_vertices
+        for rank in (system.rank - 1, system.rank + 1):
+            with pytest.raises(CheckFailedError,
+                               match="disagrees with rank-based kernel dimension"):
+                _spectrum(system.curlcurl, system.mass, rank, kernel)
+
+
+def _edge_pencil(mesh):
+    """(curl-curl, edge mass, gradient, curl rank) on the free DOFs of
+    the essential-BC edge space of a 2D mesh."""
+    W = build_space(mesh, get_family("lagrange1"), bc="essential")
+    Q = build_space(mesh, get_family("edge1"), bc="essential")
+    V = build_space(mesh, get_family("dg0"))
+    gradient = assemble_derivative(W, Q)[Q.free][:, W.free]
+    curl = assemble_derivative(Q, V)[:, Q.free]
+    A = (curl.T @ assemble_mass(V) @ curl).tocsr()
+    return A, Q.restrict(assemble_mass(Q)), gradient, complex_ranks([gradient, curl])[1]
+
+
+@pytest.mark.parametrize("domain", ["square", "disk", "annulus"])
+def test_spanning_tree_block_is_unimodular(domain):
+    mesh = {"square": generate_square_mesh(4, pattern="crossed"),
+            "disk": generate_disk_mesh(3), "annulus": generate_annulus_mesh(16)}[domain]
+    _, _, G, _ = _edge_pencil(mesh)
+    tree = spanning_tree_rows(G)
+    assert tree.shape == (G.shape[1],) and np.unique(tree).size == tree.size
+    assert abs(abs(np.linalg.det(G[tree].toarray())) - 1.0) <= 1e-12
+
+
+def test_annulus_harmonic_field_stays_in_cotree_block():
+    # ker curl is the gradients plus one harmonic field: the Ritz block
+    # holds one value per gradient column, so the extra zero is computed
+    # in the cotree block, and the count still equals size - rank
+    A, M, G, rank = _edge_pencil(generate_annulus_mesh(16))
+    assert A.shape[0] - rank == G.shape[1] + 1
+    lam, zero_count, threshold = _spectrum(A, M, rank, G)
+    assert zero_count == A.shape[0] - rank
+    assert np.abs(lam[:zero_count]).max() <= threshold < lam[zero_count]
+    dense = _spectrum(A, M, rank)[0]
+    assert np.all(np.abs(lam[zero_count:] - dense[zero_count:]) <= 1e-10 * dense[zero_count:])
+
+
+def test_kernel_outside_ker_a_raises():
+    # one gradient column with a flipped entry has a curl: the split would
+    # drop that coupling, so it refuses
+    system = edge_cavity_system(4)
+    G = system.gradient.tocsc(copy=True)
+    G.data[G.indptr[3]] *= -1.0
+    with pytest.raises(CheckFailedError, match="kernel is not in ker A"):
+        _spectrum(system.curlcurl, system.mass, system.rank, G)
 
 
 def test_edge_cavity_spectrum_converges():

@@ -12,7 +12,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from whitney import linalg
+from whitney.experiments import edge_cavity_system
 from whitney.linalg import (
+    CheckFailedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularSystemError,
@@ -20,6 +23,7 @@ from whitney.linalg import (
     exact_rank,
     generalized_symmetric_eig,
     numerical_rank,
+    spanning_tree_rows,
     symmetric_indefinite_solve,
 )
 
@@ -100,6 +104,53 @@ def test_singular_saddle_raises():
     # a consistent right-hand side still has a solution
     rhs = np.array([1.0, 2.0, 3.0, 4.0, 4.0])
     assert np.abs(K @ symmetric_indefinite_solve(K, rhs) - rhs).max() <= 1e-14
+
+
+def test_kernel_split_keeps_computed_ritz_values():
+    # e_0 is in ker A up to 1e-13 relative: the split returns the Ritz
+    # value 1e-13 / 2 it computes, not a zero it assumes, and the cotree
+    # pencil (A_cc, S) = (4, 2 - 1 * 1/2 * 1) gives 8/3
+    A = np.diag([1e-13, 4.0])
+    B = np.array([[2.0, 1.0], [1.0, 2.0]])
+    lam = generalized_symmetric_eig(A, B, kernel=np.array([[1.0], [0.0]]))
+    assert np.allclose(lam, [5e-14, 8.0 / 3.0], rtol=1e-12, atol=0.0)
+    with pytest.raises(CheckFailedError, match="kernel is not in ker A"):
+        generalized_symmetric_eig(np.diag([1e-11, 4.0]), B, kernel=np.array([[1.0], [0.0]]))
+    # no kernel columns (a mesh without interior vertices): the dense path
+    assert np.array_equal(generalized_symmetric_eig(A, B, kernel=np.zeros((2, 0))),
+                          generalized_symmetric_eig(A, B))
+
+
+def test_spanning_tree_rows_hand_example():
+    # rows 0 and 1 both join vertex 0 to the root, row 2 joins 0 and 1,
+    # row 3 is empty: the first root edge reaches 0, row 2 reaches 1
+    G = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+    assert spanning_tree_rows(G).tolist() == [0, 2]
+    with pytest.raises(CheckFailedError, match="does not reach"):
+        spanning_tree_rows(np.array([[-1.0, 1.0]]))
+    with pytest.raises(ValueError, match="two nonzeros"):
+        spanning_tree_rows(np.array([[1.0, -1.0, 1.0]]))
+
+
+def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
+    # the edge-mass solve of the mixed cavity: b = (M2 D)^T has empty rows,
+    # where |A||x| + |b| is roundoff and the row is judged by omega_2
+    system = edge_cavity_system(8)
+    b = (system.cell_mass @ system.curl).T.toarray()
+    solves, lu = [], linalg.sparse_lu
+
+    class CountingFactor:
+        def __init__(self, A):
+            self.factor = lu(A)
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)
+            return self.factor.solve(rhs)
+
+    monkeypatch.setattr(linalg, "sparse_lu", CountingFactor)
+    x = symmetric_indefinite_solve(system.mass, b)
+    assert len(solves) == 1
+    assert np.abs(system.mass @ x - b).max() <= 1e-14 * np.abs(b).max()
 
 
 def test_matrix_right_hand_side_and_dense_input():

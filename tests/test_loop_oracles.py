@@ -850,3 +850,20 @@ def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case, patte
     assert np.array_equal(factor.perm_r, factor.perm_c)
     pivoted = spla.splu(sp.csc_matrix(seen["K_tau"]))
     assert factor.L.nnz + factor.U.nnz <= pivoted.L.nnz + pivoted.U.nnz
+
+
+@pytest.mark.parametrize("pattern", ["crossed", "uniform"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_tree_cotree_spectrum_matches_dense_oracle(pattern, n):
+    # the spectrum split along the gradients against one dense eigh of
+    # the whole pencil: same size and zero count, positive part to 1e-10,
+    # and computed kernel values below the zero threshold
+    system = experiments.edge_cavity_system(n, pattern)
+    want = sla.eigh(system.curlcurl.toarray(), system.mass.toarray(), eigvals_only=True)
+    got = generalized_symmetric_eig(system.curlcurl, system.mass, kernel=system.gradient)
+    threshold = experiments.ZERO_EIGENVALUE_RTOL * np.abs(want).max()
+    zeros = int(np.searchsorted(want, threshold))
+    assert got.shape == want.shape
+    assert zeros == int(np.searchsorted(got, threshold)) == system.interior_vertices
+    assert np.abs(got[:zeros]).max(initial=0.0) <= threshold
+    assert np.all(np.abs(got[zeros:] - want[zeros:]) <= 1e-10 * want[zeros:])
