@@ -167,7 +167,8 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     BG = B @ G
     GBG = check_symmetric(G.T @ BG, "G^T B G")
     GAG = (G.T @ AG).toarray()
-    ritz = _dense_eig(0.5 * (GAG + GAG.T), GBG.toarray())     # roundoff: not checked
+    # G^T A G is roundoff alone, which check_symmetric can reject as asymmetric
+    ritz = _dense_eig(0.5 * (GAG + GAG.T), GBG.toarray())
     B_cG = BG[cotree]
     S = B[cotree][:, cotree].toarray() - B_cG @ symmetric_indefinite_solve(GBG, B_cG.T.toarray())
     S = check_symmetric(S, "S")
