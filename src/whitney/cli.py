@@ -28,7 +28,7 @@ import numpy as np
 
 from . import experiments
 from .complexes import check_commuting, check_exactness, derham_complex
-from .elasticity import aw_unisolvence_check, commutativity_residual
+from .elasticity import NDOF, aw_unisolvence_survey, commutativity_residual
 from .elements import UnknownFamilyError
 from .linalg import CheckFailedError
 from .mesh import (
@@ -350,20 +350,18 @@ def _random_triangle(rng, min_shape):
 
 def _cmd_aw_unisolvence(args) -> Outcome:
     seed = int(os.environ.get("WHITNEY_SEED", args.seed))
-    reference = aw_unisolvence_check(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst_cond = reference.cond
-    for _ in range(args.trials):
-        rep = aw_unisolvence_check(_random_triangle(rng, args.min_shape))
-        worst_cond = max(worst_cond, rep.cond)
-        failures += 0 if rep.passed else 1
-    passed = reference.passed and failures == 0
-    payload = {"reference_rank": reference.rank,
-               "reference_cond": reference.cond,
+    # the reference triangle first, then the trials, all in one survey
+    triangles = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+    triangles += [_random_triangle(rng, args.min_shape) for _ in range(args.trials)]
+    rank, cond = aw_unisolvence_survey(triangles)
+    failures = int(np.count_nonzero(rank[1:] != NDOF))
+    passed = bool(rank[0] == NDOF) and failures == 0
+    payload = {"reference_rank": int(rank[0]),
+               "reference_cond": float(cond[0]),
                "trials": args.trials,
                "failures": failures,
-               "worst_cond": worst_cond,
+               "worst_cond": float(cond.max()),
                "min_shape": args.min_shape,
                "seed": seed,
                "pass": passed}

@@ -43,7 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .elements import _read_only, get_family, moment_rule
-from .linalg import CheckFailedError, numerical_rank, symmetric_indefinite_solve
+from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, SymPoly, monomial_exponents
 from .quadrature import interval_rule, triangle_rule
@@ -75,7 +75,13 @@ _ROWS = ((0, 1), (1, 2))
 def _monomials(points: np.ndarray, exponents) -> np.ndarray:
     """Monomial values at points (..., 2): shape (..., len(exponents))."""
     x, y = points[..., 0], points[..., 1]
-    return np.stack([x ** a * y ** b for a, b in exponents], axis=-1)
+    # each power once; repeated products would round differently from pow
+    xa = {a: x ** a for a in {a for a, _ in exponents}}
+    yb = {b: y ** b for b in {b for _, b in exponents}}
+    out = np.empty(x.shape + (len(exponents),))
+    for k, (a, b) in enumerate(exponents):
+        np.multiply(xa[a], yb[b], out=out[..., k])
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -214,6 +220,13 @@ def _shape_dof_matrix(vertices: np.ndarray):
     return origin, scale, V
 
 
+def _condition_numbers(s: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers from stacked descending singular values,
+    as np.linalg.cond takes them: inf for a singular matrix."""
+    with np.errstate(divide="ignore"):
+        return s[:, 0] / s[:, -1]
+
+
 def _dualize(vertices: np.ndarray):
     """Nodal bases of stacked triangles (nc, 3, 2).
 
@@ -223,7 +236,7 @@ def _dualize(vertices: np.ndarray):
     """
     origin, scale, V = _shape_dof_matrix(vertices)
     null = _shape_null_space()
-    cond = np.linalg.cond(V)
+    cond = _condition_numbers(np.linalg.svd(V, compute_uv=False))
     bad = ~(cond <= COND_MAX)
     if bad.any():
         raise CheckFailedError(
@@ -243,14 +256,25 @@ class UnisolvenceReport:
         return {"rank": self.rank, "cond": self.cond, "pass": self.passed}
 
 
+def aw_unisolvence_survey(triangles):
+    """(rank, cond) of the DOF matrix on the shape basis, for each of the
+    stacked triangles (n, 3, 2), from one batch of singular values."""
+    triangles = np.asarray(triangles, dtype=float)
+    if triangles.ndim != 3 or triangles.shape[1:] != (3, 2):
+        raise ValueError(f"triangles need 3 plane vertices each, got {triangles.shape}")
+    s = np.linalg.svd(_shape_dof_matrix(triangles)[2], compute_uv=False)
+    # numerical_rank's count, with the largest singular value first
+    rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+    return rank, _condition_numbers(s)
+
+
 def aw_unisolvence_check(vertices) -> UnisolvenceReport:
     """Rank and conditioning of the DOF matrix on the shape basis."""
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape != (3, 2):
         raise ValueError(f"triangle needs 3 plane vertices, got {vertices.shape}")
-    V = _shape_dof_matrix(vertices[None])[2][0]
-    rank = numerical_rank(V)
-    return UnisolvenceReport(rank, float(np.linalg.cond(V)), rank == NDOF)
+    rank, cond = aw_unisolvence_survey(vertices[None])
+    return UnisolvenceReport(int(rank[0]), float(cond[0]), bool(rank[0] == NDOF))
 
 
 # -- global spaces ---------------------------------------------------------
@@ -262,7 +286,9 @@ class StressSpace:
 
     The nodal bases of all cells are stacked: cell c maps physical
     points x to local coordinates (x - origin[c]) / scale[c], where its
-    24 nodal fields have the P3(T, S) coefficients coeffs[c].
+    24 nodal fields have the P3(T, S) coefficients coeffs[c].  mono[c]
+    holds the P3 monomials at the triangle_rule points of cell c, in its
+    local frame, for the compliance, the divergence and evaluate_stress.
     """
 
     mesh: Mesh
@@ -272,14 +298,11 @@ class StressSpace:
     scale: np.ndarray              # (num_cells,)
     coeffs: np.ndarray             # (num_cells, 24, 30)
     cond: np.ndarray               # (num_cells,) dualization condition numbers
+    mono: np.ndarray               # (num_cells, nq, 10)
 
     @property
     def num_cells(self):
         return self.mesh.num_cells
-
-    def local_points(self, points: np.ndarray) -> np.ndarray:
-        """Physical points (num_cells, nq, 2) in each cell's local frame."""
-        return (points - self.origin[:, None, :]) / self.scale[:, None, None]
 
 
 def build_stress_space(mesh: Mesh) -> StressSpace:
@@ -293,7 +316,10 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
         (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
         cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
     origin, scale, coeffs, cond = _dualize(mesh.vertices[mesh.cells])
-    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond)
+    local = (mesh.geometry.push_points(triangle_rule().points) - origin[:, None, :]) \
+        / scale[:, None, None]
+    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond,
+                       _monomials(local, P3))
 
 
 @dataclass
@@ -359,8 +385,7 @@ def evaluate_stress(space: StressSpace, sigma: np.ndarray):
     geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
     coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs)
-    mono = _monomials(space.local_points(pts), P3)                 # (nc, nq, 10)
-    vals = np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(P3)), mono)
+    vals = np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(P3)), space.mono)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     return pts, wdet, vals
 
@@ -378,32 +403,30 @@ def compliance_coefficients(lam: float, mu: float) -> tuple[float, float]:
 def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -> sp.csr_matrix:
     """Global int C^-1 sigma : tau with constant isotropic moduli.
 
-    With G_c the Gram matrix of the local monomials on cell c, the
-    local matrix is sum_ij K_ij C_i G_c C_j^T over the component blocks
-    C_i of the nodal coefficients, where sigma : tau = s11 t11 + 2 s12
-    t12 + s22 t22 and K = a1 (diag(1, 2, 1) - a2 e e^T), e = (1, 0, 1)
-    picking out the trace.
+    With G_c the Gram matrix of the local monomials on cell c and C_c
+    the nodal coefficients, the local matrix is C_c kron(K, G_c) C_c^T
+    (the columns of C_c are component blocks), where sigma : tau = s11
+    t11 + 2 s12 t12 + s22 t22 and K = a1 (diag(1, 2, 1) - a2 e e^T),
+    e = (1, 0, 1) picking out the trace.
     """
     a1, a2 = compliance_coefficients(lam, mu)
     rule = triangle_rule()
-    geo = space.mesh.geometry
-    mono = _monomials(space.local_points(geo.push_points(rule.points)), P3)   # (nc, nq, 10)
-    wdet = rule.weights[None, :] * geo.absdet[:, None]
+    mono = space.mono
+    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[:, None]
     gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (nc, 10, 10)
     trace = np.array([1.0, 0.0, 1.0])
     K = a1 * (np.diag([1.0, 2.0, 1.0]) - a2 * np.outer(trace, trace))
-    C = space.coeffs.reshape(-1, NDOF, 3, len(P3))
-    KCG = np.einsum("ij,csjn->csin", K, C @ gram[:, None])
-    local = KCG.reshape(-1, NDOF, NCOEF) @ np.swapaxes(space.coeffs, 1, 2)
+    kron = (K[None, :, None, :, None] * gram[:, None, :, None, :]).reshape(-1, NCOEF, NCOEF)
+    local = space.coeffs @ kron @ np.swapaxes(space.coeffs, 1, 2)
     return scatter_cell_blocks(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
 
 
 def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s displacement DOFs = D sigma."""
-    # the dg1 interior moments of each component of div sigma
-    y, W = moment_rule(get_family("dg1").dofs, 2)
-    pts = space.mesh.geometry.push_points(y)
-    p2 = _monomials(space.local_points(pts), P2)                   # (nc, nq, 6)
+    # the dg1 interior moments of each component of div sigma, whose
+    # rule runs on the triangle_rule points of space.mono
+    _, W = moment_rule(get_family("dg1").dofs, 2)
+    p2 = space.mono[..., [P3.index(e) for e in P2]]                # (nc, nq, 6)
     dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
     dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
     local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
@@ -491,8 +514,11 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     Bm = (displacement_mass(disp) @ D).tocsr()
     F = load_vector(disp, f)
     # assembled inline and in the solver's format, so that neither the
-    # compliance matrix nor a CSR copy of K lives through the factorization
-    K = sp.bmat([[assemble_compliance(stress, lam, mu), Bm.T], [Bm, None]], format="csc")
+    # compliance matrix nor a CSR copy of K lives through the factorization;
+    # blocks that are all CSC with sorted indices are stacked, not sorted
+    Bm.sort_indices()
+    K = sp.bmat([[assemble_compliance(stress, lam, mu).tocsc(), Bm.T],
+                 [Bm.tocsc(), sp.csc_matrix((disp.ndofs, disp.ndofs))]], format="csc")
     rhs = np.concatenate([np.zeros(stress.ndofs), -F])
     x = symmetric_indefinite_solve(K, rhs)
     sigma, u = x[:stress.ndofs], x[stress.ndofs:]

@@ -66,17 +66,33 @@ def check_symmetric(A, name="matrix", rtol=SYMMETRY_RTOL):
     """
     if not sp.issparse(A):
         A = np.asarray(A, dtype=float)
+    _require_symmetric(A, A.T, _absmax(A), name, rtol)
+    return 0.5 * (A + A.T)
+
+
+def _require_symmetric(A, AT, amax, name, rtol=SYMMETRY_RTOL):
+    """Raise NotSymmetricError unless A is square and A - AT, AT its
+    transpose, is roundoff next to amax = max|A|."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {A.shape}")
-    if _absmax(A - A.T) > rtol * max(_absmax(A), 1e-300):
+    if _absmax(A - AT) > rtol * max(amax, 1e-300):
         raise NotSymmetricError(f"{name} is not symmetric within {rtol:g} relative tolerance")
-    return 0.5 * (A + A.T)
 
 
 def _absmax(A) -> float:
     if sp.issparse(A):
         return float(abs(A).max()) if A.nnz else 0.0
     return float(np.abs(A).max()) if A.size else 0.0
+
+
+def _row_absmax(R) -> np.ndarray:
+    """max_j |R_ij| of each row of a CSR matrix without duplicate entries;
+    0 for an empty row."""
+    out = np.zeros(R.shape[0])
+    filled = np.diff(R.indptr) > 0
+    if R.nnz:
+        out[filled] = np.maximum.reduceat(np.abs(R.data), R.indptr[:-1][filled])
+    return out
 
 
 def sparse_lu(A):
@@ -106,16 +122,27 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     is regular.
     """
     A = sp.csc_matrix(A, dtype=float)
-    check_symmetric(A, "A")
+    # the one copy of A, duplicates summed: its CSR arrays, read as CSC,
+    # are A^T.  It gives the symmetry check, the row maxima of |A| and the
+    # squares of the shift, and is released before the factorization.
+    R = A.tocsr()
+    R.sum_duplicates()
+    row_max = _row_absmax(R)
+    amax = float(row_max.max(initial=0.0))
+    _require_symmetric(A, sp.csc_matrix((R.data, R.indices, R.indptr), shape=A.shape[::-1]),
+                       amax, "A")
     b = np.asarray(b, dtype=float)
-    d, x, r = np.abs(A.diagonal()), np.zeros_like(b), b
-    eps, absA = np.finfo(float).eps, abs(A)
     # |A_i|_inf, shaped to scale the rows of x
-    row_max = absA.max(axis=1).toarray().reshape((-1,) + (1,) * (b.ndim - 1))
+    row_max = row_max.reshape((-1,) + (1,) * (b.ndim - 1))
+    d, x, r = np.abs(A.diagonal()), np.zeros_like(b), b
+    eps = np.finfo(float).eps
     try:
         with np.errstate(all="ignore"):
-            schur = A.multiply(A) @ np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+            schur = (sp.csr_matrix((R.data ** 2, R.indices, R.indptr), shape=A.shape)
+                     @ np.divide(1.0, d, out=np.zeros_like(d), where=d > 0))
+            del R
             factor = sparse_lu(A - sp.diags(SADDLE_SHIFT * schur * (d == 0)))
+            absA = abs(A)
             for _ in range(1 + MAX_REFINEMENT_STEPS):    # one solve, then refinement
                 x_next = x + factor.solve(r)
                 r_next = b - A @ x_next
@@ -130,7 +157,7 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
                     break
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
-    scale = max(_absmax(A) * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
+    scale = max(amax * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
     if not np.abs(r).max() <= residual_rtol * scale:
         raise SingularSystemError("singular system")
     return x

@@ -15,7 +15,22 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.special import roots_jacobi
+
+NPOINTS = 5
+
+# scipy.special.roots_jacobi(NPOINTS, alpha, 0.0) on [-1, 1], to the last
+# bit (tests/test_quadrature.py checks it): importing scipy.special would
+# add ~0.1 s to every start-up for these twenty numbers
+_GAUSS_JACOBI = {
+    1: ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277,
+         0.39092854670727223, 0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794,
+         0.2956354802904667, 0.0629916580867692)),
+    2: ((-0.9308421201635698, -0.6530393584566087, -0.2202272258689614,
+         0.26866694526177365, 0.7021084258940329),
+        (0.6541182742861681, 1.009591695199291, 0.7136012897727205,
+         0.25644480578369516, 0.03291060162479203)),
+}
 
 
 @dataclass(frozen=True)
@@ -47,24 +62,25 @@ def _gauss_01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _jacobi_01(n: int, alpha: int):
-    """Nodes/weights for int_0^1 g(v) (1-v)^alpha dv; exact for g up to 2n-1."""
-    x, w = roots_jacobi(n, alpha, 0.0)
+def _jacobi_01(alpha: int):
+    """Nodes/weights for int_0^1 g(v) (1-v)^alpha dv; exact for g up to 2 NPOINTS - 1."""
+    x, w = map(np.array, _GAUSS_JACOBI[alpha])
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
 @lru_cache(maxsize=None)
-def interval_rule(n: int = 5) -> QuadratureRule:
-    """Rule on the parameter interval [0, 1] (n=5: exact to degree 9)."""
-    x, w = _gauss_01(n)
+def interval_rule() -> QuadratureRule:
+    """Rule on the parameter interval [0, 1], exact to degree 9."""
+    x, w = _gauss_01(NPOINTS)
     return QuadratureRule(x.reshape(-1, 1), w)
 
 
 @lru_cache(maxsize=None)
-def triangle_rule(n: int = 5) -> QuadratureRule:
-    """Collapsed rule on the unit triangle, exact to degree 2n-2 >= 8."""
+def triangle_rule() -> QuadratureRule:
+    """Collapsed rule on the unit triangle, exact to degree 8."""
+    n = NPOINTS
     u, wu = _gauss_01(n)
-    v, wv = _jacobi_01(n, 1)
+    v, wv = _jacobi_01(1)
     pts = []
     wts = []
     for i in range(n):
@@ -75,11 +91,12 @@ def triangle_rule(n: int = 5) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def tetrahedron_rule(n: int = 5) -> QuadratureRule:
-    """Collapsed rule on the unit tetrahedron, exact to degree 2n-2 >= 8."""
+def tetrahedron_rule() -> QuadratureRule:
+    """Collapsed rule on the unit tetrahedron, exact to degree 8."""
+    n = NPOINTS
     u, wu = _gauss_01(n)
-    v, wv = _jacobi_01(n, 1)
-    w, ww = _jacobi_01(n, 2)
+    v, wv = _jacobi_01(1)
+    w, ww = _jacobi_01(2)
     pts = []
     wts = []
     for i in range(n):

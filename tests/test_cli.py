@@ -7,6 +7,9 @@ program crashed.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,3 +300,11 @@ def test_parser_covers_all_subcommands():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 0
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special adds ~0.1 s to every start-up; the quadrature tables replace it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import whitney.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src], timeout=60).returncode == 0

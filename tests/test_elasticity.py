@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from whitney import elasticity as el
+from whitney.cli import _random_triangle
 from whitney.elasticity import (
     NDOF,
     P3,
     aw_unisolvence_check,
+    aw_unisolvence_survey,
     assemble_coupling,
     assemble_divergence,
     build_displacement_space,
@@ -106,6 +108,23 @@ def test_unisolvence_reference_and_random_triangles(rng):
         for scale in (1.0, 10.0):
             rep = aw_unisolvence_check(scale * verts + 3.0)
             assert rep.rank == NDOF, verts
+
+
+def test_stacked_survey_matches_one_triangle_checks():
+    rng = np.random.default_rng(3)
+    # a legal sliver whose DOF matrix drops below the rank tolerance
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-3]])
+    triangles = np.stack([REF, sliver] + [_random_triangle(rng, 0.02) for _ in range(40)])
+    rank, cond = aw_unisolvence_survey(triangles)
+    assert rank[1] < NDOF and np.all(np.delete(rank, 1) == NDOF)
+    for verts, r, c in zip(triangles, rank, cond):
+        rep = aw_unisolvence_check(verts)
+        assert rep.rank == r and rep.cond == c
+        # the one-matrix oracles: scipy's singular values, numpy's cond
+        V = el._shape_dof_matrix(verts[None])[2][0]
+        assert numerical_rank(V) == r and np.linalg.cond(V) == c
+    with pytest.raises(ValueError, match="3 plane vertices"):
+        aw_unisolvence_survey(REF)
 
 
 def test_degenerate_triangle_rejected():

@@ -169,6 +169,23 @@ def test_matrix_right_hand_side_and_dense_input():
         symmetric_indefinite_solve(np.triu(A), rhs)
 
 
+def test_solve_rejects_non_square_sparse_matrix():
+    A = sp.csr_matrix(np.arange(1.0, 7.0).reshape(2, 3))
+    for M in (A, A.T, A.tocsc()):
+        with pytest.raises(NotSymmetricError, match="not square"):
+            symmetric_indefinite_solve(M, np.ones(M.shape[0]))
+
+
+def test_row_absmax_matches_dense_rows():
+    A = np.zeros((6, 5))
+    A[0, [1, 4]] = [-3.0, 2.0]
+    A[2, 0] = -0.5
+    A[3] = [1.0, -7.0, 0.0, 4.0, -2.0]
+    A[5, 4] = 1e-300
+    for M in (A, np.zeros((3, 4))):
+        assert np.array_equal(linalg._row_absmax(sp.csr_matrix(M)), np.abs(M).max(axis=1))
+
+
 def test_numerical_rank_of_incidence_like_matrix():
     # vertex-edge incidence of a path on 5 vertices: rank = V - 1 = 4
     D = np.zeros((4, 5))

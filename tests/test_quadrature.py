@@ -12,6 +12,8 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from whitney.quadrature import (
+    NPOINTS,
+    _GAUSS_JACOBI,
     interval_rule,
     reference_measure,
     simplex_rule,
@@ -70,3 +72,11 @@ def test_tetrahedron_exact_to_degree_8(exps):
 def test_simplex_rule_dispatch():
     assert simplex_rule(2).points.shape[1] == 2
     assert simplex_rule(3).points.shape[1] == 3
+
+
+def test_gauss_jacobi_literals_are_roots_jacobi():
+    from scipy.special import roots_jacobi
+
+    for alpha, (nodes, weights) in _GAUSS_JACOBI.items():
+        x, w = roots_jacobi(NPOINTS, alpha, 0.0)
+        assert np.array_equal(nodes, x) and np.array_equal(weights, w)
