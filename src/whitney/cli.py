@@ -423,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig = parser_sub(top, "eig", "eigenvalue studies")
     lap = leaf(eig, "laplace", _cmd_eig_laplace, "Dirichlet Laplace spectrum")
     lap.add_argument("--domain", choices=("square", "ellipse"), default="square")
-    lap.add_argument("--family", default="lagrange1",
-                     help="H1 family (lagrange1 or lagrange2)")
+    lap.add_argument("--family", choices=tuple(experiments.EDGE_PARTNER), default="lagrange1")
     lap.add_argument("--n", type=int, default=8)
     lap.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
     lap.add_argument("--count", type=int, default=10,

@@ -30,8 +30,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elements import _exterior_derivative
-from .linalg import (CheckFailedError, NotPositiveDefiniteError, check_symmetric, complex_ranks,
-                     generalized_symmetric_eig, sparse_lu)
+from .linalg import (CheckFailedError, NotPositiveDefiniteError, _absmax, check_symmetric,
+                     complex_ranks, generalized_symmetric_eig, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
@@ -66,15 +66,10 @@ class NotAComplexError(CheckFailedError):
 
 @dataclass(frozen=True)
 class DiscreteComplex:
-    """Spaces W_0..W_n over one mesh with derivatives D_k: W_k -> W_{k+1}.
-
-    resolved_dim is the dimension of the leading kernel the complex
-    resolves (1 for the constants in the de Rham case).
-    """
+    """Spaces W_0..W_n over one mesh with derivatives D_k: W_k -> W_{k+1}."""
 
     spaces: tuple
     derivatives: tuple
-    resolved_dim: int = 1
 
     def __post_init__(self):
         if len(self.derivatives) != len(self.spaces) - 1:
@@ -231,14 +226,6 @@ def _is_row_scaled(D, incidence, unit):
     return bool(np.all(ratio == factor))
 
 
-def _absmax(A):
-    return float(np.abs(A).max()) if A.size else 0.0
-
-
-def _sym(A):
-    return 0.5 * (A + A.T)
-
-
 # -- commuting diagrams --------------------------------------------------------
 
 
@@ -338,8 +325,8 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
 
 
 def _explicit_infsup(schur, Mv, deflation_tol) -> float:
-    eye = np.eye(schur.shape[0])
-    lam = generalized_symmetric_eig(_sym(schur @ eye), Mv @ eye)
+    S = schur @ np.eye(schur.shape[0])
+    lam = generalized_symmetric_eig(0.5 * (S + S.T), Mv.toarray())
     return _smallest_kept(lam, lam[-1], deflation_tol)
 
 

@@ -19,11 +19,15 @@ returns a structured report:
 
 Every spectrum comes from one checked eigensolve, full-spectrum: its
 zero count from thresholding is cross-checked against the rank of the
-operator, and a mismatch raises.  The edge cavity hands its gradients
-to the eigensolver, which splits them off along a spanning tree and
-densifies only the cotree block; every other pencil is dense.  The
-sweeps share one refinement loop, one order fit per series and one L2
-error integral.
+operator, and a mismatch raises.  That rank is exact from a complex
+(linalg.complex_ranks) wherever the operator factors through one: the
+curl for the edge cavity and its mixed form, the gradient into the
+edge partner for Laplace.  Only the nodal cavity, which belongs to no
+complex, takes an SVD rank.  The edge cavity hands its gradients to the
+eigensolver, which splits them off along the tree its collapse pairs
+with them and densifies only the cotree block; every other pencil is
+dense.  The sweeps share one refinement loop, one order fit per series
+and one L2 error integral.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ REFERENCE_BAND = (0.0, 10.0)
 CLUSTER_RTOL = 0.05
 POLLUTION_FACTOR = 2.0
 ORDER_FIT_WINDOW = 3
+# the edge family that holds the gradients of each Laplace family
+EDGE_PARTNER = {"lagrange1": "edge1", "lagrange2": "edge2"}
 
 
 # -- reports -------------------------------------------------------------------
@@ -204,8 +210,8 @@ def _spectrum(A, M, rank: int, kernel=None):
     """Ascending eigenvalues of A x = lambda M x, their zero count and the
     zero threshold.  The count from thresholding must equal the kernel
     dimension size - rank, or the run aborts.  `kernel`, a known part of
-    ker A (the edge gradients), splits the eigensolve along a spanning
-    tree; the count still runs on every computed value."""
+    ker A (the edge gradients), splits the eigensolve along its
+    tree-cotree gauge; the count still runs on every computed value."""
     lam = generalized_symmetric_eig(A, M, kernel)
     threshold = ZERO_EIGENVALUE_RTOL * max(abs(lam[0]), abs(lam[-1]))
     zero_count = int(np.searchsorted(lam, threshold))
@@ -227,7 +233,9 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
     The square has side pi so the exact eigenvalues are the integers
     m^2 + n^2 (m, n >= 1); computed values are Rayleigh-Ritz upper
     bounds and the report checks that.  Ellipse runs carry no analytic
-    reference and only report the spectrum.
+    reference and only report the spectrum.  The zero count is checked
+    against the exact rank of the gradient into the family's
+    EDGE_PARTNER, which is the rank of the stiffness.
     """
     if domain == "square":
         mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
@@ -235,13 +243,15 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
         mesh = generate_ellipse_mesh(n)
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    fam = get_family(family)
-    if fam.mapping != "h1":
-        raise ValueError("Laplace eigenproblem needs an H1-conforming family")
-    W = build_space(mesh, fam, bc="essential")
+    if family not in EDGE_PARTNER:
+        raise ValueError(f"Laplace eigenproblem needs an H1 family with an edge partner "
+                         f"({' or '.join(EDGE_PARTNER)}), not {family!r}")
+    W = build_space(mesh, family, bc="essential")
     K = W.restrict(assemble_stiffness_like(W, W, "grad"))
     M = W.restrict(assemble_mass(W))
-    lam, zero_count, threshold = _spectrum(K, M, numerical_rank(K))
+    # K = G^T M_edge G with M_edge SPD, so rank K = rank G, exact from the complex
+    gradient = assemble_derivative(W, build_space(mesh, EDGE_PARTNER[family]))[:, W.free]
+    lam, zero_count, threshold = _spectrum(K, M, complex_ranks([gradient])[0])
     if domain == "square":
         reference = square_dirichlet_reference(count)
         errors = _signed_errors(lam[zero_count:], reference)

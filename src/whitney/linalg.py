@@ -6,19 +6,21 @@ many, goes through symmetric_indefinite_solve (dense input is converted
 to CSC): a zero diagonal shifted to make a saddle matrix quasi-definite
 (Vanderbei 1995), one sparse_lu factorization without pivoting, and
 refinement against the true matrix (Gill, Saunders & Shinnerl 1996).
-Its refinement judges rows that a sparse right-hand side leaves empty
-by the omega_2 scale of Arioli, Demmel & Duff (1989).  check_symmetric
+Its refinement and its final check use one componentwise backward
+error, judging rows that a sparse right-hand side leaves empty by the
+omega_2 scale of Arioli, Demmel & Duff (1989).  check_symmetric
 keeps a sparse matrix sparse.  Dense LAPACK is used only for spectra
 (generalized_symmetric_eig) and for the singular values behind
-numerical_rank, which serves operators that belong to no complex.  A
-spectrum with a known kernel, such as the gradients in an edge space,
-is split along a breadth-first spanning tree of that kernel's graph
-(spanning_tree_rows; the tree-cotree gauge of Albanese & Rubinacci,
-1988): only the cotree block, against a Schur complement of the mass,
-is dense, and the kernel keeps its computed Ritz values.  The ranks of
-a complex are exact and sparse: complex_ranks pivots on the sparsity
-pattern alone and hands what is left to exact_rank, an elimination
-over the rationals.
+numerical_rank, which serves operators that belong to no complex.
+Every exact-structure question goes through one pass, collapse: the
+collapses and coreductions of a complex's sparsity pattern pair its
+entities.  complex_ranks counts the pairs and hands the unpaired core
+to exact_rank, an elimination over the rationals.  A spectrum with a
+known kernel, such as the gradients in an edge space, is split along
+the tree rows the collapse pairs with the kernel's columns (the
+tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
+block, against a Schur complement of the mass, is dense, and the
+kernel keeps its computed Ritz values.
 """
 from __future__ import annotations
 
@@ -117,9 +119,10 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     after MAX_REFINEMENT_STEPS.  The row scale is (|A||x| + |b|)_i, or
     (|A||x|)_i + |A_i|_inf |x|_inf where that is roundoff next to the
     second term, as it is in the empty rows of a sparse b (the omega_1 /
-    omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  A relative
-    residual above `residual_rtol` means a singular A: its shifted matrix
-    is regular.
+    omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  The same
+    componentwise backward error judges the result: a residual entry
+    above `residual_rtol` times its row scale means a singular A (its
+    shifted matrix is regular) or a refinement that fell short.
     """
     A = sp.csc_matrix(A, dtype=float)
     # the one copy of A, duplicates summed: its CSR arrays, read as CSC,
@@ -128,13 +131,13 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     R = A.tocsr()
     R.sum_duplicates()
     row_max = _row_absmax(R)
-    amax = float(row_max.max(initial=0.0))
     _require_symmetric(A, sp.csc_matrix((R.data, R.indices, R.indptr), shape=A.shape[::-1]),
-                       amax, "A")
+                       float(row_max.max(initial=0.0)), "A")
     b = np.asarray(b, dtype=float)
     # |A_i|_inf, shaped to scale the rows of x
     row_max = row_max.reshape((-1,) + (1,) * (b.ndim - 1))
     d, x, r = np.abs(A.diagonal()), np.zeros_like(b), b
+    scale = np.abs(b)                          # the row scale of x = 0
     eps = np.finfo(float).eps
     try:
         with np.errstate(all="ignore"):
@@ -157,8 +160,7 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
                     break
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
-    scale = max(amax * max(np.abs(x).max(), 1.0), np.abs(b).max(), 1e-300)
-    if not np.abs(r).max() <= residual_rtol * scale:
+    if not np.all(np.abs(r) <= residual_rtol * scale):
         raise SingularSystemError("singular system")
     return x
 
@@ -168,18 +170,20 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     symmetric positive definite.  Dense reduction through the Cholesky
     factor of B.
 
-    `kernel`, a matrix whose columns lie in ker A and whose rows hold at
-    most two nonzeros (the gradient of an edge space), splits the
-    spectrum along a spanning tree (the tree-cotree gauge).  The rows
-    spanning_tree_rows(kernel) make its tree block square and
-    triangular, so the kernel columns and the unit vectors of the other
-    (cotree) rows C form a basis.  In that basis A is diag(0, A_CC), up
-    to the roundoff that max|A kernel| is checked against, so the
-    spectrum is the Ritz values on span(kernel), which are roundoff,
-    merged with those of (A_CC, S), S the Schur complement of the kernel
-    block of B.  Only the cotree pencil is dense at its full size.  A
-    kernel the split misses, such as a harmonic field, shows as computed
-    near-zero values of the cotree pencil.
+    `kernel`, a matrix whose columns lie in ker A (the gradient of an
+    edge space), splits the spectrum along a tree (the tree-cotree gauge
+    of Albanese & Rubinacci, 1988).  The level-0 pairs of
+    collapse([kernel]) give one tree row per column, and the tree block
+    they index is nonsingular for any sparsity pattern, so the kernel
+    columns and the unit vectors of the other (cotree) rows C form a
+    basis; a column left unpaired raises CheckFailedError.  In that
+    basis A is diag(0, A_CC), up to the roundoff that max|A kernel| is
+    checked against, so the spectrum is the Ritz values on span(kernel),
+    which are roundoff, merged with those of (A_CC, S), S the Schur
+    complement of the kernel block of B.  Only the cotree pencil is
+    dense at its full size.  A kernel the split misses, such as a
+    harmonic field, shows as computed near-zero values of the cotree
+    pencil.
     """
     if kernel is None or kernel.shape[1] == 0:
         return _dense_eig(check_symmetric(as_dense(A), "A"), check_symmetric(as_dense(B), "B"))
@@ -189,8 +193,11 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     AG = A @ G
     if _absmax(AG) > KERNEL_RTOL * _absmax(A) * _absmax(G):
         raise CheckFailedError(f"kernel is not in ker A: max|A G| = {_absmax(AG):.3e}")
+    (pairs,), _ = collapse([G])
+    if len(pairs) < G.shape[1]:
+        raise CheckFailedError("kernel columns are left unpaired by the collapse")
     cotree = np.ones(A.shape[0], dtype=bool)
-    cotree[spanning_tree_rows(G)] = False
+    cotree[pairs[:, 1]] = False
     BG = B @ G
     GBG = check_symmetric(G.T @ BG, "G^T B G")
     GAG = (G.T @ AG).toarray()
@@ -209,41 +216,6 @@ def _dense_eig(A, B) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix not positive definite") from exc
 
 
-def spanning_tree_rows(G) -> np.ndarray:
-    """Row tree[v] of G for each column v: the edges of a breadth-first
-    spanning tree of the graph whose vertices are G's columns and whose
-    edges are its rows, a row with one nonzero joining its column to a
-    root (the contracted boundary).  G[tree] is triangular in
-    breadth-first order, with the nonzero diagonal G[tree[v], v]: +-1 for
-    a signed incidence matrix.  Rows may hold at most two nonzeros; a
-    column the root does not reach raises CheckFailedError.
-    """
-    # imported on first use: csgraph adds ~7 ms and ~1 MB to every start-up
-    from scipy.sparse.csgraph import breadth_first_order
-
-    G = sp.csr_matrix(G, copy=True)
-    G.eliminate_zeros()
-    m = G.shape[1]
-    count = np.diff(G.indptr)
-    if count.size and count.max() > 2:
-        raise ValueError("a spanning tree needs at most two nonzeros per row")
-    # ends of each row: its two columns, or its column and the root m
-    ends = np.full((G.shape[0], 2), m)
-    first = G.indptr[:-1]
-    ends[count > 0, 0] = G.indices[first[count > 0]]
-    ends[count == 2, 1] = G.indices[first[count == 2] + 1]
-    edges = np.flatnonzero(count > 0)
-    pairs, pick = np.unique(np.sort(ends[edges], axis=1), axis=0, return_index=True)
-    ids = edges[pick] + 1                       # 1-based: a stored 0 would vanish
-    graph = sp.csr_matrix((np.concatenate([ids, ids]),
-                           (np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))),
-                          shape=(m + 1, m + 1))
-    _, parent = breadth_first_order(graph, m, directed=True)
-    if np.any(parent[:m] < 0):
-        raise CheckFailedError("kernel columns are dependent: the root does not reach them all")
-    return np.asarray(graph[parent[:m], np.arange(m)]).ravel() - 1
-
-
 def numerical_rank(A, rel_tol=RANK_RTOL) -> int:
     """Number of singular values above rel_tol times the largest one."""
     A = as_dense(A)
@@ -255,15 +227,21 @@ def numerical_rank(A, rel_tol=RANK_RTOL) -> int:
     return int(np.count_nonzero(svals > rel_tol * svals[0]))
 
 
-def complex_ranks(mats) -> list[int]:
-    """Exact ranks of the derivatives D_k (level k -> k+1) of one complex.
+def collapse(mats):
+    """Pair the entities of one complex of derivatives D_k (level k -> k+1)
+    by collapses and coreductions (Kaczynski, Mischaikow & Mrozek,
+    Computational Homology, 2004).
 
     A live column of D_k with one live nonzero, or a live row with one,
-    adds 1 to rank D_k and its entity pair is deleted.  As D_{k+1} D_k =
-    0, the deletion keeps the ranks of D_{k-1} and D_{k+1} (collapses and
-    coreductions: Kaczynski, Mischaikow & Mrozek, Computational Homology,
-    2004).  Neighbour counts that drop to 1 are queued; the core left
-    over goes to exact_rank.  The pattern alone picks pivots: no tolerance.
+    is paired with that entry's row or column and both are deleted.  As
+    D_{k+1} D_k = 0, the deletion keeps the ranks of D_{k-1} and D_{k+1}.
+    Neighbour counts that drop to 1 are queued; the pattern alone picks
+    pairs: no tolerance.  Each pair, when made, is the only live entry of
+    its row or of its column, so the pairs of D_k in pairing order
+    eliminate with no fill: D_k[rows, cols] is nonsingular.
+
+    Returns (pairs, core): pairs[k] holds one (column, row) of D_k per
+    pair, in pairing order, and core[k] masks level k's unpaired entities.
     """
     mats = [sp.csr_matrix(D) for D in mats]
     if any(a.shape[0] != b.shape[1] for a, b in zip(mats, mats[1:])):
@@ -281,7 +259,7 @@ def complex_ranks(mats) -> list[int]:
     alive = [True] * off[-1]
     # (g, side): side 0 pairs g with its only live coface, side 1 with its only face
     queue = deque((g, side) for side in (0, 1) for g, c in enumerate(count[side]) if c == 1)
-    ranks = [0] * len(mats)
+    pairs = [[] for _ in mats]                   # (face, coface) entity numbers
 
     def delete(g):
         alive[g] = False
@@ -298,15 +276,24 @@ def complex_ranks(mats) -> list[int]:
             continue
         ptr, idx = adj[side]
         partner = next(f for f in idx[ptr[g]:ptr[g + 1]] if alive[f])
-        ranks[level[g] - side] += 1
+        pairs[level[g] - side].append((partner, g) if side else (g, partner))
         delete(g)
         delete(partner)
 
     alive = np.array(alive)
+    return ([np.array(p, dtype=int).reshape(-1, 2) - off[k:k + 2] for k, p in enumerate(pairs)],
+            [alive[off[k]:off[k + 1]] for k in range(len(sizes))])
+
+
+def complex_ranks(mats) -> list[int]:
+    """Exact ranks of the derivatives D_k (level k -> k+1) of one complex:
+    the pairs of collapse(mats), plus exact_rank of the unpaired core."""
+    mats = [sp.csr_matrix(D) for D in mats]
+    pairs, core = collapse(mats)
+    ranks = []
     for k, D in enumerate(mats):
-        core = D[alive[off[k + 1]:off[k + 2]]][:, alive[off[k]:off[k + 1]]]
-        if core.nnz:
-            ranks[k] += exact_rank(core)
+        block = D[core[k + 1]][:, core[k]]
+        ranks.append(len(pairs[k]) + (exact_rank(block) if block.nnz else 0))
     return ranks
 
 

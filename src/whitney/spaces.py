@@ -154,17 +154,6 @@ def _coefficient_matrix(coefficient, dim: int, vector: bool) -> np.ndarray:
     return coefficient
 
 
-def _coefficient_samples(coefficient, pts, dim: int, vector: bool) -> np.ndarray:
-    """Callable coefficient at physical points (nc, nq, dim) as (nc, nq, p, p)."""
-    nc, nq = pts.shape[:2]
-    vals = np.asarray(coefficient(pts.reshape(-1, dim)))
-    if vals.ndim == 1:
-        return vals.reshape(nc, nq, 1, 1) * np.eye(dim if vector else 1)
-    if not vector:
-        raise ValueError("matrix coefficient with scalar-valued integrand")
-    return vals.reshape(nc, nq, dim, dim)
-
-
 def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
                             operator: str = "identity", coefficient=1.0) -> sp.csr_matrix:
     """Assemble int (op row basis) . C . (op col basis) dx over all DOFs.
@@ -174,10 +163,10 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
     covers mass, stiffness, curl-curl, div-div and mixed couplings like
     int v div(tau) with a discontinuous row space.
 
-    The local matrices are one product G @ R of a per-cell geometry
-    tensor G and a reference tensor R.  For a constant coefficient
-    G_c = |det B| M_row^T C M_col and R = sum_q w_q ref_r (x) ref_s; a
-    callable coefficient keeps the quadrature axis in G.
+    The coefficient C is a constant scalar or (dim, dim) matrix.  The
+    local matrices are one product G @ R of the per-cell geometry tensor
+    G_c = |det B| M_row^T C M_col and the reference tensor
+    R = sum_q w_q ref_r (x) ref_s.
     """
     if row_space.mesh is not col_space.mesh:
         raise ValueError("row and column spaces live on different meshes")
@@ -199,16 +188,9 @@ def assemble_stiffness_like(row_space: DiscreteSpace, col_space: DiscreteSpace,
     if row_vec != col_vec:
         raise ValueError("mixed scalar/vector integrand; operator pairing is inconsistent")
 
-    M_rT = np.transpose(M_r, (0, 2, 1))
-    if callable(coefficient):
-        C = _coefficient_samples(coefficient, geo.push_points(rule.points), mesh.dim, row_vec)
-        wdet = rule.weights[None, :] * geo.absdet[:, None]
-        G = (M_rT[:, None] @ C @ M_c[:, None]) * wdet[:, :, None, None]
-        R = np.einsum("rqa,sqb->qabrs", ref_r, ref_c)
-    else:
-        C = _coefficient_matrix(coefficient, mesh.dim, row_vec)
-        G = (M_rT @ C @ M_c) * geo.absdet[:, None, None]
-        R = np.einsum("rqa,sqb,q->abrs", ref_r, ref_c, rule.weights)
+    C = _coefficient_matrix(coefficient, mesh.dim, row_vec)
+    G = (np.transpose(M_r, (0, 2, 1)) @ C @ M_c) * geo.absdet[:, None, None]
+    R = np.einsum("rqa,sqb,q->abrs", ref_r, ref_c, rule.weights)
     nr, ns = ref_r.shape[0], ref_c.shape[0]
     local = G.reshape(mesh.num_cells, -1) @ R.reshape(-1, nr * ns)
     return scatter_cell_blocks(local.reshape(-1, nr, ns), row_space.cell_dofs,

@@ -308,3 +308,14 @@ def test_cli_import_leaves_out_scipy_special():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import whitney.cli; "
             "sys.exit('scipy.special' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, src], timeout=60).returncode == 0
+
+
+def test_edge_cavity_leaves_out_scipy_csgraph():
+    # the tree of the kernel split comes from the collapse, not a graph search
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); import whitney.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = whitney.cli.main(['eig', 'maxwell', '--n', '4'])\n"
+            "sys.exit(code not in (0, 1) or 'scipy.sparse.csgraph' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src], timeout=60,
+                          stderr=subprocess.DEVNULL).returncode == 0

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from whitney.elements import get_family
-from whitney.linalg import CheckFailedError, complex_ranks, spanning_tree_rows
+from whitney.linalg import CheckFailedError, collapse, complex_ranks
 from whitney.mesh import generate_annulus_mesh, generate_disk_mesh, generate_square_mesh
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
 from whitney.experiments import (
@@ -114,13 +114,16 @@ def _edge_pencil(mesh):
 
 
 @pytest.mark.parametrize("domain", ["square", "disk", "annulus"])
-def test_spanning_tree_block_is_unimodular(domain):
+def test_collapse_tree_block_is_unimodular(domain):
+    # the pairs of the gradient match every interior vertex with its own
+    # edge, and the tree block they index has determinant +-1
     mesh = {"square": generate_square_mesh(4, pattern="crossed"),
             "disk": generate_disk_mesh(3), "annulus": generate_annulus_mesh(16)}[domain]
     _, _, G, _ = _edge_pencil(mesh)
-    tree = spanning_tree_rows(G)
-    assert tree.shape == (G.shape[1],) and np.unique(tree).size == tree.size
-    assert abs(abs(np.linalg.det(G[tree].toarray())) - 1.0) <= 1e-12
+    (pairs,), _ = collapse([G])
+    vertices, tree = pairs.T
+    assert sorted(vertices) == list(range(G.shape[1])) and np.unique(tree).size == tree.size
+    assert abs(abs(np.linalg.det(G[tree][:, vertices].toarray())) - 1.0) <= 1e-12
 
 
 def test_annulus_harmonic_field_stays_in_cotree_block():

@@ -13,17 +13,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from whitney import linalg
-from whitney.experiments import edge_cavity_system
+from whitney.experiments import edge_cavity_system, solve_mixed_poisson
+from whitney.mesh import generate_square_mesh
 from whitney.linalg import (
     CheckFailedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularSystemError,
+    collapse,
     complex_ranks,
     exact_rank,
     generalized_symmetric_eig,
     numerical_rank,
-    spanning_tree_rows,
     symmetric_indefinite_solve,
 )
 
@@ -121,15 +122,33 @@ def test_kernel_split_keeps_computed_ritz_values():
                           generalized_symmetric_eig(A, B))
 
 
-def test_spanning_tree_rows_hand_example():
-    # rows 0 and 1 both join vertex 0 to the root, row 2 joins 0 and 1,
-    # row 3 is empty: the first root edge reaches 0, row 2 reaches 1
+def test_collapse_pairs_hand_example():
+    # column 1 meets only row 2, so the two pair first; row 0 then holds
+    # the only live entry of column 0, and row 1 is left with none
     G = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
-    assert spanning_tree_rows(G).tolist() == [0, 2]
-    with pytest.raises(CheckFailedError, match="does not reach"):
-        spanning_tree_rows(np.array([[-1.0, 1.0]]))
-    with pytest.raises(ValueError, match="two nonzeros"):
-        spanning_tree_rows(np.array([[1.0, -1.0, 1.0]]))
+    (pairs,), (vertices, edges) = collapse([G])
+    assert pairs.tolist() == [[1, 2], [0, 0]]
+    assert not vertices.any() and edges.tolist() == [False, True, False, True]
+
+
+def test_kernel_split_needs_every_column_paired():
+    # one row joining two columns: the first column takes the row, the
+    # second is left unpaired, so no tree exists
+    with pytest.raises(CheckFailedError, match="left unpaired"):
+        generalized_symmetric_eig(np.zeros((1, 1)), np.eye(1), kernel=np.array([[-1.0, 1.0]]))
+
+
+def test_kernel_split_accepts_rows_with_three_nonzeros():
+    # rows 1 and 2 hold one entry each and pair first; that leaves row 0,
+    # which has three nonzeros, with one live entry, and it becomes a tree row
+    G = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+    (pairs,), _ = collapse([G])
+    assert pairs.tolist() == [[1, 1], [2, 2], [0, 0]]
+    P = np.eye(4) - G @ np.linalg.solve(G.T @ G, G.T)      # A with ker A = range G
+    B = np.diag([2.0, 3.0, 4.0, 5.0]) + 0.5
+    lam = generalized_symmetric_eig(P, B, kernel=G)
+    assert np.allclose(lam, generalized_symmetric_eig(P, B), rtol=0.0, atol=1e-13)
+    assert np.abs(lam[:3]).max() <= 1e-14 < lam[3]
 
 
 def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
@@ -151,6 +170,16 @@ def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
     x = symmetric_indefinite_solve(system.mass, b)
     assert len(solves) == 1
     assert np.abs(system.mass @ x - b).max() <= 1e-14 * np.abs(b).max()
+
+
+def test_unrefined_solve_is_judged_componentwise(monkeypatch):
+    # a badly shifted saddle system with no refinement: max|r| is 8e-15
+    # of max|A| max|x|, but the backward error of the pressure rows,
+    # max |r_i| / (|A||x| + |b|)_i, is 2e-2, and the final check rejects it
+    monkeypatch.setattr(linalg, "MAX_REFINEMENT_STEPS", 0)
+    monkeypatch.setattr(linalg, "SADDLE_SHIFT", 1e-3)
+    with pytest.raises(SingularSystemError):
+        solve_mixed_poisson(generate_square_mesh(8), coefficient=1e-6)
 
 
 def test_matrix_right_hand_side_and_dense_input():

@@ -217,14 +217,7 @@ def loop_stiffness_like(row_space, col_space, operator, coefficient):
                           geo, rule.points) for s in (row_space, col_space)]
     vector = tabs[0].ndim == 4
     wdet = rule.weights[None, :] * geo.absdet[:, None]
-    pts = geo.push_points(rule.points)
-    nc, nq = pts.shape[:2]
-    if callable(coefficient):
-        C = np.asarray(coefficient(pts.reshape(-1, mesh.dim)))
-        C = C.reshape(nc, nq, *C.shape[1:])
-    else:
-        C = np.broadcast_to(np.asarray(coefficient, dtype=float),
-                            (nc, nq) + np.shape(coefficient))
+    C = np.broadcast_to(np.asarray(coefficient, dtype=float), wdet.shape + np.shape(coefficient))
     if vector:
         if C.ndim == 2:
             C = C[..., None, None] * np.eye(mesh.dim)
@@ -574,11 +567,7 @@ def test_derivative_scatter_matches_loop(meshes, chain):
 
 def _coefficients(dim, vector):
     a = np.arange(1.0, dim * dim + 1).reshape(dim, dim) / dim
-    coeffs = [1.7, lambda x: 1.0 + x[:, 0] ** 2 + 0.5 * x[:, -1]]
-    if vector:
-        coeffs.append(a + dim * np.eye(dim))
-        coeffs.append(lambda x: (1.0 + x[:, 0])[:, None, None] * (a + np.eye(dim)))
-    return coeffs
+    return [1.7, a + dim * np.eye(dim)] if vector else [1.7]
 
 
 def _form_cases():
@@ -783,6 +772,24 @@ def test_complex_ranks_match_dense_and_bareiss(domain, n, order, bc):
         assert ranks == complex_ranks(incidence)
         if mesh.num_cells <= 512:     # dense Bareiss is cubic: 9 s on 1,024 cells
             assert ranks == [bareiss_rank(M.toarray()) for M in incidence]
+
+
+@pytest.mark.parametrize("family", ["lagrange1", "lagrange2"])
+@pytest.mark.parametrize("domain", ["square", "ellipse"])
+def test_laplace_rank_from_gradient_matches_svd_rank(monkeypatch, domain, family):
+    # the rank laplace_eigenvalues certifies its zero count against is the
+    # exact rank of the gradient into the edge partner; the SVD rank of the
+    # stiffness it replaced must agree
+    seen, spectrum = [], experiments._spectrum
+
+    def spy(A, M, rank, kernel=None):
+        seen.append((A, rank))
+        return spectrum(A, M, rank, kernel)
+
+    monkeypatch.setattr(experiments, "_spectrum", spy)
+    experiments.laplace_eigenvalues(domain=domain, family=family, n=4)
+    (K, rank), = seen
+    assert rank == numerical_rank(K) == K.shape[0]
 
 
 @pytest.mark.parametrize("order", [1, 2])
