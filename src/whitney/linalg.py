@@ -20,7 +20,11 @@ known kernel, such as the gradients in an edge space, is split along
 the tree rows the collapse pairs with the kernel's columns (the
 tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
 block, against a Schur complement of the mass, is dense, and the
-kernel keeps its computed Ritz values.
+kernel keeps its computed Ritz values.  That Schur complement is no
+linear solve but a step of the spectral reduction: the Cholesky factor
+of the kernel's mass block reduces the kernel's pencil and gives the
+complement by one triangular solve, just as eigh's "gv" driver factors
+the mass of every dense pencil.
 """
 from __future__ import annotations
 
@@ -31,12 +35,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
 SADDLE_SHIFT = 1e-8
 KERNEL_RTOL = 1e-12
 MAX_REFINEMENT_STEPS = 8
+EPS = np.finfo(float).eps
 
 
 class CheckFailedError(RuntimeError):
@@ -122,7 +128,9 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  The same
     componentwise backward error judges the result: a residual entry
     above `residual_rtol` times its row scale means a singular A (its
-    shifted matrix is regular) or a refinement that fell short.
+    shifted matrix is regular) or a refinement that fell short.  That
+    verdict is taken as each x is accepted and work arrays are reused, so
+    a 2-D b costs at most five arrays its size.
     """
     A = sp.csc_matrix(A, dtype=float)
     # the one copy of A, duplicates summed: its CSR arrays, read as CSC,
@@ -136,9 +144,7 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     # |A_i|_inf, shaped to scale the rows of x
     row_max = row_max.reshape((-1,) + (1,) * (b.ndim - 1))
-    d, x, r = np.abs(A.diagonal()), np.zeros_like(b), b
-    scale = np.abs(b)                          # the row scale of x = 0
-    eps = np.finfo(float).eps
+    d = np.abs(A.diagonal())
     try:
         with np.errstate(all="ignore"):
             schur = (sp.csr_matrix((R.data ** 2, R.indices, R.indptr), shape=A.shape)
@@ -146,29 +152,55 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
             del R
             factor = sparse_lu(A - sp.diags(SADDLE_SHIFT * schur * (d == 0)))
             absA = abs(A)
+            x, r = np.zeros_like(b), b
+            absb = np.abs(b)                     # |r|, and the row scale of x = 0
+            r_max, passed = absb.max(), np.all(absb <= residual_rtol * absb)
+            del absb
             for _ in range(1 + MAX_REFINEMENT_STEPS):    # one solve, then refinement
                 x_next = x + factor.solve(r)
-                r_next = b - A @ x_next
-                if not np.abs(r_next).max() < np.abs(r).max():
+                r_next = A @ x_next
+                np.subtract(b, r_next, out=r_next)
+                r_next_max = np.abs(r_next).max()
+                if not r_next_max < r_max:
                     break
-                x, r = x_next, r_next
-                ax, far = absA @ np.abs(x), row_max * np.abs(x).max(axis=0)
-                near = ax + np.abs(b)
-                tiny = near <= 1000 * A.shape[0] * eps * (far + np.abs(b))
-                scale = np.where(tiny, ax + far, near)
-                if np.all(np.abs(r) <= 4 * eps * scale):
+                x, r, r_max = x_next, r_next, r_next_max
+                converged, passed = _within_backward_error(absA, row_max, b, x, r,
+                                                           (4 * EPS, residual_rtol))
+                if converged:
                     break
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
-    if not np.all(np.abs(r) <= residual_rtol * scale):
+    if not passed:
         raise SingularSystemError("singular system")
     return x
+
+
+def _within_backward_error(absA, row_max, b, x, r, rtols) -> list[bool]:
+    """For each rtol, whether every |r_i| <= rtol * scale_i, the omega_1 /
+    omega_2 row scale of x described in symmetric_indefinite_solve.  It
+    makes at most three arrays the size of b at once."""
+    work = np.abs(x)
+    col_max = work.max(axis=0)
+    ax = absA @ work                             # |A||x|
+    near = np.abs(b, out=work)
+    far = row_max * col_max                      # |A_i|_inf |x|_inf
+    far += near
+    far *= 1000 * absA.shape[0] * EPS
+    near += ax                                   # |A||x| + |b|
+    tiny = near <= far
+    np.multiply(row_max, col_max, out=far)
+    far += ax
+    scale = near
+    np.copyto(scale, far, where=tiny)
+    del ax, tiny
+    r_abs = np.abs(r, out=far)
+    return [bool(np.all(r_abs <= rtol * scale)) for rtol in rtols]
 
 
 def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     """Ascending eigenvalues of A x = lambda B x with A symmetric and B
     symmetric positive definite.  Dense reduction through the Cholesky
-    factor of B.
+    factor of B (NotPositiveDefiniteError where it fails).
 
     `kernel`, a matrix whose columns lie in ker A (the gradient of an
     edge space), splits the spectrum along a tree (the tree-cotree gauge
@@ -180,13 +212,19 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     basis A is diag(0, A_CC), up to the roundoff that max|A kernel| is
     checked against, so the spectrum is the Ritz values on span(kernel),
     which are roundoff, merged with those of (A_CC, S), S the Schur
-    complement of the kernel block of B.  Only the cotree pencil is
-    dense at its full size.  A kernel the split misses, such as a
-    harmonic field, shows as computed near-zero values of the cotree
-    pencil.
+    complement of the kernel block of B.  One Cholesky factor L of
+    kernel^T B kernel serves both: it reduces the Ritz pencil by the steps
+    of the "gv" driver, and S = B_CC - W^T W with W = L^-1 (B kernel)_C^T.
+    Only the cotree pencil is dense at its full size, and LAPACK writes
+    over its two blocks in place, so the split holds little more than
+    those two arrays.  A kernel the split misses, such as a harmonic
+    field, shows as computed near-zero values of the cotree pencil.
     """
     if kernel is None or kernel.shape[1] == 0:
-        return _dense_eig(check_symmetric(as_dense(A), "A"), check_symmetric(as_dense(B), "B"))
+        # check_symmetric returns exactly symmetric arrays: their transposes
+        # are the same matrices, F-ordered, which LAPACK overwrites uncopied
+        A = check_symmetric(as_dense(A), "A").T
+        return _dense_eig(A, _cholesky(check_symmetric(as_dense(B), "B").T))
     A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
     B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
     G = sp.csc_matrix(kernel, dtype=float)
@@ -199,21 +237,38 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     cotree = np.ones(A.shape[0], dtype=bool)
     cotree[pairs[:, 1]] = False
     BG = B @ G
-    GBG = check_symmetric(G.T @ BG, "G^T B G")
+    # S = B_cc - W^T W, W = L^-1 B_Gc; dsyrk writes its lower triangle
+    L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
+    W = sla.solve_triangular(L, BG[cotree].toarray().T, lower=True, overwrite_b=True,
+                             check_finite=False)
+    S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
+                   lower=1, overwrite_c=1)
     GAG = (G.T @ AG).toarray()
     # G^T A G is roundoff alone, which check_symmetric can reject as asymmetric
-    ritz = _dense_eig(0.5 * (GAG + GAG.T), GBG.toarray())
-    B_cG = BG[cotree]
-    S = B[cotree][:, cotree].toarray() - B_cG @ symmetric_indefinite_solve(GBG, B_cG.T.toarray())
-    S = check_symmetric(S, "S")
-    return np.sort(np.concatenate([ritz, _dense_eig(A[cotree][:, cotree].toarray(), S)]))
+    ritz = _dense_eig((0.5 * (GAG + GAG.T)).T, L)
+    del W, GAG, L                   # only the two cotree blocks stay dense
+    A_cc = A[cotree][:, cotree].toarray(order="F")
+    return np.sort(np.concatenate([ritz, _dense_eig(A_cc, _cholesky(S))]))
 
 
-def _dense_eig(A, B) -> np.ndarray:
-    try:
-        return sla.eigh(A, B, eigvals_only=True, driver="gv", check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix not positive definite") from exc
+def _cholesky(B) -> np.ndarray:
+    """The lower Cholesky factor of B, read from and written over its lower
+    triangle (no copy when B is F-ordered)."""
+    L, info = lapack.dpotrf(B, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NotPositiveDefiniteError("matrix not positive definite")
+    return L
+
+
+def _dense_eig(A, L) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (A, L L^T) by the steps of LAPACK's
+    dsygv (eigh's "gv" driver): dsygst reduces A to L^-1 A L^-T, which
+    dsyev solves.  Only lower triangles are read, and A is written over
+    (no copy when F-ordered)."""
+    if A.size == 0:
+        return np.zeros(0)
+    C, _ = lapack.dsygst(A, L, lower=1, overwrite_a=1)
+    return sla.eigh(C, eigvals_only=True, driver="ev", overwrite_a=True, check_finite=False)
 
 
 def numerical_rank(A, rel_tol=RANK_RTOL) -> int:

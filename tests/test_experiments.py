@@ -7,6 +7,9 @@ gradients, not just numerically small.
 """
 
 import json
+import pathlib
+import runpy
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -260,3 +263,15 @@ def test_report_serialization_is_deterministic():
     assert set(d) == {"family", "mesh", "eigenvalues", "zero_count", "zero_threshold",
                       "kernel_dim", "reference", "relative_errors", "passed", "notes"}
     assert len(r.positive_eigenvalues) == len(r.eigenvalues) - r.zero_count
+
+
+def test_cavity_spectra_script_writes_its_reports(tmp_path, capsys):
+    # scripts/cavity_spectra.py at small sizes: three parseable reports,
+    # and the edge report's zero count is its interior-vertex count
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cavity_spectra.py"
+    run = runpy.run_path(str(script))["run"]
+    run(Namespace(n_edge=4, n_nodal=8, n_mixed=4, outdir=tmp_path))
+    reports = {name: json.loads((tmp_path / f"cavity_{name}.json").read_text())
+               for name in ("edge", "nodal", "mixed")}
+    assert reports["edge"]["zero_count"] == reports["edge"]["notes"]["interior_vertices"]
+    assert "reports written" in capsys.readouterr().out

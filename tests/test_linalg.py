@@ -6,6 +6,8 @@ pair with the returned eigenvalues; rank oracles are integer matrices
 whose rank is known by construction (products of full-rank factors).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,6 +22,7 @@ from whitney.linalg import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularSystemError,
+    check_symmetric,
     collapse,
     complex_ranks,
     exact_rank,
@@ -149,6 +152,57 @@ def test_kernel_split_accepts_rows_with_three_nonzeros():
     lam = generalized_symmetric_eig(P, B, kernel=G)
     assert np.allclose(lam, generalized_symmetric_eig(P, B), rtol=0.0, atol=1e-13)
     assert np.abs(lam[:3]).max() <= 1e-14 < lam[3]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_split_holds_at_most_three_cotree_blocks():
+    # the tree Gram block is factored once, and no refined solve with the
+    # dense right-hand side B_Gc runs: at n=16 the split needs at most
+    # three arrays the size of the 1,023 x 1,023 cotree pencil
+    system = edge_cavity_system(16, "crossed")
+    cotree = system.mass.shape[0] - system.interior_vertices
+    _, peak = traced_peak(generalized_symmetric_eig, system.curlcurl, system.mass,
+                          system.gradient)
+    assert peak <= 3 * 8 * cotree ** 2
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_kernel_split_ritz_values_are_dense_gv_values(n):
+    # the one Cholesky factor of G^T B G runs the steps of eigh's gv driver,
+    # so the kernel's Ritz values are the dense oracle's bit for bit
+    system = edge_cavity_system(n, "crossed")
+    A, B = (check_symmetric(sp.csr_matrix(M)) for M in (system.curlcurl, system.mass))
+    G = sp.csc_matrix(system.gradient)
+    GAG = (G.T @ (A @ G)).toarray()
+    want = sla.eigh(0.5 * (GAG + GAG.T), check_symmetric(G.T @ (B @ G)).toarray(),
+                    eigvals_only=True, driver="gv")
+    got = generalized_symmetric_eig(A, B, kernel=G)
+    assert np.array_equal(got[:system.interior_vertices], want)
+
+
+def test_kernel_split_rejects_indefinite_tree_gram():
+    # G^T B G = -1 has no Cholesky factor
+    with pytest.raises(NotPositiveDefiniteError):
+        generalized_symmetric_eig(np.diag([0.0, 4.0]), np.diag([-1.0, 3.0]),
+                                  kernel=np.array([[1.0], [0.0]]))
+
+
+def test_matrix_right_hand_side_in_bounded_memory():
+    # the edge-mass solve of the mixed cavity at n=16, b 1,504 x 1,024:
+    # refinement reuses its work arrays, at most ~5 the size of b
+    system = edge_cavity_system(16)
+    b = (system.cell_mass @ system.curl).T.toarray()
+    x, peak = traced_peak(symmetric_indefinite_solve, system.mass, b)
+    assert np.abs(system.mass @ x - b).max() <= 1e-14 * np.abs(b).max()
+    assert peak <= 5.5 * b.nbytes
 
 
 def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
