@@ -133,7 +133,7 @@ def _flag(passed) -> str:
 def _spectrum_table(rep: experiments.SpectrumReport) -> str:
     lines = [f"{rep.family} spectrum on {rep.mesh}",
              f"  zero eigenvalues: {rep.zero_count} "
-             f"(threshold {rep.zero_threshold:.3e}, rank-based {rep.kernel_dim})"]
+             f"(threshold {rep.zero_threshold:.3e}, kernel {rep.kernel_dim})"]
     positive = rep.positive_eigenvalues
     shown = max(len(rep.reference), min(10, positive.size))
     lines.append(f"  {'#':>3} {'computed':>12} {'reference':>10} {'rel err':>10}")

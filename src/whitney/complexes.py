@@ -13,7 +13,8 @@ checks certify the structural facts the element construction promises:
   fields (check_commuting over a fixed monomial battery),
 * quantitative saddle-point stability for a tail pair: the inf-sup
   constant (compute_infsup, sparse shift-invert Lanczos on the Schur
-  pencil).  The kernel condition needs no audit of its own: for a pair
+  pencil, its deflated count by inertia).  The kernel condition needs
+  no audit of its own: for a pair
   such as face1/dg0, div maps the flux space into the pressure space,
   and check_exactness certifies that inclusion.
 
@@ -31,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .elements import _exterior_derivative
 from .linalg import (CheckFailedError, NotPositiveDefiniteError, _absmax, check_symmetric,
-                     complex_ranks, generalized_symmetric_eig, sparse_lu)
+                     complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
@@ -41,14 +42,11 @@ from .spaces import assemble_derivative, build_space, canonical_projection
 DD_RTOL = 1e-12
 # Schur-pencil eigenvalues at or below this (relative to the largest)
 # are null directions of B^T and are deflated from the inf-sup
-# eigenproblem
+# eigenproblem; their number is an inertia count, not a guess
 DEFLATION_RTOL = 1e-10
-# shift-invert Lanczos for the inf-sup constant: shift -SHIFT_RTOL *
-# lambda_max, INITIAL_NEV eigenvalues first (doubled while all are
-# deflated), explicit pencils up to EXPLICIT_ORDER multipliers
+# inf-sup Lanczos: shift -SHIFT_RTOL * lambda_max; explicit up to EXPLICIT_ORDER multipliers
 SHIFT_RTOL = 1e-2
 SCALE_RTOL = 1e-4              # Lanczos tolerance on lambda_max
-INITIAL_NEV = 4
 EXPLICIT_ORDER = 8
 # commuting checks are quadrature-exact; residuals are roundoff
 BATTERY_DEGREE = 3
@@ -273,68 +271,64 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
         (B a^-1 B^T) q = lambda M_V q
 
     after deflating the null directions of B^T: eigenvalues at or below
-    deflation_tol * lambda_max are dropped, so a surjectivity failure
+    t = deflation_tol * lambda_max are dropped, so a surjectivity failure
     shows up as a rank drop, not a spurious zero.  The remaining
     eigenvectors are M_V-orthogonal to the null directions, so gamma is
     the constant on the quotient of the multiplier space by them.
 
     Everything stays sparse (Chapelle & Bathe, "The inf-sup test",
-    1993): a is factored once by SuperLU, lambda_max comes from Lanczos
-    on the Schur operator (to SCALE_RTOL), and the smallest eigenvalues from
-    shift-invert Lanczos at sigma = -tau, tau = SHIFT_RTOL * lambda_max,
-    whose solves (S + tau M_V)^-1 are one sparse LU of the quasi-definite
-    saddle matrix [[a, B^T], [B, -tau M_V]].  Multiplier spaces of order
-    up to EXPLICIT_ORDER (ARPACK needs more unknowns than eigenvalues)
-    form the same pencil explicitly and take its full spectrum.
+    1993): a is factored once by SuperLU, and lambda_max comes from
+    Lanczos on the Schur operator (to SCALE_RTOL).  The positive pivots
+    of [[a, B^T], [B, t M_V]] past the order of a count the d deflated
+    eigenvalues (Sylvester's law).  Shift-invert Lanczos at -tau, tau =
+    SHIFT_RTOL * lambda_max, by one sparse LU of [[a, B^T], [B, -tau M_V]],
+    finds the d + 1 smallest, of which exactly d must be deflated
+    (Ericsson & Ruhe, 1980).  Up to EXPLICIT_ORDER multipliers (ARPACK
+    needs more unknowns than eigenvalues), or for d < 0 or d + 1 = m,
+    the pencil is formed explicitly and takes its full spectrum.
     """
     B = sp.csr_matrix(coupling, dtype=float)
     a = check_symmetric(sp.csc_matrix(a_form, dtype=float), "a_form").tocsc()
     Mv = check_symmetric(sp.csr_matrix(mass_v, dtype=float), "mass_v")
-    m = B.shape[0]
+    m, n = B.shape
     if m == 0 or B.count_nonzero() == 0:
         return 0.0
     a_lu = sparse_lu(a)
     Bt = B.T.tocsr()
     schur = spla.LinearOperator((m, m), matvec=lambda q: B @ a_lu.solve(Bt @ q), dtype=float)
-    if m <= EXPLICIT_ORDER:
-        return _explicit_infsup(schur, Mv, deflation_tol)
-    # a fixed start vector keeps repeated runs bit-identical; lambda_max
-    # only sets scales, and the top of the spectrum clusters, so a loose
-    # tolerance saves thousands of iterations
-    v0 = np.random.default_rng(0).standard_normal(m)
-    lam_max = float(spla.eigsh(schur, k=1, M=Mv, which="LA", v0=v0, tol=SCALE_RTOL,
-                               return_eigenvectors=False)[0])
-    if lam_max <= 0.0:
-        raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
-    tau = SHIFT_RTOL * lam_max
-    lu = sparse_lu(sp.bmat([[a, Bt], [B, -tau * Mv]], format="csc"))
-    n = a.shape[0]
-    # [[a, B^T], [B, -tau M]] (x, y) = (0, -r) gives y = (S + tau M)^-1 r
-    inverse = spla.LinearOperator(
-        (m, m), matvec=lambda r: lu.solve(np.concatenate([np.zeros(n), -np.ravel(r)]))[n:],
-        dtype=float)
-    nev = INITIAL_NEV
-    while nev < m - 1:
-        lam = spla.eigsh(schur, k=nev, M=Mv, sigma=-tau, OPinv=inverse, v0=v0,
-                         return_eigenvectors=False)
-        gamma = _smallest_kept(lam, lam_max, deflation_tol)
-        if gamma is not None:
-            return gamma
-        nev *= 2
-    return _explicit_infsup(schur, Mv, deflation_tol)
-
-
-def _explicit_infsup(schur, Mv, deflation_tol) -> float:
-    S = schur @ np.eye(schur.shape[0])
+    if m > EXPLICIT_ORDER:
+        # a fixed start vector keeps repeated runs bit-identical; lambda_max
+        # only sets scales, and the top of the spectrum clusters, so a loose
+        # tolerance saves thousands of iterations
+        v0 = np.random.default_rng(0).standard_normal(m)
+        lam_max = float(spla.eigsh(schur, k=1, M=Mv, which="LA", v0=v0, tol=SCALE_RTOL,
+                                   return_eigenvectors=False)[0])
+        if lam_max <= 0.0:
+            raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
+        t = deflation_tol * lam_max
+        deflated = inertia(sp.bmat([[a, Bt], [B, t * Mv]], format="csc"))[1] - n
+        if 0 <= deflated < m - 1:
+            tau = SHIFT_RTOL * lam_max
+            lu = sparse_lu(sp.bmat([[a, Bt], [B, -tau * Mv]], format="csc"))
+            # [[a, B^T], [B, -tau M]] (x, y) = (0, -r) gives y = (S + tau M)^-1 r
+            inverse = spla.LinearOperator(
+                (m, m), dtype=float,
+                matvec=lambda r: lu.solve(np.concatenate([np.zeros(n), -np.ravel(r)]))[n:])
+            lam = spla.eigsh(schur, k=deflated + 1, M=Mv, sigma=-tau, OPinv=inverse, v0=v0,
+                             return_eigenvectors=False)
+            return _smallest_kept(lam, lam_max, deflation_tol, deflated)
+    S = schur @ np.eye(m)
     lam = generalized_symmetric_eig(0.5 * (S + S.T), Mv.toarray())
     return _smallest_kept(lam, lam[-1], deflation_tol)
 
 
-def _smallest_kept(lam, lam_max, deflation_tol):
-    """sqrt of the smallest eigenvalue above deflation_tol * lam_max, or
-    None if all are deflated.  For B != 0 the pencil is positive
-    semidefinite with lam_max > 0 exactly when a is positive definite."""
+def _smallest_kept(lam, lam_max, deflation_tol, deflated=None) -> float:
+    """sqrt of the smallest eigenvalue above deflation_tol * lam_max, with
+    `deflated` (an inertia count) at or below it.  For B != 0 the pencil is
+    positive semidefinite with lam_max > 0 exactly when a is SPD."""
     if lam_max <= 0.0 or np.min(lam) < -deflation_tol * lam_max:
         raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
     kept = lam[lam > deflation_tol * lam_max]
-    return math.sqrt(float(np.min(kept))) if kept.size else None
+    if deflated is not None and lam.size - kept.size != deflated:
+        raise CheckFailedError(f"inf-sup: Lanczos and inertia disagree on {deflated} deflated")
+    return math.sqrt(float(np.min(kept)))

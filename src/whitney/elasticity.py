@@ -263,7 +263,7 @@ def aw_unisolvence_survey(triangles):
     if triangles.ndim != 3 or triangles.shape[1:] != (3, 2):
         raise ValueError(f"triangles need 3 plane vertices each, got {triangles.shape}")
     s = np.linalg.svd(_shape_dof_matrix(triangles)[2], compute_uv=False)
-    # numerical_rank's count, with the largest singular value first
+    # singular values above RANK_RTOL times the largest, which comes first
     rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
     return rank, _condition_numbers(s)
 

@@ -18,16 +18,16 @@ returns a structured report:
   orders 1 and 2, and for the mixed elasticity solver.
 
 Every spectrum comes from one checked eigensolve, full-spectrum: its
-zero count from thresholding is cross-checked against the rank of the
-operator, and a mismatch raises.  That rank is exact from a complex
-(linalg.complex_ranks) wherever the operator factors through one: the
-curl for the edge cavity and its mixed form, the gradient into the
-edge partner for Laplace.  Only the nodal cavity, which belongs to no
-complex, takes an SVD rank.  The edge cavity hands its gradients to the
-eigensolver, which splits them off along the tree its collapse pairs
-with them and densifies only the cotree block; every other pencil is
-dense.  The sweeps share one refinement loop, one order fit per series
-and one L2 error integral.
+zero count from thresholding is cross-checked against the kernel
+dimension, and a mismatch raises.  That is size - rank, exact from a
+complex (linalg.complex_ranks) wherever the operator factors through
+one: the curl for the edge cavity and its mixed form, the gradient into
+the edge partner for Laplace.  The nodal cavity, in no complex, counts
+its kernel by the inertia of one sparse factor.  The edge cavity hands
+its gradients to the eigensolver, which splits them off along the tree
+its collapse pairs with them and densifies only the cotree block; every
+other pencil is dense.  The sweeps share one refinement loop, one order
+fit per series and one L2 error integral.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .linalg import (
     CheckFailedError,
     complex_ranks,
     generalized_symmetric_eig,
-    numerical_rank,
+    inertia,
     symmetric_indefinite_solve,
 )
 from .mesh import Mesh, generate_ellipse_mesh, generate_square_mesh
@@ -206,19 +206,22 @@ def _signed_errors(positive: np.ndarray, reference) -> tuple:
     return tuple((positive[:k] - ref) / ref)
 
 
-def _spectrum(A, M, rank: int, kernel=None):
-    """Ascending eigenvalues of A x = lambda M x, their zero count and the
-    zero threshold.  The count from thresholding must equal the kernel
-    dimension size - rank, or the run aborts.  `kernel`, a known part of
-    ker A (the edge gradients), splits the eigensolve along its
-    tree-cotree gauge; the count still runs on every computed value."""
+def _spectrum(A, M, rank, kernel=None):
+    """Ascending eigenvalues of A x = lambda M x (none: a usage error), their
+    zero count and the zero threshold.  The count from thresholding must
+    equal size - rank, or the inertia count below the threshold for rank
+    None, or the run aborts.  `kernel`, a known part of ker A (the edge
+    gradients), splits the eigensolve along its tree-cotree gauge."""
     lam = generalized_symmetric_eig(A, M, kernel)
+    if lam.size == 0:
+        raise ValueError("the mesh leaves no free DOFs: the spectrum is empty")
     threshold = ZERO_EIGENVALUE_RTOL * max(abs(lam[0]), abs(lam[-1]))
     zero_count = int(np.searchsorted(lam, threshold))
-    if zero_count != lam.size - rank:
+    kernel_dim = lam.size - rank if rank is not None else inertia(A - threshold * M)[0]
+    if zero_count != kernel_dim:
         raise CheckFailedError(
             f"zero-eigenvalue threshold count {zero_count} disagrees with "
-            f"rank-based kernel dimension {lam.size - rank}")
+            f"{'rank-based' if rank is not None else 'inertia'} kernel dimension {kernel_dim}")
     return lam, zero_count, threshold
 
 
@@ -275,17 +278,17 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
 class CavitySystem:
     """Assembled sparse (curl-curl, mass) pair on free DOFs.
 
-    `rank` is the rank of `curlcurl`, computed by the builder, so the
-    kernel dimension to cross-check is curlcurl.shape[0] - rank.  The
-    edge builder also keeps the free-restricted derivatives and the cell
-    mass of the complex, for the gradient-kernel and mixed-form runs.
+    `rank` is the exact rank of the edge `curlcurl` (None for the nodal
+    one, whose kernel _spectrum counts by inertia).  The edge builder
+    also keeps the free-restricted derivatives and the cell mass of the
+    complex, for the gradient-kernel and mixed-form runs.
     """
 
     mesh: Mesh
     curlcurl: sp.csr_matrix
     mass: sp.csr_matrix
     interior_vertices: int
-    rank: int
+    rank: int | None = None
     gradient: sp.csr_matrix | None = None   # free-restricted derivative W -> Q
     curl: sp.csr_matrix | None = None       # free-restricted derivative Q -> V
     cell_mass: sp.csr_matrix | None = None
@@ -333,11 +336,9 @@ def nodal_cavity_system(n: int, pattern: str = "uniform") -> CavitySystem:
     A = sp.bmat([[K[1][1], -K[1][0]], [-K[0][1], K[0][0]]], format="csr")
     M = sp.block_diag([assemble_mass(W)] * 2, format="csr")
     free = np.tile(~mesh.boundary[0], 2)
-    curlcurl = A[free][:, free]
     return CavitySystem(
-        mesh=mesh, curlcurl=curlcurl, mass=M[free][:, free],
-        interior_vertices=int(np.count_nonzero(~mesh.boundary[0])),
-        rank=numerical_rank(curlcurl))
+        mesh=mesh, curlcurl=A[free][:, free], mass=M[free][:, free],
+        interior_vertices=int(np.count_nonzero(~mesh.boundary[0])))
 
 
 def maxwell_eigenvalues(family: str = "edge1", n: int = 16,

@@ -1,5 +1,5 @@
 """Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
-generalized eigensolver, numerical rank, and exact ranks of complexes.
+generalized eigensolver, inertia counts, and exact ranks of complexes.
 
 Every linear system, definite or not and with one right-hand side or
 many, goes through symmetric_indefinite_solve (dense input is converted
@@ -10,8 +10,8 @@ Its refinement and its final check use one componentwise backward
 error, judging rows that a sparse right-hand side leaves empty by the
 omega_2 scale of Arioli, Demmel & Duff (1989).  check_symmetric
 keeps a sparse matrix sparse.  Dense LAPACK is used only for spectra
-(generalized_symmetric_eig) and for the singular values behind
-numerical_rank, which serves operators that belong to no complex.
+(generalized_symmetric_eig); inertia counts the eigenvalues below a
+shift, with no spectrum, from the signs of the sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -142,6 +142,8 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     _require_symmetric(A, sp.csc_matrix((R.data, R.indices, R.indptr), shape=A.shape[::-1]),
                        float(row_max.max(initial=0.0)), "A")
     b = np.asarray(b, dtype=float)
+    if A.shape[0] == 0:
+        return np.zeros_like(b)
     # |A_i|_inf, shaped to scale the rows of x
     row_max = row_max.reshape((-1,) + (1,) * (b.ndim - 1))
     d = np.abs(A.diagonal())
@@ -271,15 +273,18 @@ def _dense_eig(A, L) -> np.ndarray:
     return sla.eigh(C, eigvals_only=True, driver="ev", overwrite_a=True, check_finite=False)
 
 
-def numerical_rank(A, rel_tol=RANK_RTOL) -> int:
-    """Number of singular values above rel_tol times the largest one."""
-    A = as_dense(A)
-    if A.size == 0:
-        return 0
-    svals = sla.svdvals(A, check_finite=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > rel_tol * svals[0]))
+def inertia(K) -> tuple[int, int]:
+    """(negative, positive) eigenvalue counts of a symmetric K: the signs of
+    D = diag(U) in sparse_lu's P K P^T = L D L^T (Sylvester's law; Parlett
+    1998).  A pivot off the diagonal or exactly zero raises CheckFailedError."""
+    try:
+        lu = sparse_lu(K)
+    except SingularSystemError as exc:
+        raise CheckFailedError("inertia: a pivot is exactly zero") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise CheckFailedError("inertia: a pivot left the diagonal")
+    pivots = lu.U.diagonal()
+    return int(np.count_nonzero(pivots < 0)), int(np.count_nonzero(pivots > 0))
 
 
 def collapse(mats):

@@ -110,6 +110,29 @@ def test_maxwell_nodal_and_mixed(capsys):
     code, out, _ = run(capsys, "eig", "maxwell-mixed", "--n", "4")
     assert code == 0
     assert json.loads(out)["notes"]["equivalence_gap"] <= 1e-8
+    # the crossed nodal operator is singular: its kernel, counted by inertia,
+    # is reported, and the band count alone does not show pollution
+    code, out, _ = run(capsys, "eig", "maxwell", "--family", "nodal", "--n", "8",
+                       "--pattern", "crossed")
+    payload = json.loads(out)
+    assert code == 1 and payload["zero_count"] == payload["kernel_dim"] == 36
+
+
+# every README command on the coarsest meshes; the sweeps run --ns 1,2
+TINY_COMMANDS = [f"{cmd} --n {n}" for n in (1, 2) for cmd in (
+    "eig laplace", "eig maxwell", "eig maxwell --family nodal", "eig maxwell-mixed",
+    "complex check --domain square --betti 1,0,0", "complex commute --domain disk --order 2",
+    "aw commute")] + [f"solve {cmd} --ns 1,2" for cmd in (
+        "poisson", "poisson --order 2", "mixed-poisson", "elasticity")]
+
+
+@pytest.mark.parametrize("argv", TINY_COMMANDS)
+def test_tiny_meshes_fail_or_pass_but_never_crash(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code in (0, 1, 2), err
+    # a mesh with no free DOFs has an empty spectrum: a usage error
+    if argv in ("eig laplace --n 1", "eig maxwell --family nodal --n 1"):
+        assert code == 2 and "no free DOFs" in err
 
 
 def test_crashes_are_distinct_from_failed_checks(capsys, monkeypatch):

@@ -88,9 +88,13 @@ def test_cavity_systems_are_sparse_with_exact_rank():
     for A in (edge.curlcurl, edge.mass, edge.cell_mass):
         assert sp.issparse(A) and A.format == "csr"
     assert edge.rank == edge.curlcurl.shape[0] - edge.interior_vertices
-    nodal = nodal_cavity_system(4)
-    assert sp.issparse(nodal.curlcurl) and sp.issparse(nodal.mass)
-    assert nodal.rank == np.linalg.matrix_rank(nodal.curlcurl.toarray())
+    # the nodal operator belongs to no complex: _spectrum counts its kernel
+    # by inertia, and the dense rank must agree
+    for pattern in ("uniform", "crossed"):
+        nodal = nodal_cavity_system(4, pattern)
+        assert sp.issparse(nodal.curlcurl) and sp.issparse(nodal.mass) and nodal.rank is None
+        kernel = nodal.curlcurl.shape[0] - np.linalg.matrix_rank(nodal.curlcurl.toarray())
+        assert _spectrum(nodal.curlcurl, nodal.mass, None)[1] == kernel
 
 
 def test_spectrum_rejects_a_rank_off_by_one():

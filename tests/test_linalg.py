@@ -15,8 +15,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from whitney import linalg
-from whitney.experiments import edge_cavity_system, solve_mixed_poisson
+from whitney.experiments import (
+    ZERO_EIGENVALUE_RTOL,
+    edge_cavity_system,
+    nodal_cavity_system,
+    solve_mixed_poisson,
+)
 from whitney.mesh import generate_square_mesh
+from whitney.spaces import assemble_derivative, assemble_mass, build_space
 from whitney.linalg import (
     CheckFailedError,
     NotPositiveDefiniteError,
@@ -26,8 +32,9 @@ from whitney.linalg import (
     collapse,
     complex_ranks,
     exact_rank,
+    RANK_RTOL,
     generalized_symmetric_eig,
-    numerical_rank,
+    inertia,
     symmetric_indefinite_solve,
 )
 
@@ -269,12 +276,11 @@ def test_row_absmax_matches_dense_rows():
         assert np.array_equal(linalg._row_absmax(sp.csr_matrix(M)), np.abs(M).max(axis=1))
 
 
-def test_numerical_rank_of_incidence_like_matrix():
+def test_exact_ranks_of_incidence_like_matrix():
     # vertex-edge incidence of a path on 5 vertices: rank = V - 1 = 4
     D = np.zeros((4, 5))
     for i in range(4):
         D[i, i], D[i, i + 1] = -1.0, 1.0
-    assert numerical_rank(D) == 4
     assert exact_rank(D.astype(np.int64)) == 4
     # with the vertex-path complex's second derivative empty
     assert complex_ranks([sp.csr_matrix(D), sp.csr_matrix((0, 4))]) == [4, 0]
@@ -284,7 +290,8 @@ def test_exact_vs_float_rank_on_products():
     rng = np.random.default_rng(11)
     for r in (1, 2, 3):
         M = (rng.integers(-2, 3, (6, r)) @ rng.integers(-2, 3, (r, 5))).astype(np.int64)
-        assert exact_rank(M) == numerical_rank(M.astype(float)) == np.linalg.matrix_rank(M)
+        assert (exact_rank(M) == np.linalg.matrix_rank(M.astype(float), rtol=RANK_RTOL)
+                == np.linalg.matrix_rank(M))
         assert exact_rank(M * 0.5) == exact_rank(sp.csr_matrix(M)) == exact_rank(M)
 
 
@@ -295,7 +302,63 @@ def test_exact_rank_where_floats_would_dither():
     # a perturbation below the float rank tolerance still counts exactly:
     # 4 + 2^-40 is stored without rounding
     P = M + np.diag([0.0, 0.0, 2.0 ** -40])
-    assert exact_rank(P) == 3 and numerical_rank(P) == 2
+    assert exact_rank(P) == 3 and np.linalg.matrix_rank(P, rtol=RANK_RTOL) == 2
+
+
+def test_inertia_needs_diagonal_pivots():
+    # the swap's diagonal is zero, so its factor pivots off the diagonal
+    with pytest.raises(CheckFailedError, match="pivot"):
+        inertia(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert inertia(sp.csc_matrix((0, 0))) == (0, 0)
+    assert inertia(sp.diags([2.0, -1.0, 3.0])) == (1, 2)
+
+
+def _dense_pencil(A, M):
+    return sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_inertia_counts_edge_cavity_eigenvalues(n):
+    # Sylvester: the negative pivots of A - sigma M count the eigenvalues
+    # below sigma, here the kernel (1e-3) and the kernel plus a band (10)
+    system = edge_cavity_system(n)
+    A, M = system.curlcurl, system.mass
+    lam = _dense_pencil(A, M)
+    for sigma in (1e-3, 10.0):
+        assert inertia(A - sigma * M)[0] == np.count_nonzero(lam < sigma)
+
+
+@pytest.mark.parametrize("pattern", ["uniform", "crossed"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_inertia_counts_nodal_cavity_kernel(pattern, n):
+    # at the zero threshold of experiments._spectrum: the crossed operator
+    # is singular, and its unshifted factor would pivot off the diagonal
+    system = nodal_cavity_system(n, pattern)
+    A, M = system.curlcurl, system.mass
+    lam = _dense_pencil(A, M)
+    theta = ZERO_EIGENVALUE_RTOL * np.abs(lam).max()
+    assert inertia(A - theta * M)[0] == np.count_nonzero(lam < theta)
+
+
+@pytest.mark.parametrize("bc", ["none", "essential"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_inertia_counts_infsup_schur_eigenvalues(n, bc):
+    # [[a, B^T], [B, t M]] is congruent to diag(a, t M - S), S = B a^-1 B^T,
+    # so its positive pivots past the order of a count the eigenvalues of
+    # (S, M) below t; essential BC leave one null direction of B^T
+    mesh = generate_square_mesh(n)
+    Q, V = build_space(mesh, "face1", bc=bc), build_space(mesh, "dg0")
+    D = assemble_derivative(Q, V).tocsr()[:, Q.free]
+    M = assemble_mass(V)
+    B = M @ D
+    a = Q.restrict(assemble_mass(Q)) + D.T @ M @ D
+    lam = sla.eigh(B @ np.linalg.solve(a.toarray(), B.T.toarray()), M.toarray(),
+                   eigvals_only=True)
+    kept = lam[lam > 1e-10 * lam[-1]]
+    assert lam.size - kept.size == (bc == "essential")
+    for t in (1e-10 * lam[-1], 0.5 * kept[0], 1.5 * kept[0], 1.01 * kept[2]):
+        K = sp.bmat([[a, B.T], [B, t * M]], format="csc")
+        assert inertia(K)[1] - a.shape[0] == np.count_nonzero(lam < t)
 
 
 @settings(deadline=None, max_examples=25)
