@@ -27,12 +27,12 @@ from whitney.linalg import (
     CheckFailedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    RANK_RTOL,
     SingularSystemError,
     check_symmetric,
     collapse,
     complex_ranks,
     exact_rank,
-    RANK_RTOL,
     generalized_symmetric_eig,
     inertia,
     symmetric_indefinite_solve,
