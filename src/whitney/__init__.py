@@ -20,7 +20,6 @@ from .complexes import (
 )
 from .elasticity import (
     aw_unisolvence_check,
-    build_displacement_space,
     build_stress_space,
     solve_mixed_elasticity,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "NotAComplexError",
     "SpectrumReport",
     "aw_unisolvence_check",
-    "build_displacement_space",
     "build_space",
     "build_stress_space",
     "check_commuting",

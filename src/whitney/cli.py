@@ -387,11 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simplicial finite element complexes: audits and experiments.")
     top = parser.add_subparsers(dest="group", required=True, metavar="COMMAND")
 
-    def leaf(sub, name, handler, help_, mesh_source=False, require_domain=False):
+    def leaf(sub, name, handler, help_, mesh_source=False, require_domain=False,
+             require_output=False):
         p = sub.add_parser(name, help=help_, description=help_)
         if mesh_source:
             _add_mesh_source(p, require_domain=require_domain)
-        p.add_argument("--output", "-o", metavar="PATH",
+        p.add_argument("--output", "-o", metavar="PATH", required=require_output,
                        help="output path (JSON report; mesh text for `mesh gen`)")
         p.add_argument("--csv", metavar="PATH",
                        help="also write a CSV rendering ('-' for stdout)")
@@ -399,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     mesh = parser_sub(top, "mesh", "generate and inspect meshes")
+    # mesh gen writes the mesh itself to --output
     gen = leaf(mesh, "gen", _cmd_mesh_gen, "generate a mesh file",
-               mesh_source=True, require_domain=True)
+               mesh_source=True, require_domain=True, require_output=True)
+    gen.set_defaults(output_is_mesh=True)
     leaf(mesh, "info", _cmd_mesh_info, "entity counts and topology of a mesh",
          mesh_source=True)
 
@@ -473,13 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     awc.add_argument("--degree", type=int, default=3)
     awc.add_argument("--tol", type=float, default=AW_COMMUTE_TOL,
                      help=f"max residual allowed (default {AW_COMMUTE_TOL:g})")
-
-    # mesh gen writes the mesh itself to --output
-    gen.set_defaults(output_is_mesh=True)
-    for p in (gen,):
-        for action in p._actions:
-            if action.dest == "output":
-                action.required = True
     return parser
 
 

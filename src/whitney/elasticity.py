@@ -4,7 +4,8 @@ The stress element is the 24-DOF symmetric-matrix triangle whose shape
 space is S_T = {tau in P3(T, S) : div tau in P1(T, R^2)}: all quadratic
 symmetric fields plus the divergence-reduced cubics (30 coefficients
 minus 6 independent constraints).  Displacements are discontinuous
-piecewise linear vector fields.
+piecewise linear vector fields, the catalog family dg1_vector, so their
+mass, load, projection and evaluation are the generic `spaces` calls.
 
 The stress element is not generated from a reference cell by a Piola
 map (its DOF set is not affine-equivariant); each cell has its own
@@ -53,7 +54,6 @@ from .spaces import (
     assemble_mass,
     build_space,
     canonical_projection,
-    evaluate_on_cells,
     scatter_cell_blocks,
 )
 
@@ -322,63 +322,6 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
                        _monomials(local, P3))
 
 
-@dataclass
-class DisplacementSpace:
-    """Discontinuous P1 vectors: both components in the scalar dg1 space.
-
-    DOF (cell, comp, slot) -> cell*6 + comp*3 + slot, where cell*3 + slot
-    is the dg1 DOF of `scalar` (interior moments against 1, x, y in
-    reference coordinates, normalized by the cell measure).
-    """
-
-    scalar: DiscreteSpace
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.scalar.mesh
-
-    @property
-    def ndofs(self) -> int:
-        return 2 * self.scalar.ndofs
-
-    @property
-    def num_cells(self):
-        return self.mesh.num_cells
-
-
-def build_displacement_space(mesh: Mesh) -> DisplacementSpace:
-    if mesh.dim != 2:
-        raise ValueError("displacement space is two-dimensional")
-    return DisplacementSpace(build_space(mesh, "dg1"))
-
-
-def _interleave(v0, v1) -> np.ndarray:
-    """Displacement DOF vector from the dg1 DOF vectors of its components."""
-    return np.stack([v0.reshape(-1, 3), v1.reshape(-1, 3)], axis=1).ravel()
-
-
-def displacement_mass(space: DisplacementSpace) -> sp.csr_matrix:
-    """Block-diagonal L2 Gram of the per-cell nodal P1 vector basis."""
-    M = assemble_mass(space.scalar)
-    # position of each interleaved DOF in the component-major block_diag([M, M])
-    order = _interleave(*np.arange(2 * M.shape[0]).reshape(2, -1))
-    return sp.block_diag([M, M], format="csr")[order][:, order]
-
-
-def displacement_projection(space: DisplacementSpace, f) -> np.ndarray:
-    """Moment DOFs of a smooth vector field (its cellwise P1 projection)."""
-    return _interleave(*[canonical_projection(space.scalar, lambda x: np.asarray(f(x))[:, comp])
-                         for comp in (0, 1)])
-
-
-def evaluate_displacement(space: DisplacementSpace, u: np.ndarray):
-    """(points, weights*|det|, values (nc, nq, 2)) of a DOF vector."""
-    comps = [evaluate_on_cells(space.scalar, u.reshape(-1, 2, 3)[:, comp].ravel())
-             for comp in (0, 1)]
-    pts, wdet, _ = comps[0]
-    return pts, wdet, np.stack([vals for _, _, vals in comps], axis=-1)
-
-
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
     """(points, weights*|det|, values (nc, nq, 3)) of a stress DOF vector."""
     rule = triangle_rule()
@@ -421,8 +364,8 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     return scatter_cell_blocks(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
 
 
-def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
-    """DOF matrix of div: (div sigma)'s displacement DOFs = D sigma."""
+def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
+    """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma."""
     # the dg1 interior moments of each component of div sigma, whose
     # rule runs on the triangle_rule points of space.mono
     _, W = moment_rule(get_family("dg1").dofs, 2)
@@ -430,22 +373,14 @@ def assemble_divergence(space: StressSpace, disp: DisplacementSpace) -> sp.csr_m
     dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
     dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
     local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
-    nc = space.num_cells
-    rows = 6 * np.arange(nc)[:, None] + np.arange(6)
-    return scatter_cell_blocks(local.reshape(nc, 6, NDOF), rows, space.cell_dofs,
-                    (disp.ndofs, space.ndofs))
+    return scatter_cell_blocks(local.reshape(space.num_cells, 6, NDOF), disp.cell_dofs,
+                               space.cell_dofs, (disp.ndofs, space.ndofs))
 
 
-def assemble_coupling(space: StressSpace, disp: DisplacementSpace) -> sp.csr_matrix:
+def assemble_coupling(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
     """b(sigma, v) = int div sigma . v, rows over displacement DOFs: the
     displacement mass times the divergence DOF matrix."""
-    return (displacement_mass(disp) @ assemble_divergence(space, disp)).tocsr()
-
-
-def load_vector(disp: DisplacementSpace, f) -> np.ndarray:
-    """int f . v_k over the displacement nodal basis."""
-    return _interleave(*[assemble_load(disp.scalar, lambda x: np.asarray(f(x))[:, comp])
-                         for comp in (0, 1)])
+    return (assemble_mass(disp) @ assemble_divergence(space, disp)).tocsr()
 
 
 def interpolate_stress(space: StressSpace, field) -> np.ndarray:
@@ -466,7 +401,7 @@ def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:
     monomial of total degree <= degree in each component slot.
     """
     stress = build_stress_space(mesh)
-    disp = build_displacement_space(mesh)
+    disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
     zero = Poly.constant(2, 0.0)
     worst = 0.0
@@ -477,7 +412,7 @@ def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:
             tau = SymPoly(*comps)
             div = tau.div()
             lhs = D @ interpolate_stress(stress, tau.eval)
-            rhs = displacement_projection(disp, div.eval)
+            rhs = canonical_projection(disp, div)
             scale = max(1.0, np.abs(rhs).max())
             worst = max(worst, np.abs(lhs - rhs).max() / scale)
     return worst
@@ -489,7 +424,7 @@ def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:
 @dataclass
 class ElasticitySolution:
     stress_space: StressSpace
-    displacement_space: DisplacementSpace
+    displacement_space: DiscreteSpace
     sigma: np.ndarray
     u: np.ndarray
     equilibrium_residual: float
@@ -509,10 +444,10 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     if f is None:
         raise ValueError("need a load f(points) -> (N, 2)")
     stress = build_stress_space(mesh)
-    disp = build_displacement_space(mesh)
+    disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
-    Bm = (displacement_mass(disp) @ D).tocsr()
-    F = load_vector(disp, f)
+    Bm = (assemble_mass(disp) @ D).tocsr()
+    F = assemble_load(disp, f)
     # assembled inline and in the solver's format, so that neither the
     # compliance matrix nor a CSR copy of K lives through the factorization;
     # blocks that are all CSC with sorted indices are stacked, not sorted
@@ -522,7 +457,7 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     rhs = np.concatenate([np.zeros(stress.ndofs), -F])
     x = symmetric_indefinite_solve(K, rhs)
     sigma, u = x[:stress.ndofs], x[stress.ndofs:]
-    target = displacement_projection(disp, f)
+    target = canonical_projection(disp, f)
     resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
     return ElasticitySolution(stress, disp, sigma, u, float(resid))
 

@@ -20,8 +20,10 @@ entities of a mesh (the canonical interpolant of `spaces`).
 
 2D families: lagrange1..3 (scalar, C0), dg0..2 (scalar, discontinuous),
 edge1..2 (vector, tangentially continuous; order 1 span a + b(-y, x)),
-face1..2 (vector, normally continuous; order 1 span a + b x).  The edge
-family is the 90-degree rotation of the face family.
+face1..2 (vector, normally continuous; order 1 span a + b x), and
+dg1_vector (discontinuous P1 vectors, the elasticity displacements: the
+dg1 moments of component 0, then of component 1).  The edge family is
+the 90-degree rotation of the face family.
 
 3D families (suffix _3d): lagrange1_3d, dg0_3d, edge1_3d (span a + b
 cross x), face1_3d (span a + b x).
@@ -34,8 +36,9 @@ integrals weighted by powers of the arc parameter s in [0, 1]; scalar
 edge moments and interior moments are normalized by the entity measure.
 With these choices every functional is invariant under the family's
 affine pullback (plain for scalars, covariant for edge, contravariant
-for face, plain for discontinuous), so a mesh stored in ascending vertex
-order needs no orientation corrections during assembly.
+for face, plain for discontinuous scalars and vectors), so a mesh stored
+in ascending vertex order needs no orientation corrections during
+assembly.
 """
 from __future__ import annotations
 
@@ -406,6 +409,12 @@ def _build_dg(dim, p):
     return ElementFamily(name, dim, dim, p, "l2", _scalar_span(dim, p), dofs)
 
 
+def _build_dg1_vector():
+    dofs = [DofSpec(2, 0, "interior", exps, comp)
+            for comp in (0, 1) for exps in monomial_exponents(2, 1)]
+    return ElementFamily("dg1_vector", 2, 2, 1, "l2", _p1_vector_span(2), dofs)
+
+
 def _build_edge_2d(p):
     if p == 1:
         span = [_vec(2, 0, Poly.constant(2, 1)), _vec(2, 1, Poly.constant(2, 1)), _rotated_radial()]
@@ -475,6 +484,7 @@ _BUILDERS = {
     "dg0": lambda: _build_dg(2, 0),
     "dg1": lambda: _build_dg(2, 1),
     "dg2": lambda: _build_dg(2, 2),
+    "dg1_vector": _build_dg1_vector,
     "edge1": lambda: _build_edge_2d(1),
     "edge2": lambda: _build_edge_2d(2),
     "face1": lambda: _build_face_2d(1),

@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .elasticity import (
-    evaluate_displacement,
-    evaluate_stress,
-    manufactured_solution,
-    solve_mixed_elasticity,
-)
+from .elasticity import evaluate_stress, manufactured_solution, solve_mixed_elasticity
 from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
@@ -590,7 +585,7 @@ def elasticity_convergence(ns=(4, 8, 16), lam: float = 1.0, mu: float = 1.0,
 
     def level(mesh):
         sol = solve_mixed_elasticity(mesh, lam=lam, mu=mu, f=f)
-        u_sq = _squared_error(evaluate_displacement(sol.displacement_space, sol.u), u_exact)
+        u_sq = _squared_error(evaluate_on_cells(sol.displacement_space, sol.u), u_exact)
         s_sq = _squared_error(evaluate_stress(sol.stress_space, sol.sigma), sigma_exact,
                               np.array([1.0, 2.0, 1.0]))
         return {"err_u": float(np.sqrt(u_sq)), "err_sigma": float(np.sqrt(s_sq)),

@@ -1,17 +1,22 @@
 """Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
 generalized eigensolver, inertia counts, and exact ranks of complexes.
 
-Every linear system, definite or not and with one right-hand side or
-many, goes through symmetric_indefinite_solve (dense input is converted
-to CSC): a zero diagonal shifted to make a saddle matrix quasi-definite
-(Vanderbei 1995), one sparse_lu factorization without pivoting, and
-refinement against the true matrix (Gill, Saunders & Shinnerl 1996).
-Its refinement and its final check use one componentwise backward
-error, judging rows that a sparse right-hand side leaves empty by the
-omega_2 scale of Arioli, Demmel & Duff (1989).  check_symmetric
-keeps a sparse matrix sparse.  Dense LAPACK is used only for spectra
-(generalized_symmetric_eig); inertia counts the eigenvalues below a
-shift, with no spectrum, from the signs of the sparse_lu pivots.
+Every global linear system whose solution is returned, definite or not
+and with one right-hand side or many, goes through
+symmetric_indefinite_solve (dense input is converted to CSC): a zero
+diagonal shifted to make a saddle matrix quasi-definite (Vanderbei
+1995), one sparse_lu factorization without pivoting, and refinement
+against the true matrix (Gill, Saunders & Shinnerl 1996).  Its
+refinement and its final check use one componentwise backward error,
+judging rows that a sparse right-hand side leaves empty by the omega_2
+scale of Arioli, Demmel & Duff (1989).  The Lanczos operators of
+complexes.compute_infsup apply sparse_lu factors directly, unrefined,
+since the eigensolver's own tolerance governs those solves; the stress
+element dualizes its per-cell DOF tables by one stacked dense solve.
+check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used
+only for spectra (generalized_symmetric_eig); inertia counts the
+eigenvalues below a shift, with no spectrum, from the signs of the
+sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core

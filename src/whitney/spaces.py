@@ -5,7 +5,7 @@ are numbered entity-block-wise (all vertex DOFs, then edge, face, cell
 DOFs, each in entity order), and reference shape functions are pushed
 to each cell by the family's Piola map (plain pullback for scalars,
 covariant for edge families, contravariant for face families, plain for
-discontinuous densities).
+discontinuous densities and for the discontinuous vectors of dg1_vector).
 
 Because all entities are stored with ascending vertex indices, the map
 from the reference simplex onto each cell's sorted vertex tuple sends
@@ -16,13 +16,14 @@ DOFs therefore agree without orientation signs.
 Every map is affine, so each side of a form is a fixed reference
 tabulation times a per-cell matrix M_c (B^-T for covariant values and
 gradients, B/det for contravariant values and 3D curl, 1/det for 2D
-curl and div, 1 for scalar values).  Local matrices are then a per-cell
-geometry tensor G_c = |det| M_row^T C M_col times a reference tensor
-R = sum_q w_q ref_r (x) ref_s, one matrix product for all cells (Kirby
-& Logg, "A compiler for variational forms", ACM TOMS 2006).  The
-derivative matrix is a single sorted scatter.  The canonical projection
-applies the catalog's own DOFs (`elements.dof_moments`) to the global
-entities of each dimension, calling the field once per entity kind.
+curl and div, the identity for unmapped scalar and vector values).
+Local matrices are then a per-cell geometry tensor G_c = |det| M_row^T
+C M_col times a reference tensor R = sum_q w_q ref_r (x) ref_s, one
+matrix product for all cells (Kirby & Logg, "A compiler for variational
+forms", ACM TOMS 2006).  The derivative matrix is a single sorted
+scatter.  The canonical projection applies the catalog's own DOFs
+(`elements.dof_moments`) to the global entities of each dimension,
+calling the field once per entity kind.
 
 Essential boundary conditions are realized by eliminating DOFs attached
 to boundary entities of codimension >= 1 (value trace for scalar
@@ -115,7 +116,8 @@ class DerivativeNotSingleValuedError(RuntimeError):
 def _pullback(family: ElementFamily, derivative: bool, geo) -> np.ndarray:
     """Per-cell maps M_c taking reference values (or derivatives) to
     physical ones, phys = M_c ref: (nc, p, m), with p = m = 1 for
-    scalar-valued sides."""
+    scalar-valued sides; unmapped (h1, l2) values pass through as the
+    identity."""
     kind = family.derivative_kind if derivative else family.mapping
     if kind is None:
         raise ValueError(f"{family.name} has no derivative")
@@ -125,7 +127,8 @@ def _pullback(family: ElementFamily, derivative: bool, geo) -> np.ndarray:
         return geo.B / geo.detB[:, None, None]
     if kind in ("curl", "div"):
         return (1.0 / geo.detB)[:, None, None]
-    return np.ones((geo.detB.shape[0], 1, 1))
+    n = family.mesh_dim if family.value_kind == "vector" else 1
+    return np.broadcast_to(np.eye(n), (geo.detB.shape[0], n, n))
 
 
 def _as_vector_tab(ref: np.ndarray) -> np.ndarray:

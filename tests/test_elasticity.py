@@ -20,14 +20,10 @@ from whitney.elasticity import (
     aw_unisolvence_survey,
     assemble_coupling,
     assemble_divergence,
-    build_displacement_space,
     build_stress_space,
     commutativity_residual,
     constraint_matrix,
     dimension_bookkeeping,
-    displacement_mass,
-    displacement_projection,
-    evaluate_displacement,
     evaluate_stress,
     interpolate_stress,
     manufactured_solution,
@@ -37,6 +33,7 @@ from whitney.linalg import RANK_RTOL
 from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
 from whitney.poly import Poly, SymPoly, monomial_exponents
 from whitney.quadrature import interval_rule, tetrahedron_rule, triangle_rule
+from whitney.spaces import assemble_mass, build_space, canonical_projection, evaluate_on_cells
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -166,16 +163,16 @@ def test_nodal_divergences_are_affine():
 
 def test_coupling_factors_through_divergence(crossed2):
     stress = build_stress_space(crossed2)
-    disp = build_displacement_space(crossed2)
+    disp = build_space(crossed2, "dg1_vector")
     B = assemble_coupling(stress, disp)
-    MvD = displacement_mass(disp) @ assemble_divergence(stress, disp)
+    MvD = assemble_mass(disp) @ assemble_divergence(stress, disp)
     diff = np.abs((B - MvD).todense()).max()
     assert diff <= 1e-12 * max(1.0, np.abs(B.todense()).max())
 
 
 def test_divergence_is_onto_displacements(crossed2):
     stress = build_stress_space(crossed2)
-    disp = build_displacement_space(crossed2)
+    disp = build_space(crossed2, "dg1_vector")
     D = np.asarray(assemble_divergence(stress, disp).todense())
     assert np.linalg.matrix_rank(D, rtol=RANK_RTOL) == 6 * crossed2.num_cells
 
@@ -269,7 +266,7 @@ def _solution_errors(n, lam=1.0, mu=1.0):
     mesh = generate_square_mesh(n, pattern="uniform")
     u_exact, sigma_exact, f = manufactured_solution(lam, mu)
     sol = solve_mixed_elasticity(mesh, lam, mu, f)
-    pts, wdet, uvals = evaluate_displacement(sol.displacement_space, sol.u)
+    pts, wdet, uvals = evaluate_on_cells(sol.displacement_space, sol.u)
     du = uvals - u_exact(pts.reshape(-1, 2)).reshape(uvals.shape)
     err_u = np.sqrt(np.einsum("cqi,cq->", du ** 2, wdet))
     pts, wdet, svals = evaluate_stress(sol.stress_space, sol.sigma)
@@ -298,9 +295,9 @@ def test_moduli_validation():
 
 
 def test_displacement_projection_reproduces_p1(crossed2):
-    disp = build_displacement_space(crossed2)
+    disp = build_space(crossed2, "dg1_vector")
     field = lambda p: np.stack([1.0 + 2.0 * p[:, 0], p[:, 1] - p[:, 0]], axis=-1)
-    dofs = displacement_projection(disp, field)
-    pts, _, vals = evaluate_displacement(disp, dofs)
+    dofs = canonical_projection(disp, field)
+    pts, _, vals = evaluate_on_cells(disp, dofs)
     exact = field(pts.reshape(-1, 2)).reshape(vals.shape)
     assert np.max(np.abs(vals - exact)) <= 1e-12

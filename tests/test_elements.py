@@ -33,6 +33,7 @@ SHAPE_DIMS = {
     "dg0": 1,
     "dg1": 3,
     "dg2": 6,
+    "dg1_vector": 6,
     "edge1": 3,
     "edge2": 8,
     "face1": 3,

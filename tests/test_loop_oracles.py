@@ -8,7 +8,7 @@ substance: set-and-dict entity numbering, a dict-based derivative
 scatter, quadrature-point assembly with per-cell physical tabulations,
 one field call per edge or face, per-entity incidence lookups, per-cell
 stress dualization and assembly, the einsum displacement helpers that
-the dg1 space replaced, the SVD-deflated dense inf-sup constant, a
+the dg1_vector space replaced, the SVD-deflated dense inf-sup constant, a
 dense Cholesky solve of the primal Poisson system, a dense LU solve of
 the saddle systems (refined with exact rational residuals), dense
 Bareiss elimination plus SVD rank for the ranks of a complex, and the
@@ -58,6 +58,7 @@ from whitney.spaces import (
     assemble_stiffness_like,
     build_space,
     canonical_projection,
+    evaluate_on_cells,
 )
 
 RTOL = 1e-13
@@ -195,7 +196,7 @@ def _physical_tab(family, derivative, geo, points):
     nc = geo.B.shape[0]
     if not derivative:
         ref = family.tabulate(points)
-        if family.value_kind == "scalar":
+        if family.value_kind == "scalar" or family.mapping == "l2":
             return np.broadcast_to(ref, (nc,) + ref.shape)
         if family.mapping == "covariant":
             return np.einsum("sqj,cji->csqi", ref, geo.Binv)
@@ -455,7 +456,7 @@ def einsum_displacement_mass(disp):
     tab = get_family("dg1").tabulate(rule.points)
     local = np.einsum("iq,jq,q->ij", tab, tab, rule.weights)
     blocks = disp.mesh.geometry.absdet[:, None, None] * local[None, :, :]
-    comp_block = np.zeros((disp.num_cells, 6, 6))
+    comp_block = np.zeros((disp.mesh.num_cells, 6, 6))
     comp_block[:, :3, :3] = blocks
     comp_block[:, 3:, 3:] = blocks
     return sp.block_diag(comp_block, format="csr")
@@ -464,7 +465,7 @@ def einsum_displacement_mass(disp):
 def einsum_displacement_projection(disp, f):
     rule = triangle_rule()
     pts = disp.mesh.geometry.push_points(rule.points)
-    vals = np.asarray(f(pts.reshape(-1, 2))).reshape(disp.num_cells, -1, 2)
+    vals = np.asarray(f(pts.reshape(-1, 2))).reshape(disp.mesh.num_cells, -1, 2)
     moments = 2.0 * np.einsum("cqi,sq,q->cis", vals, _dg1_moment_weights(rule), rule.weights)
     return moments.reshape(-1)
 
@@ -473,7 +474,7 @@ def einsum_load_vector(disp, f):
     rule = triangle_rule()
     tab = get_family("dg1").tabulate(rule.points)
     geo = disp.mesh.geometry
-    vals = np.asarray(f(geo.push_points(rule.points).reshape(-1, 2))).reshape(disp.num_cells, -1, 2)
+    vals = np.asarray(f(geo.push_points(rule.points).reshape(-1, 2))).reshape(disp.mesh.num_cells, -1, 2)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     return np.einsum("cqi,mq,cq->cim", vals, tab, wdet).reshape(-1)
 
@@ -481,7 +482,7 @@ def einsum_load_vector(disp, f):
 def einsum_evaluate_displacement(disp, u, rule):
     tab = get_family("dg1").tabulate(rule.points)
     geo = disp.mesh.geometry
-    vals = np.einsum("cis,sq->cqi", u.reshape(disp.num_cells, 2, 3), tab)
+    vals = np.einsum("cis,sq->cqi", u.reshape(disp.mesh.num_cells, 2, 3), tab)
     return geo.push_points(rule.points), rule.weights[None, :] * geo.absdet[:, None], vals
 
 
@@ -629,7 +630,7 @@ def _stress_meshes(meshes):
 def test_batched_stress_element_matches_cell_loop(meshes, which):
     mesh = _stress_meshes(meshes)[which]
     space = el.build_stress_space(mesh)
-    disp = el.build_displacement_space(mesh)
+    disp = build_space(mesh, "dg1_vector")
     cells = loop_stress_cells(mesh)
     _assert_close(space.coeffs, np.stack([c[2] for c in cells]), "coeffs")
     _assert_close(space.cond, np.array([c[3] for c in cells]), "cond")
@@ -677,22 +678,42 @@ def test_global_stress_interpolant_matches_per_cell_dofs(meshes):
     _assert_close(el.interpolate_stress(space, field)[space.cell_dofs], per_cell, "per-cell dofs")
 
 
+def test_dg1_vector_numbering_is_cell_component_moment(meshes):
+    """The saddle matrix's SuperLU ordering and fill rest on the numbering
+    cell*6 + component*3 + moment, which build_space alone decides."""
+    mesh = meshes[2]
+    disp = build_space(mesh, "dg1_vector")
+    assert np.array_equal(disp.cell_dofs, 6 * np.arange(mesh.num_cells)[:, None] + np.arange(6))
+    moments = get_family("dg1").dofs
+    for i, dof in enumerate(disp.family.dofs):
+        assert (dof.kind, dof.component, dof.weight) == ("interior", i // 3, moments[i % 3].weight)
+    # the block-interleaved per-component dg1 mass, bit for bit
+    M = assemble_mass(build_space(mesh, "dg1"))
+    n = M.shape[0]
+    order = np.stack([np.arange(n).reshape(-1, 3), n + np.arange(n).reshape(-1, 3)], axis=1)
+    old = sp.block_diag([M, M], format="csr")[order.ravel()][:, order.ravel()]
+    new = assemble_mass(disp)
+    assert new.nnz == old.nnz and np.array_equal(new.toarray(), old.toarray())
+    with pytest.raises(ValueError, match="2D mesh"):
+        build_space(generate_cube_mesh(2), "dg1_vector")
+
+
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
 def test_dg1_displacement_space_matches_einsum_helpers(meshes, which):
-    disp = el.build_displacement_space(_stress_meshes(meshes)[which])
+    disp = build_space(_stress_meshes(meshes)[which], "dg1_vector")
 
     def f(p):
         x, y = p[:, 0], p[:, 1]
         return np.stack([np.sin(1.0 + x + 2.0 * y), np.cos(x * y - 0.3) + x ** 2], axis=-1)
 
-    M, M_old = el.displacement_mass(disp), einsum_displacement_mass(disp)
+    M, M_old = assemble_mass(disp), einsum_displacement_mass(disp)
     assert np.array_equal((M != 0).toarray(), (M_old != 0).toarray())
     _assert_close(M, M_old, "mass")
-    _assert_close(el.displacement_projection(disp, f), einsum_displacement_projection(disp, f),
+    _assert_close(canonical_projection(disp, f), einsum_displacement_projection(disp, f),
                   "projection")
-    _assert_close(el.load_vector(disp, f), einsum_load_vector(disp, f), "load")
+    _assert_close(assemble_load(disp, f), einsum_load_vector(disp, f), "load")
     u = np.random.default_rng(5).standard_normal(disp.ndofs)
-    new = el.evaluate_displacement(disp, u)
+    new = evaluate_on_cells(disp, u)
     old = einsum_evaluate_displacement(disp, u, triangle_rule())
     for a, b, what in zip(new, old, ("points", "weights", "values")):
         assert a.shape == b.shape
