@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the JSON of every README command under two source trees.
 
-    python3 scripts/readme_json_diff.py OLD_SRC NEW_SRC [--match TEXT]
+    python3 scripts/readme_json_diff.py OLD_SRC NEW_SRC
 
 Each `whitney ...` line of the README's shell blocks runs as `python3 -m
 whitney ...` with PYTHONPATH=OLD_SRC and again with NEW_SRC, each tree in
@@ -76,35 +76,35 @@ def compare(old, new):
     return floats, problems
 
 
+def diff_command(old_src, new_src, words, old_dir, new_dir):
+    """Run one command under both trees and print its line; True when the
+    exit codes, keys, list lengths or non-float leaves differ."""
+    (old_code, old_out), (new_code, new_out) = (
+        run(old_src, words, old_dir), run(new_src, words, new_dir))
+    try:
+        floats, problems = compare(json.loads(old_out), json.loads(new_out))
+    except json.JSONDecodeError:
+        floats, problems = [], ["stdout is not JSON"]
+    worst = max((d[3] for d in floats), default=0.0)
+    same = "identical" if old_out == new_out else "differ"
+    print(f"exit {old_code} {new_code}  max_rel {worst:.2e}  bytes {same}  "
+          f"{shlex.join(['whitney', *words])}")
+    for path, x, y, rel in floats:
+        print(f"    {path}: {x!r} -> {y!r} (rel {rel:.2e})")
+    for path in problems:
+        print(f"    mismatch at {path}")
+    return bool(problems) or old_code != new_code
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="source tree to compare against (holds whitney/)")
     parser.add_argument("new_src", help="source tree under test")
-    parser.add_argument("--match", default="",
-                        help="run only the commands whose text contains this")
     args = parser.parse_args(argv)
 
-    failed = 0
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
-        for words in readme_commands(README.read_text()):
-            command = shlex.join(["whitney", *words])
-            if args.match not in command:
-                continue
-            (old_code, old_out), (new_code, new_out) = (
-                run(args.old_src, words, old_dir), run(args.new_src, words, new_dir))
-            try:
-                floats, problems = compare(json.loads(old_out), json.loads(new_out))
-            except json.JSONDecodeError:
-                floats, problems = [], ["stdout is not JSON"]
-            if problems or old_code != new_code:
-                failed += 1
-            worst = max((d[3] for d in floats), default=0.0)
-            same = "identical" if old_out == new_out else "differ"
-            print(f"exit {old_code} {new_code}  max_rel {worst:.2e}  bytes {same}  {command}")
-            for path, x, y, rel in floats:
-                print(f"    {path}: {x!r} -> {y!r} (rel {rel:.2e})")
-            for path in problems:
-                print(f"    mismatch at {path}")
+        failed = sum(diff_command(args.old_src, args.new_src, words, old_dir, new_dir)
+                     for words in readme_commands(README.read_text()))
     return 1 if failed else 0
 
 

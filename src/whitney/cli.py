@@ -388,22 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True, metavar="COMMAND")
 
     def leaf(sub, name, handler, help_, mesh_source=False, require_domain=False,
-             require_output=False):
+             mesh_output=False):
         p = sub.add_parser(name, help=help_, description=help_)
         if mesh_source:
             _add_mesh_source(p, require_domain=require_domain)
-        p.add_argument("--output", "-o", metavar="PATH", required=require_output,
+        p.add_argument("--output", "-o", metavar="PATH", required=mesh_output,
                        help="output path (JSON report; mesh text for `mesh gen`)")
         p.add_argument("--csv", metavar="PATH",
                        help="also write a CSV rendering ('-' for stdout)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, output_is_mesh=mesh_output)
         return p
 
     mesh = parser_sub(top, "mesh", "generate and inspect meshes")
-    # mesh gen writes the mesh itself to --output
-    gen = leaf(mesh, "gen", _cmd_mesh_gen, "generate a mesh file",
-               mesh_source=True, require_domain=True, require_output=True)
-    gen.set_defaults(output_is_mesh=True)
+    leaf(mesh, "gen", _cmd_mesh_gen, "generate a mesh file",
+         mesh_source=True, require_domain=True, mesh_output=True)
     leaf(mesh, "info", _cmd_mesh_info, "entity counts and topology of a mesh",
          mesh_source=True)
 
@@ -524,7 +522,7 @@ def main(argv=None) -> int:
     payload = dict(outcome.payload)
     payload["config"] = _run_config(args).to_dict()
     text = canonical_json(payload)
-    if getattr(args, "output_is_mesh", False) or not args.output:
+    if args.output_is_mesh or not args.output:
         sys.stdout.write(text)
     else:
         with open(args.output, "w") as fh:

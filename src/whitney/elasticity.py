@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .elements import _read_only, get_family, moment_rule
+from .elements import _read_only, moment_rule
 from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, SymPoly, monomial_exponents
@@ -366,15 +366,18 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
 
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma."""
-    # the dg1 interior moments of each component of div sigma, whose
-    # rule runs on the triangle_rule points of space.mono
-    _, W = moment_rule(get_family("dg1").dofs, 2)
+    # DOF m of the family is moment rule W[m] (on the triangle_rule points
+    # of space.mono) of component comp[m] of div sigma; every component
+    # takes every rule, and each DOF keeps its own component
+    _, W = moment_rule(disp.family.dofs, 2)
+    comp = [dof.component for dof in disp.family.dofs]
     p2 = space.mono[..., [P3.index(e) for e in P2]]                # (nc, nq, 6)
     dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
     dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
     local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
-    return scatter_cell_blocks(local.reshape(space.num_cells, 6, NDOF), disp.cell_dofs,
-                               space.cell_dofs, (disp.ndofs, space.ndofs))
+    local = local[:, comp, range(len(comp))]                       # (nc, 6, 24)
+    return scatter_cell_blocks(local, disp.cell_dofs, space.cell_dofs,
+                               (disp.ndofs, space.ndofs))
 
 
 def assemble_coupling(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:

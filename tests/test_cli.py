@@ -346,13 +346,14 @@ def test_edge_cavity_leaves_out_scipy_csgraph():
                           stderr=subprocess.DEVNULL).returncode == 0
 
 
-def test_readme_json_diff_of_a_tree_against_itself_is_zero(capsys):
+def test_readme_json_diff_of_a_tree_against_itself_is_zero(capsys, tmp_path):
     # scripts/readme_json_diff.py on one fast README command, same tree twice
     root = pathlib.Path(__file__).resolve().parents[1]
     script = runpy.run_path(str(root / "scripts" / "readme_json_diff.py"))
-    assert ["aw", "commute", "--n", "4"] in script["readme_commands"]((root / "README.md").read_text())
+    words = ["aw", "commute", "--n", "4"]
+    assert words in script["readme_commands"]((root / "README.md").read_text())
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    assert script["main"]([src, src, "--match", "aw commute"]) == 0
+    assert script["diff_command"](src, src, words, tmp_path, tmp_path) is False
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["exit 0 0  max_rel 0.00e+00  bytes identical  whitney aw commute --n 4"]
     floats, problems = script["compare"]({"a": [1.0, 2], "b": "x"}, {"a": [1.5, 2], "c": "x"})
