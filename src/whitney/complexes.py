@@ -13,13 +13,13 @@ checks certify the structural facts the element construction promises:
   fields (check_commuting over a fixed monomial battery),
 * quantitative saddle-point stability for a tail pair: the inf-sup
   constant (compute_infsup, sparse shift-invert Lanczos on the Schur
-  pencil, its deflated count by inertia).  The kernel condition needs
-  no audit of its own: for a pair
-  such as face1/dg0, div maps the flux space into the pressure space,
-  and check_exactness certifies that inclusion.
+  pencil, its deflated count by inertia, a non-SPD a-form rejected by
+  its pivots).  The kernel condition needs no audit of its own: for a
+  pair such as face1/dg0, div maps the flux space into the pressure
+  space, and check_exactness certifies that inclusion.
 
 Every audit here is sparse, except the explicit inf-sup pencil of at
-most EXPLICIT_ORDER multipliers.
+most EXPLICIT_ORDER multipliers, one Cholesky step (cholesky_reduce).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .elements import _exterior_derivative
 from .linalg import (CheckFailedError, NotPositiveDefiniteError, _absmax, check_symmetric,
-                     complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
+                     cholesky_reduce, complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
 from .mesh import Mesh
 from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
@@ -262,7 +262,7 @@ def check_commuting(cx: DiscreteComplex, degree: int = BATTERY_DEGREE) -> np.nda
 # -- saddle-point stability ----------------------------------------------------
 
 
-def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> float:
+def compute_infsup(coupling, a_form, mass_v) -> float:
     """Inf-sup constant of a coupling form against an SPD a-form.
 
     gamma is the square root of the smallest eigenvalue of the Schur
@@ -271,21 +271,22 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
         (B a^-1 B^T) q = lambda M_V q
 
     after deflating the null directions of B^T: eigenvalues at or below
-    t = deflation_tol * lambda_max are dropped, so a surjectivity failure
+    t = DEFLATION_RTOL * lambda_max are dropped, so a surjectivity failure
     shows up as a rank drop, not a spurious zero.  The remaining
     eigenvectors are M_V-orthogonal to the null directions, so gamma is
     the constant on the quotient of the multiplier space by them.
 
     Everything stays sparse (Chapelle & Bathe, "The inf-sup test",
-    1993): a is factored once by SuperLU, and lambda_max comes from
-    Lanczos on the Schur operator (to SCALE_RTOL).  The positive pivots
-    of [[a, B^T], [B, t M_V]] past the order of a count the d deflated
-    eigenvalues (Sylvester's law).  Shift-invert Lanczos at -tau, tau =
-    SHIFT_RTOL * lambda_max, by one sparse LU of [[a, B^T], [B, -tau M_V]],
-    finds the d + 1 smallest, of which exactly d must be deflated
-    (Ericsson & Ruhe, 1980).  Up to EXPLICIT_ORDER multipliers (ARPACK
-    needs more unknowns than eigenvalues), or for d < 0 or d + 1 = m,
-    the pencil is formed explicitly and takes its full spectrum.
+    1993): a is factored once by SuperLU, whose pivots reject an a-form
+    that is not SPD, and lambda_max comes from Lanczos (to SCALE_RTOL).
+    The positive pivots of [[a, B^T], [B, t M_V]] past the order of a
+    count the d deflated eigenvalues (Sylvester's law).  Shift-invert
+    Lanczos at -tau, tau = SHIFT_RTOL * lambda_max, by one sparse LU of
+    [[a, B^T], [B, -tau M_V]], finds the d + 1 smallest, of which exactly
+    d must be deflated (Ericsson & Ruhe, 1980).  Up to EXPLICIT_ORDER
+    multipliers (ARPACK needs more unknowns than eigenvalues), or for
+    d + 1 = m, the pencil is formed explicitly as the Gram matrix W^T W,
+    W = L^-1 B^T by linalg.cholesky_reduce, and takes its full spectrum.
     """
     B = sp.csr_matrix(coupling, dtype=float)
     a = check_symmetric(sp.csc_matrix(a_form, dtype=float), "a_form").tocsc()
@@ -294,20 +295,20 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
     if m == 0 or B.count_nonzero() == 0:
         return 0.0
     a_lu = sparse_lu(a)
+    if not np.array_equal(a_lu.perm_r, a_lu.perm_c) or np.any(a_lu.U.diagonal() <= 0.0):
+        raise NotPositiveDefiniteError("a_form is not SPD by the pivots of its factor")
     Bt = B.T.tocsr()
-    schur = spla.LinearOperator((m, m), matvec=lambda q: B @ a_lu.solve(Bt @ q), dtype=float)
     if m > EXPLICIT_ORDER:
+        schur = spla.LinearOperator((m, m), matvec=lambda q: B @ a_lu.solve(Bt @ q), dtype=float)
         # a fixed start vector keeps repeated runs bit-identical; lambda_max
         # only sets scales, and the top of the spectrum clusters, so a loose
         # tolerance saves thousands of iterations
         v0 = np.random.default_rng(0).standard_normal(m)
         lam_max = float(spla.eigsh(schur, k=1, M=Mv, which="LA", v0=v0, tol=SCALE_RTOL,
                                    return_eigenvectors=False)[0])
-        if lam_max <= 0.0:
-            raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
-        t = deflation_tol * lam_max
+        t = DEFLATION_RTOL * lam_max
         deflated = inertia(sp.bmat([[a, Bt], [B, t * Mv]], format="csc"))[1] - n
-        if 0 <= deflated < m - 1:
+        if deflated < m - 1:
             tau = SHIFT_RTOL * lam_max
             lu = sparse_lu(sp.bmat([[a, Bt], [B, -tau * Mv]], format="csc"))
             # [[a, B^T], [B, -tau M]] (x, y) = (0, -r) gives y = (S + tau M)^-1 r
@@ -316,19 +317,19 @@ def compute_infsup(coupling, a_form, mass_v, deflation_tol=DEFLATION_RTOL) -> fl
                 matvec=lambda r: lu.solve(np.concatenate([np.zeros(n), -np.ravel(r)]))[n:])
             lam = spla.eigsh(schur, k=deflated + 1, M=Mv, sigma=-tau, OPinv=inverse, v0=v0,
                              return_eigenvectors=False)
-            return _smallest_kept(lam, lam_max, deflation_tol, deflated)
-    S = schur @ np.eye(m)
-    lam = generalized_symmetric_eig(0.5 * (S + S.T), Mv.toarray())
-    return _smallest_kept(lam, lam[-1], deflation_tol)
+            return _smallest_kept(lam, lam_max, deflated)
+    _, W = cholesky_reduce(a, Bt)
+    lam = generalized_symmetric_eig(W.T @ W, Mv.toarray())
+    return _smallest_kept(lam, lam[-1])
 
 
-def _smallest_kept(lam, lam_max, deflation_tol, deflated=None) -> float:
-    """sqrt of the smallest eigenvalue above deflation_tol * lam_max, with
-    `deflated` (an inertia count) at or below it.  For B != 0 the pencil is
-    positive semidefinite with lam_max > 0 exactly when a is SPD."""
-    if lam_max <= 0.0 or np.min(lam) < -deflation_tol * lam_max:
-        raise NotPositiveDefiniteError("Schur pencil is not positive: a_form is not SPD")
-    kept = lam[lam > deflation_tol * lam_max]
+def _smallest_kept(lam, lam_max, deflated=None) -> float:
+    """sqrt of the smallest eigenvalue above DEFLATION_RTOL * lam_max, with
+    `deflated` (an inertia count) at or below it.  For an SPD a and B != 0
+    the pencil is positive semidefinite, with lam_max > 0."""
+    if lam_max <= 0.0 or np.min(lam) < -DEFLATION_RTOL * lam_max:
+        raise NotPositiveDefiniteError("Schur pencil is not positive semidefinite")
+    kept = lam[lam > DEFLATION_RTOL * lam_max]
     if deflated is not None and lam.size - kept.size != deflated:
         raise CheckFailedError(f"inf-sup: Lanczos and inertia disagree on {deflated} deflated")
     return math.sqrt(float(np.min(kept)))

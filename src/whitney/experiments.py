@@ -23,11 +23,11 @@ dimension, and a mismatch raises.  That is size - rank, exact from a
 complex (linalg.complex_ranks) wherever the operator factors through
 one: the curl for the edge cavity and its mixed form, the gradient into
 the edge partner for Laplace.  The nodal cavity, in no complex, counts
-its kernel by the inertia of one sparse factor.  The edge cavity hands
-its gradients to the eigensolver, which splits them off along the tree
-its collapse pairs with them and densifies only the cotree block; every
-other pencil is dense.  The sweeps share one refinement loop, one order
-fit per series and one L2 error integral.
+its kernel by the inertia of one sparse factor.  The edge cavity's
+eigensolve splits its gradients off along the tree its collapse pairs
+with them and densifies only the cotree block; the mixed pencil is a
+Cholesky Gram matrix, every other pencil dense.  The sweeps share one
+refinement loop, one order fit per series and one L2 error integral.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
     CheckFailedError,
+    cholesky_reduce,
     complex_ranks,
     generalized_symmetric_eig,
     inertia,
@@ -156,15 +157,15 @@ class ConvergenceReport:
         return self.notes.get("passed")
 
 
-def observed_order(hs, errors, window: int = ORDER_FIT_WINDOW):
-    """Least-squares slope of log(err) vs log(h) over the last `window` levels.
+def observed_order(hs, errors):
+    """Least-squares slope of log(err) vs log(h) over the last ORDER_FIT_WINDOW levels.
 
     Returns (order, rms residual of the fit in log space).  Exact-zero
     errors would break the log fit and mean the sweep is degenerate, so
     they raise.
     """
-    hs = np.asarray(hs, dtype=float)[-window:]
-    errors = np.asarray(errors, dtype=float)[-window:]
+    hs = np.asarray(hs, dtype=float)[-ORDER_FIT_WINDOW:]
+    errors = np.asarray(errors, dtype=float)[-ORDER_FIT_WINDOW:]
     if hs.size < 2:
         raise ValueError("need at least two levels to fit an order")
     if np.any(errors <= 0):
@@ -395,7 +396,8 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     """Mixed form of the cavity problem on P_h = curl Q_h.
 
     The pencil G q = lambda M2 q, with G = (M2 D) A^{-1} (M2 D)^T (D the
-    curl, A the edge mass, M2 the cell mass), is posed on all of dg0.  G
+    curl, A the edge mass, M2 the cell mass), is posed on all of dg0 as
+    G = W^T W, W = L^-1 (M2 D)^T, L = chol(A) (linalg.cholesky_reduce).  G
     vanishes exactly on the M2-orthogonal complement of range(D), so the
     spectrum on P_h is the dg0 spectrum with its cells - rank zeros
     dropped, and _spectrum certifies that zero count against the exact
@@ -405,7 +407,8 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     """
     system = edge_cavity_system(n, pattern)
     M2D = system.cell_mass @ system.curl
-    G = M2D @ symmetric_indefinite_solve(system.mass, M2D.T.toarray())
+    _, W = cholesky_reduce(system.mass, M2D.T)
+    G = W.T @ W
     full, zeros, threshold = _spectrum(G, system.cell_mass, system.rank)
     lam = full[zeros:]
     galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank, system.gradient)

@@ -1,22 +1,25 @@
 """Desk-scale linear algebra: symmetry-checked solves, a symmetric-definite
 generalized eigensolver, inertia counts, and exact ranks of complexes.
 
-Every global linear system whose solution is returned, definite or not
-and with one right-hand side or many, goes through
-symmetric_indefinite_solve (dense input is converted to CSC): a zero
-diagonal shifted to make a saddle matrix quasi-definite (Vanderbei
-1995), one sparse_lu factorization without pivoting, and refinement
-against the true matrix (Gill, Saunders & Shinnerl 1996).  Its
-refinement and its final check use one componentwise backward error,
-judging rows that a sparse right-hand side leaves empty by the omega_2
-scale of Arioli, Demmel & Duff (1989).  The Lanczos operators of
-complexes.compute_infsup apply sparse_lu factors directly, unrefined,
-since the eigensolver's own tolerance governs those solves; the stress
-element dualizes its per-cell DOF tables by one stacked dense solve.
-check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used
-only for spectra (generalized_symmetric_eig); inertia counts the
-eigenvalues below a shift, with no spectrum, from the signs of the
-sparse_lu pivots.
+Every global linear system whose solution is returned, definite or not,
+goes through symmetric_indefinite_solve with one right-hand side (dense
+input is converted to CSC): a zero diagonal shifted to make a saddle
+matrix quasi-definite (Vanderbei 1995), one sparse_lu factorization
+without pivoting, and refinement against the true matrix (Gill,
+Saunders & Shinnerl 1996).  Its refinement and its final check use one
+componentwise backward error, judging rows that a sparse right-hand
+side leaves empty by the omega_2 scale of Arioli, Demmel & Duff (1989).
+The Lanczos operators of complexes.compute_infsup apply sparse_lu
+factors directly, unrefined, since the eigensolver's own tolerance
+governs those solves; the stress element dualizes its per-cell DOF
+tables by one stacked dense solve.  check_symmetric keeps a sparse
+matrix sparse.  Dense LAPACK is used only for spectra
+(generalized_symmetric_eig) and the dense Schur matrices X^T K^-1 X of
+their pencils, which are no linear solve but one Cholesky step,
+cholesky_reduce: L = chol(K), W = L^-1 X, and X^T K^-1 X = W^T W, just
+as eigh's "gv" driver factors the mass of every dense pencil.  inertia
+counts the eigenvalues below a shift, with no spectrum, from the signs
+of the sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -25,11 +28,8 @@ known kernel, such as the gradients in an edge space, is split along
 the tree rows the collapse pairs with the kernel's columns (the
 tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
 block, against a Schur complement of the mass, is dense, and the
-kernel keeps its computed Ritz values.  That Schur complement is no
-linear solve but a step of the spectral reduction: the Cholesky factor
-of the kernel's mass block reduces the kernel's pencil and gives the
-complement by one triangular solve, just as eigh's "gv" driver factors
-the mass of every dense pencil.
+kernel keeps its computed Ritz values.  The Cholesky step on the
+kernel's mass block reduces the kernel's pencil and gives that complement.
 """
 from __future__ import annotations
 
@@ -47,6 +47,8 @@ RANK_RTOL = 1e-10
 SADDLE_SHIFT = 1e-8
 KERNEL_RTOL = 1e-12
 MAX_REFINEMENT_STEPS = 8
+# a solve whose componentwise backward error exceeds this is rejected
+RESIDUAL_RTOL = 1e-10
 EPS = np.finfo(float).eps
 
 
@@ -66,30 +68,24 @@ class SingularSystemError(RuntimeError):
     pass
 
 
-def as_dense(A) -> np.ndarray:
-    if sp.issparse(A):
-        return A.toarray()
-    return np.asarray(A, dtype=float)
-
-
-def check_symmetric(A, name="matrix", rtol=SYMMETRY_RTOL):
+def check_symmetric(A, name="matrix"):
     """The symmetric part of A, after checking that A - A^T is roundoff.
 
     A sparse matrix stays sparse; anything else becomes a dense array.
     """
     if not sp.issparse(A):
         A = np.asarray(A, dtype=float)
-    _require_symmetric(A, A.T, _absmax(A), name, rtol)
+    _require_symmetric(A, A.T, _absmax(A), name)
     return 0.5 * (A + A.T)
 
 
-def _require_symmetric(A, AT, amax, name, rtol=SYMMETRY_RTOL):
+def _require_symmetric(A, AT, amax, name):
     """Raise NotSymmetricError unless A is square and A - AT, AT its
     transpose, is roundoff next to amax = max|A|."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {A.shape}")
-    if _absmax(A - AT) > rtol * max(amax, 1e-300):
-        raise NotSymmetricError(f"{name} is not symmetric within {rtol:g} relative tolerance")
+    if _absmax(A - AT) > SYMMETRY_RTOL * max(amax, 1e-300):
+        raise NotSymmetricError(f"{name} is not symmetric to {SYMMETRY_RTOL:g} relative tolerance")
 
 
 def _absmax(A) -> float:
@@ -118,9 +114,8 @@ def sparse_lu(A):
         raise SingularSystemError("singular system") from exc
 
 
-def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
-    """Solve A x = b for symmetric (possibly indefinite) A; the columns
-    of a 2-D b are solved at once.
+def symmetric_indefinite_solve(A, b) -> np.ndarray:
+    """Solve A x = b for symmetric (possibly indefinite) A and one vector b.
 
     sparse_lu factors A once, each zero-diagonal row i shifted by
     -SADDLE_SHIFT * sum_j A_ij^2 / |A_jj| (nonzero A_jj only): the
@@ -132,11 +127,12 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     second term, as it is in the empty rows of a sparse b (the omega_1 /
     omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  The same
     componentwise backward error judges the result: a residual entry
-    above `residual_rtol` times its row scale means a singular A (its
-    shifted matrix is regular) or a refinement that fell short.  That
-    verdict is taken as each x is accepted and work arrays are reused, so
-    a 2-D b costs at most five arrays its size.
+    above RESIDUAL_RTOL times its row scale means a singular A (its
+    shifted matrix is regular) or a refinement that fell short.
     """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"b must be a vector, not an array of shape {b.shape}")
     A = sp.csc_matrix(A, dtype=float)
     # the one copy of A, duplicates summed: its CSR arrays, read as CSC,
     # are A^T.  It gives the symmetry check, the row maxima of |A| and the
@@ -146,11 +142,8 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     row_max = _row_absmax(R)
     _require_symmetric(A, sp.csc_matrix((R.data, R.indices, R.indptr), shape=A.shape[::-1]),
                        float(row_max.max(initial=0.0)), "A")
-    b = np.asarray(b, dtype=float)
     if A.shape[0] == 0:
         return np.zeros_like(b)
-    # |A_i|_inf, shaped to scale the rows of x
-    row_max = row_max.reshape((-1,) + (1,) * (b.ndim - 1))
     d = np.abs(A.diagonal())
     try:
         with np.errstate(all="ignore"):
@@ -159,21 +152,18 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
             del R
             factor = sparse_lu(A - sp.diags(SADDLE_SHIFT * schur * (d == 0)))
             absA = abs(A)
-            x, r = np.zeros_like(b), b
-            absb = np.abs(b)                     # |r|, and the row scale of x = 0
-            r_max, passed = absb.max(), np.all(absb <= residual_rtol * absb)
-            del absb
+            # x = 0 is exact only for b = 0
+            x, r, r_max, passed = np.zeros_like(b), b, np.abs(b).max(), not b.any()
             for _ in range(1 + MAX_REFINEMENT_STEPS):    # one solve, then refinement
                 x_next = x + factor.solve(r)
-                r_next = A @ x_next
-                np.subtract(b, r_next, out=r_next)
+                r_next = b - A @ x_next
                 r_next_max = np.abs(r_next).max()
                 if not r_next_max < r_max:
                     break
                 x, r, r_max = x_next, r_next, r_next_max
-                converged, passed = _within_backward_error(absA, row_max, b, x, r,
-                                                           (4 * EPS, residual_rtol))
-                if converged:
+                r_abs, scale = np.abs(r), _row_scale(absA, row_max, b, x)
+                passed = bool(np.all(r_abs <= RESIDUAL_RTOL * scale))
+                if np.all(r_abs <= 4 * EPS * scale):
                     break
     except ValueError as exc:
         raise SingularSystemError("singular system") from exc
@@ -182,26 +172,13 @@ def symmetric_indefinite_solve(A, b, residual_rtol=1e-10) -> np.ndarray:
     return x
 
 
-def _within_backward_error(absA, row_max, b, x, r, rtols) -> list[bool]:
-    """For each rtol, whether every |r_i| <= rtol * scale_i, the omega_1 /
-    omega_2 row scale of x described in symmetric_indefinite_solve.  It
-    makes at most three arrays the size of b at once."""
-    work = np.abs(x)
-    col_max = work.max(axis=0)
-    ax = absA @ work                             # |A||x|
-    near = np.abs(b, out=work)
-    far = row_max * col_max                      # |A_i|_inf |x|_inf
-    far += near
-    far *= 1000 * absA.shape[0] * EPS
-    near += ax                                   # |A||x| + |b|
-    tiny = near <= far
-    np.multiply(row_max, col_max, out=far)
-    far += ax
-    scale = near
-    np.copyto(scale, far, where=tiny)
-    del ax, tiny
-    r_abs = np.abs(r, out=far)
-    return [bool(np.all(r_abs <= rtol * scale)) for rtol in rtols]
+def _row_scale(absA, row_max, b, x) -> np.ndarray:
+    """The omega_1 / omega_2 row scale of x described in
+    symmetric_indefinite_solve; row_max holds |A_i|_inf."""
+    ax = absA @ np.abs(x)
+    near = ax + np.abs(b)                        # |A||x| + |b|
+    far = row_max * np.abs(x).max()              # |A_i|_inf |x|_inf
+    return np.where(near <= 1000 * absA.shape[0] * EPS * (far + np.abs(b)), far + ax, near)
 
 
 def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
@@ -230,8 +207,9 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     if kernel is None or kernel.shape[1] == 0:
         # check_symmetric returns exactly symmetric arrays: their transposes
         # are the same matrices, F-ordered, which LAPACK overwrites uncopied
-        A = check_symmetric(as_dense(A), "A").T
-        return _dense_eig(A, _cholesky(check_symmetric(as_dense(B), "B").T))
+        A, B = (check_symmetric(M.toarray() if sp.issparse(M) else M, name).T
+                for M, name in ((A, "A"), (B, "B")))
+        return _dense_eig(A, _cholesky(B))
     A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
     B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
     G = sp.csc_matrix(kernel, dtype=float)
@@ -245,9 +223,7 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     cotree[pairs[:, 1]] = False
     BG = B @ G
     # S = B_cc - W^T W, W = L^-1 B_Gc; dsyrk writes its lower triangle
-    L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
-    W = sla.solve_triangular(L, BG[cotree].toarray().T, lower=True, overwrite_b=True,
-                             check_finite=False)
+    L, W = cholesky_reduce(G.T @ BG, BG[cotree].T)
     S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
                    lower=1, overwrite_c=1)
     GAG = (G.T @ AG).toarray()
@@ -256,6 +232,16 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     del W, GAG, L                   # only the two cotree blocks stay dense
     A_cc = A[cotree][:, cotree].toarray(order="F")
     return np.sort(np.concatenate([ritz, _dense_eig(A_cc, _cholesky(S))]))
+
+
+def cholesky_reduce(K, X) -> tuple[np.ndarray, np.ndarray]:
+    """(L, W): the lower triangle of L is the Cholesky factor of a sparse SPD K
+    (NotPositiveDefiniteError where it fails), and W = L^-1 X for a sparse X,
+    by one triangular solve, so that the Schur matrix X^T K^-1 X is W^T W."""
+    L = _cholesky(check_symmetric(sp.csr_matrix(K, dtype=float), "K").toarray(order="F"))
+    # X^T as a C-ordered array is X F-ordered, which the solve overwrites uncopied
+    W = sla.solve_triangular(L, X.T.toarray().T, lower=True, overwrite_b=True, check_finite=False)
+    return L, W
 
 
 def _cholesky(B) -> np.ndarray:

@@ -209,6 +209,17 @@ def test_infsup_rejects_indefinite_a_form():
             compute_infsup(np.eye(m), -np.eye(m), np.eye(m))
 
 
+def test_infsup_rejects_an_a_form_with_one_negative_pivot():
+    # B a^-1 B^T has the eigenvalue -20.6, below the Lanczos shift, which
+    # never looks there; the pivots of the factor of a reject it up front
+    a = np.eye(20)
+    a[-1, -1] = -1.0
+    B = np.random.default_rng(0).standard_normal((12, 20))
+    assert np.linalg.eigvalsh(B @ np.linalg.solve(a, B.T)).min() < -20.0
+    with pytest.raises(NotPositiveDefiniteError):
+        compute_infsup(B, a, np.eye(12))
+
+
 def _flux_pressure_system(n):
     mesh = generate_square_mesh(n, pattern="crossed")
     S = build_space(mesh, "face1")

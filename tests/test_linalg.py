@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from whitney import linalg
@@ -30,6 +31,7 @@ from whitney.linalg import (
     RANK_RTOL,
     SingularSystemError,
     check_symmetric,
+    cholesky_reduce,
     collapse,
     complex_ranks,
     exact_rank,
@@ -202,21 +204,13 @@ def test_kernel_split_rejects_indefinite_tree_gram():
                                   kernel=np.array([[1.0], [0.0]]))
 
 
-def test_matrix_right_hand_side_in_bounded_memory():
-    # the edge-mass solve of the mixed cavity at n=16, b 1,504 x 1,024:
-    # refinement reuses its work arrays, at most ~5 the size of b
-    system = edge_cavity_system(16)
-    b = (system.cell_mass @ system.curl).T.toarray()
-    x, peak = traced_peak(symmetric_indefinite_solve, system.mass, b)
-    assert np.abs(system.mass @ x - b).max() <= 1e-14 * np.abs(b).max()
-    assert peak <= 5.5 * b.nbytes
-
-
 def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
-    # the edge-mass solve of the mixed cavity: b = (M2 D)^T has empty rows,
-    # where |A||x| + |b| is roundoff and the row is judged by omega_2
+    # the edge-mass solves with the columns of (M2 D)^T: each column leaves
+    # most rows of b empty (366 of them in column 0), where |A||x| + |b|
+    # is roundoff and the row is judged by omega_2, so one solve suffices
     system = edge_cavity_system(8)
     b = (system.cell_mass @ system.curl).T.toarray()
+    assert np.count_nonzero(b[:, 0] == 0.0) == 366
     solves, lu = [], linalg.sparse_lu
 
     class CountingFactor:
@@ -228,9 +222,24 @@ def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
             return self.factor.solve(rhs)
 
     monkeypatch.setattr(linalg, "sparse_lu", CountingFactor)
-    x = symmetric_indefinite_solve(system.mass, b)
-    assert len(solves) == 1
-    assert np.abs(system.mass @ x - b).max() <= 1e-14 * np.abs(b).max()
+    for j in range(b.shape[1]):
+        solves.clear()
+        x = symmetric_indefinite_solve(system.mass, b[:, j])
+        assert len(solves) == 1
+        assert np.abs(system.mass @ x - b[:, j]).max() <= 1e-14 * np.abs(b[:, j]).max()
+
+
+def test_cholesky_reduce_gives_the_schur_matrix_as_a_gram_matrix():
+    # W^T W = X^T K^-1 X for the mixed cavity at n=8: K the edge mass, X = (M2 D)^T
+    system = edge_cavity_system(8)
+    X = (system.cell_mass @ system.curl).T.tocsc()
+    L, W = cholesky_reduce(system.mass, X)
+    L = np.tril(L)
+    assert np.allclose(L @ L.T, system.mass.toarray(), rtol=0.0, atol=1e-15)
+    want = X.T @ spla.splu(sp.csc_matrix(system.mass)).solve(X.toarray())
+    assert np.abs(W.T @ W - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky_reduce(sp.diags([1.0, -1.0]), sp.eye(2))
 
 
 def test_unrefined_solve_is_judged_componentwise(monkeypatch):
@@ -244,19 +253,19 @@ def test_unrefined_solve_is_judged_componentwise(monkeypatch):
 
 
 def test_matrix_right_hand_side_and_dense_input():
-    # columns are solved at once; dense and sparse input agree bit for bit
+    # dense and sparse input agree bit for bit; b is one vector, and a
+    # matrix of right-hand sides is refused
     rng = np.random.default_rng(5)
     B = rng.standard_normal((3, 6))
     A = np.block([[np.diag(rng.uniform(1.0, 2.0, 6)), B.T], [B, np.zeros((3, 3))]])
-    rhs = rng.standard_normal((9, 4))
+    rhs = rng.standard_normal(9)
     x = symmetric_indefinite_solve(A, rhs)
-    assert x.shape == (9, 4)
     assert np.array_equal(x, symmetric_indefinite_solve(sp.csc_matrix(A), rhs))
-    for j in range(4):
-        assert np.allclose(x[:, j], symmetric_indefinite_solve(A, rhs[:, j]), rtol=0, atol=1e-12)
     assert np.abs(A @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
     with pytest.raises(NotSymmetricError):
         symmetric_indefinite_solve(np.triu(A), rhs)
+    with pytest.raises(ValueError, match="vector"):
+        symmetric_indefinite_solve(A, rhs[:, None])
 
 
 def test_solve_rejects_non_square_sparse_matrix():
