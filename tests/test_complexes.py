@@ -203,7 +203,7 @@ def test_infsup_identity_oracles():
 
 
 def test_infsup_rejects_indefinite_a_form():
-    # explicit pencil (3 multipliers) and Lanczos (12 multipliers)
+    # the pivots of a reject it whether the pencil is explicit (3 multipliers) or Lanczos (12)
     for m in (3, 12):
         with pytest.raises(NotPositiveDefiniteError):
             compute_infsup(np.eye(m), -np.eye(m), np.eye(m))
