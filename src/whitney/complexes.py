@@ -19,7 +19,8 @@ checks certify the structural facts the element construction promises:
   space, and check_exactness certifies that inclusion.
 
 Every audit here is sparse, except the explicit inf-sup pencil of at
-most EXPLICIT_ORDER multipliers, one Cholesky step (cholesky_reduce).
+most EXPLICIT_ORDER multipliers: its m x m Schur matrix, from m solves
+of the sparse a factor.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ import scipy.sparse.linalg as spla
 
 from .elements import _exterior_derivative
 from .linalg import (CheckFailedError, NotPositiveDefiniteError, _absmax, check_symmetric,
-                     cholesky_reduce, complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
-from .mesh import Mesh
+                     complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
+from .mesh import Mesh, row_keys
 from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
 
@@ -126,10 +127,11 @@ def incidence_matrix(mesh: Mesh, k: int) -> sp.csr_matrix:
     if not 0 <= k < mesh.dim:
         raise ValueError(f"no coboundary from dimension {k} on a {mesh.dim}D mesh")
     high = mesh.entities[k + 1]
-    # mixed-radix keys ascend with the lexsorted k-entity table
-    dims = (mesh.num_vertices,) * (k + 1)
-    keys = np.ravel_multi_index(mesh.entities[k].T, dims)
-    facets = [np.ravel_multi_index(np.delete(high, i, axis=1).T, dims) for i in range(k + 2)]
+    # the row keys ascend with the sorted k-entity table
+    keys = row_keys(mesh.entities[k], mesh.num_vertices)
+    if keys is None:
+        raise ValueError(f"{k}-entity keys on {mesh.num_vertices} vertices overflow int64")
+    facets = [row_keys(np.delete(high, i, axis=1), mesh.num_vertices) for i in range(k + 2)]
     cols = np.searchsorted(keys, np.stack(facets, axis=1))
     signs = np.tile((-1) ** np.arange(k + 2, dtype=np.int64), len(high))
     return sp.csr_matrix((signs, cols.ravel(), (k + 2) * np.arange(len(high) + 1)),
@@ -285,8 +287,8 @@ def compute_infsup(coupling, a_form, mass_v) -> float:
     [[a, B^T], [B, -tau M_V]], finds the d + 1 smallest, of which exactly
     d must be deflated (Ericsson & Ruhe, 1980).  Up to EXPLICIT_ORDER
     multipliers (ARPACK needs more unknowns than eigenvalues), or for
-    d + 1 = m, the pencil is formed explicitly as the Gram matrix W^T W,
-    W = L^-1 B^T by linalg.cholesky_reduce, and takes its full spectrum.
+    d + 1 = m, the pencil is formed explicitly, B a^-1 B^T by one solve
+    of the a factor per column of B^T, and takes its full spectrum.
     """
     B = sp.csr_matrix(coupling, dtype=float)
     a = check_symmetric(sp.csc_matrix(a_form, dtype=float), "a_form").tocsc()
@@ -318,8 +320,7 @@ def compute_infsup(coupling, a_form, mass_v) -> float:
             lam = spla.eigsh(schur, k=deflated + 1, M=Mv, sigma=-tau, OPinv=inverse, v0=v0,
                              return_eigenvectors=False)
             return _smallest_kept(lam, lam_max, deflated)
-    _, W = cholesky_reduce(a, Bt)
-    lam = generalized_symmetric_eig(W.T @ W, Mv.toarray())
+    lam = generalized_symmetric_eig(B @ a_lu.solve(Bt.toarray()), Mv.toarray())
     return _smallest_kept(lam, lam[-1])
 
 

@@ -9,11 +9,16 @@ are needed; tangents run from the lower to the higher vertex index and
 2D edge normals are the tangent rotated clockwise by 90 degrees.
 
 Tables are built with whole-array operations: the k-subsimplices of all
-cells are gathered at once, ordered with np.lexsort, and a new entity
-starts wherever a sorted row differs from its predecessor, so a cumsum
-of those marks numbers them and yields the cell-to-entity tables.  Cell
-geometry (the affine maps onto every cell) is computed on first use and
-cached on the immutable mesh.
+cells are gathered at once, each row read as one int64 key in base
+num_vertices (`row_keys`), the keys sorted by one argsort, and a new
+entity starts wherever a sorted key differs from its predecessor, so a
+cumsum of those marks numbers them and yields the cell-to-entity tables
+(Logg, "Efficient representation of computational meshes", 2009, with
+one key per row in place of one sort pass per column).  Only where the
+key would overflow int64 (tetrahedra on more than 55,108 vertices) are
+the rows ordered with np.lexsort.  Cell geometry (the affine maps onto
+every cell, from cofactors) is computed once, when the mesh is built;
+its determinants give the signed volumes and reject degenerate cells.
 
 Text format (comments start with '#'):
 
@@ -24,7 +29,7 @@ Text format (comments start with '#'):
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+import math
 from io import StringIO
 
 import numpy as np
@@ -42,14 +47,33 @@ class MeshFormatError(ValueError):
 
 class CellGeometry:
     """Affine maps x = origin + B xi from the reference simplex onto every
-    cell (columns of B are v_i - v_0), with det B, B^-1 and |det B|."""
+    cell (columns of B are v_i - v_0), with det B, B^-1 and |det B|.
 
-    def __init__(self, vertices: np.ndarray, cells: np.ndarray):
+    det B and B^-1 come from cofactors (ad - bc and the adjugate in 2D,
+    cross products of the columns of B in 3D): elementwise arithmetic, so
+    they do not depend on the BLAS/LAPACK build.  A cell of volume
+    |det B| / d! at or below min_volume raises MeshFormatError before
+    anything is divided by det B.
+    """
+
+    def __init__(self, vertices: np.ndarray, cells: np.ndarray, min_volume: float):
         v = vertices[cells]
+        dim = v.shape[2]
         self.origin = v[:, 0, :]
         self.B = np.transpose(v[:, 1:, :] - v[:, :1, :], (0, 2, 1))
-        self.detB = np.linalg.det(self.B)
-        self.Binv = np.linalg.inv(self.B)
+        if dim == 2:
+            (a, b), (c, d) = np.moveaxis(self.B, 0, -1)
+            self.detB = a * d - b * c
+            adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+        else:
+            cols = np.moveaxis(self.B, 2, 0)
+            # the rows of the adjugate are b1 x b2, b2 x b0, b0 x b1
+            adjugate = np.stack([np.cross(cols[(i + 1) % 3], cols[(i + 2) % 3]) for i in range(3)],
+                                axis=1)
+            self.detB = np.sum(adjugate[:, 0] * cols[0], axis=1)
+        if np.any(np.abs(self.detB) / math.factorial(dim) <= min_volume):
+            raise MeshFormatError("degenerate simplex (zero volume)")
+        self.Binv = adjugate / self.detB[:, None, None]
         self.absdet = np.abs(self.detB)
         for arr in (self.origin, self.B, self.detB, self.Binv, self.absdet):
             arr.setflags(write=False)
@@ -97,24 +121,23 @@ class Mesh:
         cells = np.sort(cells, axis=1)
         if np.any(cells[:, :-1] == cells[:, 1:]):
             raise MeshFormatError("degenerate simplex (repeated vertex)")
-        cells = cells[np.lexsort(cells.T[::-1])]
-        if cells.shape[0] > 1 and np.any(np.all(cells[:-1] == cells[1:], axis=1)):
+        order, new = _sort_rows(cells, nv)
+        if not np.all(new):
             raise MeshFormatError("duplicate simplex")
+        cells = cells[order]
 
         self.entities: list[np.ndarray] = [None] * (dim + 1)
         self._cell_sub: list[np.ndarray] = [None] * (dim + 1)
         self.entities[0] = np.arange(nv, dtype=np.int64).reshape(-1, 1)
         self._cell_sub[0] = cells
         for k in range(1, dim):
-            self.entities[k], self._cell_sub[k] = _number_subsimplices(cells, k)
+            self.entities[k], self._cell_sub[k] = _number_subsimplices(cells, k, nv)
         self.entities[dim] = cells
         self._cell_sub[dim] = np.arange(cells.shape[0], dtype=np.int64).reshape(-1, 1)
 
         self._derive_boundary()
         self._check_conformity()
-        degenerate = np.abs(self.signed_cell_volumes()) <= 1e-14 * self.scale() ** dim
-        if np.any(degenerate):
-            raise MeshFormatError("degenerate simplex (zero volume)")
+        self.geometry = CellGeometry(self.vertices, cells, 1e-14 * self.scale() ** dim)
         for tab in self.entities + self._cell_sub:
             tab.setflags(write=False)
         self.vertices.setflags(write=False)
@@ -134,9 +157,9 @@ class Mesh:
         if dim == 3:
             edges = self.entities[1]
             pairs = facets[self.boundary[2]][:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
-            keys = edges[:, 0] * self.num_vertices + edges[:, 1]   # ascending: table is lexsorted
+            keys = row_keys(edges, self.num_vertices)   # ascending: the table is sorted
             self.boundary[1] = np.zeros(edges.shape[0], dtype=bool)
-            self.boundary[1][np.searchsorted(keys, pairs[:, 0] * self.num_vertices + pairs[:, 1])] = True
+            self.boundary[1][np.searchsorted(keys, row_keys(pairs, self.num_vertices))] = True
         for flags in self.boundary:
             flags.setflags(write=False)
 
@@ -161,19 +184,14 @@ class Mesh:
     def cells(self) -> np.ndarray:
         return self.entities[self.dim]
 
-    @cached_property
-    def geometry(self) -> CellGeometry:
-        """Per-cell affine geometry, computed on first use."""
-        return CellGeometry(self.vertices, self.cells)
-
     def num_entities(self, k: int) -> int:
         return self.entities[k].shape[0]
 
     def entity_id(self, k: int, verts) -> int:
         """Id of the k-entity with the given vertices (any order).
 
-        Narrows the lexsorted table one column at a time; raises KeyError
-        when no such entity exists.
+        Narrows the lexicographically sorted table one column at a time;
+        raises KeyError when no such entity exists.
         """
         key = sorted(int(v) for v in verts)
         if len(key) != k + 1:
@@ -200,10 +218,7 @@ class Mesh:
 
     def signed_cell_volumes(self) -> np.ndarray:
         """Signed volume det[v1-v0, ..., vd-v0] / d! per cell."""
-        v = self.vertices[self.cells]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        dets = np.linalg.det(edges)
-        return dets / np.prod(range(1, self.dim + 1))
+        return self.geometry.detB / math.factorial(self.dim)
 
     def entity_measures(self, k: int) -> np.ndarray:
         """Unsigned k-volume of each k-entity."""
@@ -224,19 +239,43 @@ class Mesh:
         raise ValueError(f"bad entity dimension {k}")
 
 
-def _number_subsimplices(cells: np.ndarray, k: int):
-    """Lexsorted table of the k-subsimplices of ascending cells, and the
+def row_keys(rows: np.ndarray, nv: int):
+    """One int64 key per row of vertex ids below nv, read as digits in base
+    nv, so keys order like the rows lexicographically.  None when nv^ncols
+    does not fit in int64 (tetrahedra on more than 55,108 vertices)."""
+    if nv ** rows.shape[1] >= 2 ** 63:
+        return None
+    return np.ravel_multi_index(rows.T, (nv,) * rows.shape[1])
+
+
+def _sort_rows(rows: np.ndarray, nv: int):
+    """Permutation that sorts the rows lexicographically, and whether each
+    sorted row differs from its predecessor (True for the first).  Equal
+    rows are interchangeable, so one unstable argsort of the row keys
+    serves; np.lexsort only where the keys would overflow."""
+    keys = row_keys(rows, nv)
+    new = np.ones(rows.shape[0], dtype=bool)
+    if keys is None:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    else:
+        order = np.argsort(keys)
+        ranked = keys[order]
+        new[1:] = ranked[1:] != ranked[:-1]
+    return order, new
+
+
+def _number_subsimplices(cells: np.ndarray, k: int, nv: int):
+    """Sorted table of the k-subsimplices of ascending cells, and the
     (num_cells, C(dim+1, k+1)) map from each cell's local k-subsimplices
     (lexicographic in local vertex indices) to rows of that table."""
     combos = np.array(list(itertools.combinations(range(cells.shape[1]), k + 1)))
     subs = cells[:, combos].reshape(-1, k + 1)
-    order = np.lexsort(subs.T[::-1])
-    ranked = subs[order]
-    starts = np.ones(ranked.shape[0], dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    ids = np.empty(ranked.shape[0], dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return ranked[starts], ids.reshape(cells.shape[0], combos.shape[0])
+    order, new = _sort_rows(subs, nv)
+    ids = np.empty(subs.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return subs[order[new]], ids.reshape(cells.shape[0], combos.shape[0])
 
 
 # -- generators --------------------------------------------------------------

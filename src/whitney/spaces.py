@@ -20,10 +20,12 @@ curl and div, the identity for unmapped scalar and vector values).
 Local matrices are then a per-cell geometry tensor G_c = |det| M_row^T
 C M_col times a reference tensor R = sum_q w_q ref_r (x) ref_s, one
 matrix product for all cells (Kirby & Logg, "A compiler for variational
-forms", ACM TOMS 2006).  The derivative matrix is a single sorted
-scatter.  The canonical projection applies the catalog's own DOFs
-(`elements.dof_moments`) to the global entities of each dimension,
-calling the field once per entity kind.
+forms", ACM TOMS 2006).  Each row of the derivative matrix is read
+from one cell that holds its target DOF, with no global sort, and every
+other cell's contribution is checked against it.  The canonical
+projection applies the catalog's own DOFs (`elements.dof_moments`) to
+the global entities of each dimension, calling the field once per
+entity kind.
 
 Essential boundary conditions are realized by eliminating DOFs attached
 to boundary entities of codimension >= 1 (value trace for scalar
@@ -218,10 +220,13 @@ def assemble_derivative(space_from: DiscreteSpace, space_to: DiscreteSpace) -> s
     """Global derivative matrix D: DOFs of d(u) from DOFs of u.
 
     Shared target DOFs receive identical values from every incident
-    cell (the image of the derivative is single-valued).  All cell
-    contributions are sorted by (row, col) once; each run of equal keys
-    is checked against its first entry, which becomes the stored value.
-    Raises DerivativeNotSingleValuedError when a run disagrees.
+    cell (the image of the derivative is single-valued), so each row of
+    D is read from one cell that holds its DOF: one fancy assignment of
+    the running (cell, local row) number over the target cell DOFs picks
+    that cell and its local row together.  Every other cell's
+    contribution is then checked against the stored entry of its
+    (row, col), 0 where the stored row has no such column; a mismatch
+    raises DerivativeNotSingleValuedError.
     """
     if space_from.mesh is not space_to.mesh:
         raise ValueError("spaces live on different meshes")
@@ -229,25 +234,36 @@ def assemble_derivative(space_from: DiscreteSpace, space_to: DiscreteSpace) -> s
     L = local_derivative_matrix(fam_f, fam_t)
     mesh = space_from.mesh
     into_density = fam_t.mapping == "l2" and fam_f.mapping in ("covariant", "contravariant")
-    shape = (mesh.num_cells,) + L.shape
-    if into_density:
-        vals = L[None, :, :] / mesh.geometry.detB[:, None, None]
-    else:
-        vals = np.broadcast_to(L, shape)
-    rows = np.broadcast_to(space_to.cell_dofs[:, :, None], shape).ravel()
-    cols = np.broadcast_to(space_from.cell_dofs[:, None, :], shape).ravel()
-    order = np.argsort(rows * space_from.ndofs + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals.ravel()[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    kept, run = vals[first], np.cumsum(first) - 1
-    bad = np.flatnonzero(np.abs(vals - kept[run]) > 1e-9 * max(np.abs(L).max(), 1.0))
-    if bad.size:
-        i = bad[0]
-        raise DerivativeNotSingleValuedError(
-            f"derivative DOF {(int(rows[i]), int(cols[i]))} double-valued: {kept[run[i]]} vs {vals[i]}")
-    D = sp.coo_matrix((kept, (rows[first], cols[first])),
-                      shape=(space_to.ndofs, space_from.ndofs)).tocsr()
+
+    def contribution(cell, local):
+        """Local rows of D in the given cells, over their source DOFs."""
+        return L[local] / mesh.geometry.detB[cell, None] if into_density else L[local]
+
+    n_to, n_from = L.shape
+    to_dofs, from_dofs = space_to.cell_dofs.ravel(), space_from.cell_dofs
+    position = np.arange(to_dofs.size)         # running (cell, local row) number
+    owner = np.full(space_to.ndofs, -1, dtype=np.int64)
+    owner[to_dofs] = position
+    held = np.flatnonzero(owner >= 0)
+    cell, local = np.divmod(owner[held], n_to)
+    indptr = np.zeros(space_to.ndofs + 1, dtype=np.int64)
+    indptr[held + 1] = n_from
+    D = sp.csr_matrix((contribution(cell, local).ravel(), from_dofs[cell].ravel(), np.cumsum(indptr)),
+                      shape=(space_to.ndofs, space_from.ndofs))
+    D.sort_indices()
+
+    other = np.flatnonzero(owner[to_dofs] != position)
+    if other.size:      # scipy returns a sparse matrix, not values, for empty indices
+        cell, local = np.divmod(other, n_to)
+        mine = contribution(cell, local)
+        rows, cols = np.repeat(to_dofs[other], n_from), from_dofs[cell].ravel()
+        stored = np.asarray(D[rows, cols]).reshape(mine.shape)
+        bad = np.flatnonzero(np.abs(mine - stored) > 1e-9 * max(np.abs(L).max(), 1.0))
+        if bad.size:
+            i = bad[0]
+            raise DerivativeNotSingleValuedError(
+                f"derivative DOF {(int(rows[i]), int(cols[i]))} double-valued: "
+                f"{stored.flat[i]} vs {mine.flat[i]}")
     D.eliminate_zeros()
     return D
 

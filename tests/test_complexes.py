@@ -7,6 +7,9 @@ Inf-sup oracles are identity systems whose Schur complement is known
 in closed form.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +24,8 @@ from whitney.complexes import (
     derham_complex,
     incidence_matrix,
 )
-from whitney.linalg import CheckFailedError, NotPositiveDefiniteError, complex_ranks
+from whitney.linalg import (CheckFailedError, NotPositiveDefiniteError, cholesky_reduce,
+                            complex_ranks, generalized_symmetric_eig)
 from whitney.mesh import (Mesh, generate_annulus_mesh, generate_cube_mesh, generate_disk_mesh,
                           generate_square_mesh)
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
@@ -218,6 +222,29 @@ def test_infsup_rejects_an_a_form_with_one_negative_pivot():
     assert np.linalg.eigvalsh(B @ np.linalg.solve(a, B.T)).min() < -20.0
     with pytest.raises(NotPositiveDefiniteError):
         compute_infsup(B, a, np.eye(12))
+
+
+def test_explicit_infsup_pencil_stays_in_bounded_memory():
+    # a rank-one B leaves d + 1 = m, so 12 multipliers take the explicit
+    # pencil, which must not densify the n x n a-form
+    n, m = 3000, 12
+    rng = np.random.default_rng(3)
+    a = sp.diags(rng.uniform(1.0, 2.0, n))
+    u, w = rng.standard_normal(m), rng.standard_normal(n)
+    B = sp.csr_matrix(np.outer(u, w))
+    Mv = np.diag(rng.uniform(1.0, 2.0, m))
+    _, W = cholesky_reduce(a, B.T)
+    expected = math.sqrt(generalized_symmetric_eig(W.T @ W, Mv)[-1])
+    tracemalloc.start()
+    try:
+        gamma = compute_infsup(B, a, Mv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert gamma == pytest.approx(expected, rel=1e-14)
+    # the one nonzero eigenvalue of the rank-one pencil in closed form
+    assert gamma**2 == pytest.approx((w @ (w / a.diagonal())) * (u @ (u / np.diag(Mv))), rel=1e-13)
 
 
 def _flux_pressure_system(n):

@@ -49,6 +49,7 @@ from whitney.mesh import (
     generate_cube_mesh,
     generate_disk_mesh,
     generate_square_mesh,
+    row_keys,
 )
 from whitney.quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
 from whitney.spaces import (
@@ -62,24 +63,6 @@ from whitney.spaces import (
 )
 
 RTOL = 1e-13
-
-
-def _jittered(mesh, h, rng):
-    """Interior vertices moved by up to 0.1 h, vertices and cells
-    renumbered at random."""
-    shift = rng.uniform(-0.1 * h, 0.1 * h, mesh.vertices.shape)
-    verts = mesh.vertices + np.where(mesh.boundary[0][:, None], 0.0, shift)
-    perm = rng.permutation(mesh.num_vertices)
-    renumbered = np.empty_like(verts)
-    renumbered[perm] = verts
-    return Mesh(mesh.dim, renumbered, perm[mesh.cells][rng.permutation(mesh.num_cells)])
-
-
-@pytest.fixture(scope="module")
-def meshes():
-    rng = np.random.default_rng(7)
-    return {2: _jittered(generate_square_mesh(3, pattern="crossed"), 1.0 / 3.0, rng),
-            3: _jittered(generate_cube_mesh(2), 0.5, rng)}
 
 
 # -- oracles -------------------------------------------------------------------
@@ -520,9 +503,35 @@ def _assert_close(new, old, what):
     assert np.abs(new - old).max() <= RTOL * scale, what
 
 
-@pytest.mark.parametrize("which", ["jittered 2D", "cube", "jittered cube"])
-def test_mesh_tables_match_loops(meshes, which):
-    mesh = {"jittered 2D": meshes[2], "cube": generate_cube_mesh(2), "jittered cube": meshes[3]}[which]
+def _scattered(mesh, low, nv, rng):
+    """The mesh on nv vertices, its own ones moved to distinct random ids of
+    at least `low` and every other vertex unused (at the origin)."""
+    ids = low + rng.choice(nv - low, mesh.num_vertices, replace=False)
+    verts = np.zeros((nv, mesh.dim))
+    verts[ids] = mesh.vertices
+    return Mesh(mesh.dim, verts, ids[mesh.cells])
+
+
+def _table_mesh(jittered_meshes, which):
+    if which == "tets beyond int64 keys":
+        # 55,109^4 >= 2^63: the cell table takes np.lexsort, the faces keys
+        mesh = _scattered(generate_cube_mesh(1), 55_109, 70_000, np.random.default_rng(1))
+        assert row_keys(mesh.cells, mesh.num_vertices) is None
+        assert row_keys(mesh.entities[2], mesh.num_vertices) is not None
+        return mesh
+    if which == "scattered 2D":
+        return _scattered(generate_square_mesh(3, pattern="crossed"), 0, 1000,
+                          np.random.default_rng(2))
+    return {"jittered 2D": jittered_meshes[2], "cube": generate_cube_mesh(2),
+            "jittered cube": jittered_meshes[3]}[which]
+
+
+TABLE_MESHES = ["jittered 2D", "cube", "jittered cube", "tets beyond int64 keys", "scattered 2D"]
+
+
+@pytest.mark.parametrize("which", TABLE_MESHES)
+def test_mesh_tables_match_loops(jittered_meshes, which):
+    mesh = _table_mesh(jittered_meshes, which)
     entities, cell_sub, boundary = loop_mesh_tables(mesh.dim, mesh.num_vertices, mesh.cells)
     for k in range(mesh.dim + 1):
         assert np.array_equal(mesh.entities[k], entities[k])
@@ -558,12 +567,20 @@ def test_generators_match_loops(n):
 @pytest.mark.parametrize("chain", [("lagrange1", "edge1", "dg0"), ("face1", "dg0"),
                                    ("lagrange2", "edge2", "dg1"), ("face2", "dg1"),
                                    ("lagrange1_3d", "edge1_3d", "face1_3d", "dg0_3d")])
-def test_derivative_scatter_matches_loop(meshes, chain):
-    mesh = meshes[get_family(chain[0]).mesh_dim]
+def test_derivative_scatter_matches_loop(jittered_meshes, chain):
+    mesh = jittered_meshes[get_family(chain[0]).mesh_dim]
     spaces = [build_space(mesh, name) for name in chain]
     for src, dst in zip(spaces, spaces[1:]):
-        assert np.array_equal(assemble_derivative(src, dst).toarray(),
-                              loop_derivative(src, dst).toarray())
+        D, oracle = assemble_derivative(src, dst), loop_derivative(src, dst)
+        # canonical CSR: ascending columns in every row, no stored zeros
+        assert D.has_canonical_format and np.all(D.data != 0.0)
+        starts = np.zeros(D.nnz, dtype=bool)
+        starts[D.indptr[:-1][np.diff(D.indptr) > 0]] = True
+        assert np.all(starts[1:] | (np.diff(D.indices) > 0))
+        oracle.eliminate_zeros()
+        oracle.sort_indices()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(D, part), getattr(oracle, part)), part
 
 
 def _coefficients(dim, vector):
@@ -586,8 +603,8 @@ def _form_cases():
 
 
 @pytest.mark.parametrize("row,col,op", _form_cases())
-def test_reference_tensor_assembly_matches_quadrature_loop(meshes, row, col, op):
-    mesh = meshes[get_family(row).mesh_dim]
+def test_reference_tensor_assembly_matches_quadrature_loop(jittered_meshes, row, col, op):
+    mesh = jittered_meshes[get_family(row).mesh_dim]
     R, C = build_space(mesh, row), build_space(mesh, col)
     fam, x = R.family, np.zeros((1, mesh.dim))
     tab = fam.tabulate_derivative(x) if fam.derivative_kind == op else fam.tabulate(x)
@@ -605,30 +622,30 @@ def _smooth_field(dim, vector):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_batched_projection_matches_entity_loop(meshes, dim):
-    mesh = meshes[dim]
+def test_batched_projection_matches_entity_loop(jittered_meshes, dim):
+    mesh = jittered_meshes[dim]
     for name in _families(dim):
         space = build_space(mesh, name)
         f = _smooth_field(dim, space.family.value_kind == "vector")
         _assert_close(canonical_projection(space, f), loop_projection(space, f), name)
 
 
-@pytest.mark.parametrize("which", ["jittered 2D", "cube", "jittered cube"])
-def test_incidence_lookup_matches_loop(meshes, which):
-    mesh = {"jittered 2D": meshes[2], "cube": generate_cube_mesh(2), "jittered cube": meshes[3]}[which]
+@pytest.mark.parametrize("which", TABLE_MESHES)
+def test_incidence_lookup_matches_loop(jittered_meshes, which):
+    mesh = _table_mesh(jittered_meshes, which)
     for k in range(mesh.dim):
         M = incidence_matrix(mesh, k)
         assert M.dtype == np.int64
         assert np.array_equal(M.toarray(), loop_incidence_matrix(mesh, k))
 
 
-def _stress_meshes(meshes):
-    return {"crossed2": generate_square_mesh(2, pattern="crossed"), "jittered": meshes[2]}
+def _stress_meshes(jittered_meshes):
+    return {"crossed2": generate_square_mesh(2, pattern="crossed"), "jittered": jittered_meshes[2]}
 
 
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
-def test_batched_stress_element_matches_cell_loop(meshes, which):
-    mesh = _stress_meshes(meshes)[which]
+def test_batched_stress_element_matches_cell_loop(jittered_meshes, which):
+    mesh = _stress_meshes(jittered_meshes)[which]
     space = el.build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     cells = loop_stress_cells(mesh)
@@ -644,8 +661,8 @@ def test_batched_stress_element_matches_cell_loop(meshes, which):
 
 
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
-def test_batched_stress_interpolation_matches_edge_loop(meshes, which):
-    mesh = _stress_meshes(meshes)[which]
+def test_batched_stress_interpolation_matches_edge_loop(jittered_meshes, which):
+    mesh = _stress_meshes(jittered_meshes)[which]
     space = el.build_stress_space(mesh)
 
     def field(p):
@@ -657,11 +674,11 @@ def test_batched_stress_interpolation_matches_edge_loop(meshes, which):
     _assert_close(edges, loop_interpolate_stress_edges(space, field), which)
 
 
-def test_global_stress_interpolant_matches_per_cell_dofs(meshes):
+def test_global_stress_interpolant_matches_per_cell_dofs(jittered_meshes):
     """One DOF applicator: the global interpolant restricted to a cell
     equals the 24 DOFs applied to that cell's own vertices, local edges
     and interior."""
-    mesh = meshes[2]
+    mesh = jittered_meshes[2]
     space = el.build_stress_space(mesh)
 
     def field(p):
@@ -678,10 +695,10 @@ def test_global_stress_interpolant_matches_per_cell_dofs(meshes):
     _assert_close(el.interpolate_stress(space, field)[space.cell_dofs], per_cell, "per-cell dofs")
 
 
-def test_dg1_vector_numbering_is_cell_component_moment(meshes):
+def test_dg1_vector_numbering_is_cell_component_moment(jittered_meshes):
     """The saddle matrix's SuperLU ordering and fill rest on the numbering
     cell*6 + component*3 + moment, which build_space alone decides."""
-    mesh = meshes[2]
+    mesh = jittered_meshes[2]
     disp = build_space(mesh, "dg1_vector")
     assert np.array_equal(disp.cell_dofs, 6 * np.arange(mesh.num_cells)[:, None] + np.arange(6))
     moments = get_family("dg1").dofs
@@ -699,8 +716,8 @@ def test_dg1_vector_numbering_is_cell_component_moment(meshes):
 
 
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
-def test_dg1_displacement_space_matches_einsum_helpers(meshes, which):
-    disp = build_space(_stress_meshes(meshes)[which], "dg1_vector")
+def test_dg1_displacement_space_matches_einsum_helpers(jittered_meshes, which):
+    disp = build_space(_stress_meshes(jittered_meshes)[which], "dg1_vector")
 
     def f(p):
         x, y = p[:, 0], p[:, 1]

@@ -7,6 +7,7 @@ must be 1 for disk-like domains and 0 for the annulus.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -106,9 +107,26 @@ def test_nonconforming_mesh_rejected():
 
 
 def test_degenerate_cell_rejected():
+    # rejected before det B divides anything: a RuntimeWarning would fail the test
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshFormatError, match="degenerate"):
         Mesh(2, verts, [(0, 1, 2)])
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0]])
+    with pytest.raises(MeshFormatError, match="degenerate"):
+        Mesh(3, flat, [(0, 1, 2, 4), (1, 2, 3, 4), (0, 1, 2, 3)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cofactor_geometry_matches_lapack(jittered_meshes, dim):
+    mesh = jittered_meshes[dim]
+    geo = mesh.geometry
+    det, inv = np.linalg.det(geo.B), np.linalg.inv(geo.B)
+    assert np.all(np.abs(geo.detB - det) <= 1e-14 * np.abs(det))
+    assert np.all(np.abs(geo.Binv - inv) <= 1e-14 * np.abs(inv).max(axis=(1, 2))[:, None, None])
+    assert np.abs(geo.Binv @ geo.B - np.eye(dim)).max() <= 1e-14
+    assert np.array_equal(geo.absdet, np.abs(geo.detB))
+    assert np.array_equal(mesh.signed_cell_volumes(), geo.detB / math.factorial(dim))
 
 
 def test_roundtrip_bit_exact(disk2):

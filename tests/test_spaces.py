@@ -8,12 +8,14 @@ plane-gradient computation on the four incident triangles.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from whitney.complexes import incidence_matrix
+from whitney.elements import local_derivative_matrix
 from whitney.mesh import Mesh, generate_cube_mesh, generate_square_mesh
 from whitney.poly import Poly, VecPoly
 from whitney.spaces import (
@@ -227,8 +229,16 @@ def test_double_valued_derivative_raises(square4):
     cell = int(np.flatnonzero(interior[:, 0] & interior[:, 1])[0])
     dofs = Q.cell_dofs.copy()
     dofs[cell, [0, 1]] = dofs[cell, [1, 0]]
-    with pytest.raises(DerivativeNotSingleValuedError, match="double-valued"):
+    with pytest.raises(DerivativeNotSingleValuedError, match="double-valued") as err:
         assemble_derivative(W, dataclasses.replace(Q, cell_dofs=dofs))
+    # the named (row, col) gets two values from the cells holding the row
+    # (0 from a cell without the column)
+    row, col = map(int, re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
+    L = local_derivative_matrix(W.family, Q.family)
+    holders, local = np.nonzero(dofs == row)
+    values = {float(L[i, list(W.cell_dofs[c]).index(col)]) if col in W.cell_dofs[c] else 0.0
+              for c, i in zip(holders, local)}
+    assert len(values) > 1
 
 
 @pytest.mark.parametrize("domain", ["square4", "cube2"])
