@@ -19,7 +19,6 @@ from .complexes import (
     incidence_matrix,
 )
 from .elasticity import (
-    aw_unisolvence_check,
     build_stress_space,
     solve_mixed_elasticity,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Mesh",
     "NotAComplexError",
     "SpectrumReport",
-    "aw_unisolvence_check",
     "build_space",
     "build_stress_space",
     "check_commuting",

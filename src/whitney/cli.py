@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -227,6 +228,17 @@ def _mesh_info(mesh) -> dict:
             "boundary_vertices": int(np.count_nonzero(mesh.boundary[0]))}
 
 
+def _in_range(convert, low, high=math.inf):
+    """argparse type: convert(text), which must lie in [low, high)."""
+    def parse(text):
+        value = convert(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low:g}, {high:g}), got {text}")
+        return value
+    parse.__name__ = convert.__name__           # argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _int_list(text: str) -> tuple:
     try:
         values = tuple(int(v) for v in text.split(","))
@@ -416,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "interpolation commutes with the derivative", mesh_source=True)
     commute.add_argument("--order", type=int, default=1, choices=(1, 2))
     commute.add_argument("--bc", choices=("none", "essential"), default="none")
-    commute.add_argument("--degree", type=int, default=3,
+    commute.add_argument("--degree", type=_in_range(int, 0), default=3,
                          help="polynomial battery degree (default 3)")
     commute.add_argument("--tol", type=float, default=COMMUTE_TOL,
                          help=f"max residual allowed (default {COMMUTE_TOL:g})")
@@ -427,19 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     lap.add_argument("--family", choices=tuple(experiments.EDGE_PARTNER), default="lagrange1")
     lap.add_argument("--n", type=int, default=8)
     lap.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
-    lap.add_argument("--count", type=int, default=10,
+    lap.add_argument("--count", type=_in_range(int, 1), default=10,
                      help="reference eigenvalues to compare (default 10)")
     maxw = leaf(eig, "maxwell", _cmd_eig_maxwell, "cavity spectrum on the pi square")
     maxw.add_argument("--family", choices=("edge1", "nodal"), default="edge1")
     maxw.add_argument("--n", type=int, default=16)
     maxw.add_argument("--pattern", choices=("uniform", "crossed"), default=None,
                       help="defaults per family: crossed for edge1, uniform for nodal")
-    maxw.add_argument("--count", type=int, default=10)
+    maxw.add_argument("--count", type=_in_range(int, 1), default=10)
     mixed = leaf(eig, "maxwell-mixed", _cmd_eig_maxwell_mixed,
                  "cavity spectrum, mixed form on the range of curl")
     mixed.add_argument("--n", type=int, default=8)
     mixed.add_argument("--pattern", choices=("uniform", "crossed"), default="crossed")
-    mixed.add_argument("--count", type=int, default=10)
+    mixed.add_argument("--count", type=_in_range(int, 1), default=10)
 
     solve = parser_sub(top, "solve", "convergence sweeps")
     poisson = leaf(solve, "poisson", _cmd_solve_poisson, "primal Poisson sweep")
@@ -461,17 +473,19 @@ def build_parser() -> argparse.ArgumentParser:
     aw = parser_sub(top, "aw", "symmetric stress element checks")
     uni = leaf(aw, "unisolvence", _cmd_aw_unisolvence,
                "DOF matrix rank over random triangles")
-    uni.add_argument("--trials", type=int, default=AW_TRIALS)
+    uni.add_argument("--trials", type=_in_range(int, 0), default=AW_TRIALS)
     uni.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"rng seed (default {DEFAULT_SEED}; WHITNEY_SEED overrides)")
-    uni.add_argument("--min-shape", type=float, default=AW_MIN_SHAPE,
+    # no triangle has area >= sqrt(3)/4 diameter^2, the equilateral ratio
+    uni.add_argument("--min-shape", type=_in_range(float, 0.0, math.sqrt(3.0) / 4.0),
+                     default=AW_MIN_SHAPE,
                      help="shape floor area >= min-shape * diameter^2 for sampled "
                           f"triangles (default {AW_MIN_SHAPE})")
     awc = leaf(aw, "commute", _cmd_aw_commute,
                "stress interpolation commutes with divergence")
     awc.add_argument("--n", type=int, default=4)
     awc.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
-    awc.add_argument("--degree", type=int, default=3)
+    awc.add_argument("--degree", type=_in_range(int, 0), default=3)
     awc.add_argument("--tol", type=float, default=AW_COMMUTE_TOL,
                      help=f"max residual allowed (default {AW_COMMUTE_TOL:g})")
     return parser

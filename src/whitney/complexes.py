@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .elements import _exterior_derivative
 from .linalg import (CheckFailedError, NotPositiveDefiniteError, _absmax, check_symmetric,
-                     complex_ranks, generalized_symmetric_eig, inertia, sparse_lu)
+                     complex_ranks, generalized_symmetric_eig, inertia, sparse_lu, spd_factor)
 from .mesh import Mesh, row_keys
 from .poly import Poly, VecPoly, monomial_exponents
 from .spaces import assemble_derivative, build_space, canonical_projection
@@ -240,25 +241,30 @@ def _battery(family, degree):
             yield u, _exterior_derivative(u, family.derivative_kind)
 
 
+def commuting_residual(D, project_from, project_to, fields) -> float:
+    """Max over the pairs (u, du) of `fields` of |D Pi(u) - Pi'(du)|, relative
+    to max(1, |Pi'(du)|), with Pi = project_from and Pi' = project_to: the
+    audit of one commuting square, roundoff for a commuting construction."""
+    worst = 0.0
+    for u, du in fields:
+        lhs = D @ project_from(u)
+        rhs = project_to(du)
+        worst = max(worst, _absmax(lhs - rhs) / max(1.0, _absmax(rhs)))
+    return worst
+
+
 def check_commuting(cx: DiscreteComplex, degree: int = BATTERY_DEGREE) -> np.ndarray:
-    """Max relative residual |D Pi_k u - Pi_{k+1} du| per square.
+    """commuting_residual of each square D_k Pi_k = Pi_{k+1} d.
 
     The battery is every monomial of total degree <= degree placed in
     every value component of the source space; all DOF integrands stay
     within the quadrature design degree, so residuals are pure roundoff
     for a commuting construction.
     """
-    residuals = np.zeros(len(cx) - 1)
-    for k in range(len(cx) - 1):
-        src, dst = cx.spaces[k], cx.spaces[k + 1]
-        D = cx.derivatives[k]
-        worst = 0.0
-        for u, du in _battery(src.family, degree):
-            lhs = D @ canonical_projection(src, u)
-            rhs = canonical_projection(dst, du)
-            worst = max(worst, _absmax(lhs - rhs) / max(1.0, _absmax(rhs)))
-        residuals[k] = worst
-    return residuals
+    return np.array([
+        commuting_residual(D, partial(canonical_projection, src),
+                           partial(canonical_projection, dst), _battery(src.family, degree))
+        for D, src, dst in zip(cx.derivatives, cx.spaces, cx.spaces[1:])])
 
 
 # -- saddle-point stability ----------------------------------------------------
@@ -279,7 +285,7 @@ def compute_infsup(coupling, a_form, mass_v) -> float:
     the constant on the quotient of the multiplier space by them.
 
     Everything stays sparse (Chapelle & Bathe, "The inf-sup test",
-    1993): a is factored once by SuperLU, whose pivots reject an a-form
+    1993): a is factored once by spd_factor, whose pivots reject an a-form
     that is not SPD, and lambda_max comes from Lanczos (to SCALE_RTOL).
     The positive pivots of [[a, B^T], [B, t M_V]] past the order of a
     count the d deflated eigenvalues (Sylvester's law).  Shift-invert
@@ -296,9 +302,7 @@ def compute_infsup(coupling, a_form, mass_v) -> float:
     m, n = B.shape
     if m == 0 or B.count_nonzero() == 0:
         return 0.0
-    a_lu = sparse_lu(a)
-    if not np.array_equal(a_lu.perm_r, a_lu.perm_c) or np.any(a_lu.U.diagonal() <= 0.0):
-        raise NotPositiveDefiniteError("a_form is not SPD by the pivots of its factor")
+    a_lu = spd_factor(a)
     Bt = B.T.tocsr()
     if m > EXPLICIT_ORDER:
         schur = spla.LinearOperator((m, m), matvec=lambda q: B @ a_lu.solve(Bt @ q), dtype=float)

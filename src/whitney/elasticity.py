@@ -37,12 +37,13 @@ the stacked nodal coefficients followed by a single sparse scatter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .complexes import commuting_residual
 from .elements import _read_only, moment_rule
 from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
 from .mesh import Mesh
@@ -246,16 +247,6 @@ def _dualize(vertices: np.ndarray):
     return origin, scale, coeffs, cond
 
 
-@dataclass(frozen=True)
-class UnisolvenceReport:
-    rank: int
-    cond: float
-    passed: bool
-
-    def to_dict(self):
-        return {"rank": self.rank, "cond": self.cond, "pass": self.passed}
-
-
 def aw_unisolvence_survey(triangles):
     """(rank, cond) of the DOF matrix on the shape basis, for each of the
     stacked triangles (n, 3, 2), from one batch of singular values."""
@@ -266,15 +257,6 @@ def aw_unisolvence_survey(triangles):
     # singular values above RANK_RTOL times the largest, which comes first
     rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
     return rank, _condition_numbers(s)
-
-
-def aw_unisolvence_check(vertices) -> UnisolvenceReport:
-    """Rank and conditioning of the DOF matrix on the shape basis."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape != (3, 2):
-        raise ValueError(f"triangle needs 3 plane vertices, got {vertices.shape}")
-    rank, cond = aw_unisolvence_survey(vertices[None])
-    return UnisolvenceReport(int(rank[0]), float(cond[0]), bool(rank[0] == NDOF))
 
 
 # -- global spaces ---------------------------------------------------------
@@ -380,12 +362,6 @@ def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matri
                                (disp.ndofs, space.ndofs))
 
 
-def assemble_coupling(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
-    """b(sigma, v) = int div sigma . v, rows over displacement DOFs: the
-    displacement mass times the divergence DOF matrix."""
-    return (assemble_mass(disp) @ assemble_divergence(space, disp)).tocsr()
-
-
 def interpolate_stress(space: StressSpace, field) -> np.ndarray:
     """Canonical stress interpolant of a smooth field.
 
@@ -398,27 +374,23 @@ def interpolate_stress(space: StressSpace, field) -> np.ndarray:
 
 
 def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:
-    """max over symmetric monomial fields of |D Pi_S(tau) - Pi_V(div tau)|.
-
-    Relative to the projected divergence; the battery places every
-    monomial of total degree <= degree in each component slot.
-    """
+    """complexes.commuting_residual of the square D Pi_S = Pi_V div, over every
+    monomial of total degree <= degree in each symmetric component slot."""
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
-    D = assemble_divergence(stress, disp)
     zero = Poly.constant(2, 0.0)
-    worst = 0.0
-    for block in range(3):
-        for e in monomial_exponents(2, degree):
-            comps = [zero, zero, zero]
-            comps[block] = Poly.monomial(2, e)
-            tau = SymPoly(*comps)
-            div = tau.div()
-            lhs = D @ interpolate_stress(stress, tau.eval)
-            rhs = canonical_projection(disp, div)
-            scale = max(1.0, np.abs(rhs).max())
-            worst = max(worst, np.abs(lhs - rhs).max() / scale)
-    return worst
+
+    def battery():
+        for block in range(3):
+            for e in monomial_exponents(2, degree):
+                comps = [zero, zero, zero]
+                comps[block] = Poly.monomial(2, e)
+                tau = SymPoly(*comps)
+                yield tau.eval, tau.div()
+
+    return commuting_residual(assemble_divergence(stress, disp),
+                              partial(interpolate_stress, stress),
+                              partial(canonical_projection, disp), battery())
 
 
 # -- mixed solver ------------------------------------------------------------

@@ -25,9 +25,11 @@ one: the curl for the edge cavity and its mixed form, the gradient into
 the edge partner for Laplace.  The nodal cavity, in no complex, counts
 its kernel by the inertia of one sparse factor.  The edge cavity's
 eigensolve splits its gradients off along the tree its collapse pairs
-with them and densifies only the cotree block; the mixed pencil is a
-Cholesky Gram matrix, every other pencil dense.  The sweeps share one
-refinement loop, one order fit per series and one L2 error integral.
+with them and densifies only the cotree block; the mixed pencil's Schur
+matrix comes from the sparse factor of the edge mass (linalg.spd_factor),
+as the explicit inf-sup pencil's does, and every pencil is solved dense.
+The sweeps share one refinement loop, one order fit per series and one L2
+error integral.
 """
 
 from __future__ import annotations
@@ -42,16 +44,15 @@ from .complexes import compute_infsup
 from .elements import get_family
 from .linalg import (
     CheckFailedError,
-    cholesky_reduce,
     complex_ranks,
     generalized_symmetric_eig,
     inertia,
+    spd_factor,
     symmetric_indefinite_solve,
 )
 from .mesh import Mesh, generate_ellipse_mesh, generate_square_mesh
 from .spaces import (
     assemble_derivative,
-    assemble_component_products,
     assemble_load,
     assemble_mass,
     assemble_stiffness_like,
@@ -326,7 +327,9 @@ def nodal_cavity_system(n: int, pattern: str = "uniform") -> CavitySystem:
     """
     mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
     W = build_space(mesh, get_family("lagrange1"))
-    K = [[assemble_component_products(W, a, b) for b in range(2)] for a in range(2)]
+    # int d_a(phi_i) d_b(phi_j) dx: the coefficient e_a e_b^T on the gradients
+    K = [[assemble_stiffness_like(W, W, "grad", np.outer(a, b)) for b in np.eye(2)]
+         for a in np.eye(2)]
     # curl E = d1 Ey - d2 Ex, so testing with (phi, 0) picks up d2 and
     # with (0, phi) picks up d1, with a sign flip on the cross blocks
     A = sp.bmat([[K[1][1], -K[1][0]], [-K[0][1], K[0][0]]], format="csr")
@@ -396,8 +399,8 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     """Mixed form of the cavity problem on P_h = curl Q_h.
 
     The pencil G q = lambda M2 q, with G = (M2 D) A^{-1} (M2 D)^T (D the
-    curl, A the edge mass, M2 the cell mass), is posed on all of dg0 as
-    G = W^T W, W = L^-1 (M2 D)^T, L = chol(A) (linalg.cholesky_reduce).  G
+    curl, A the edge mass, M2 the cell mass), is posed on all of dg0, with
+    one solve of linalg.spd_factor(A) per cell, as in compute_infsup.  G
     vanishes exactly on the M2-orthogonal complement of range(D), so the
     spectrum on P_h is the dg0 spectrum with its cells - rank zeros
     dropped, and _spectrum certifies that zero count against the exact
@@ -407,8 +410,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     """
     system = edge_cavity_system(n, pattern)
     M2D = system.cell_mass @ system.curl
-    _, W = cholesky_reduce(system.mass, M2D.T)
-    G = W.T @ W
+    G = M2D @ spd_factor(system.mass).solve(M2D.T.toarray())
     full, zeros, threshold = _spectrum(G, system.cell_mass, system.rank)
     lam = full[zeros:]
     galerkin, g_zero, _ = _spectrum(system.curlcurl, system.mass, system.rank, system.gradient)
@@ -471,6 +473,8 @@ def _sweep(ns, pattern: str, level, keys):
 
 def _coefficient_matrix(coefficient) -> np.ndarray:
     C = np.asarray(coefficient, dtype=float)
+    if not np.all(np.isfinite(C)):
+        raise ValueError(f"coefficient must be finite, got {coefficient!r}")
     if C.ndim == 0:
         C = float(C) * np.eye(2)
     elif C.ndim == 1:

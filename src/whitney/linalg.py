@@ -9,17 +9,17 @@ without pivoting, and refinement against the true matrix (Gill,
 Saunders & Shinnerl 1996).  Its refinement and its final check use one
 componentwise backward error, judging rows that a sparse right-hand
 side leaves empty by the omega_2 scale of Arioli, Demmel & Duff (1989).
-The Lanczos operators of complexes.compute_infsup apply sparse_lu
-factors directly, unrefined, since the eigensolver's own tolerance
-governs those solves; the stress element dualizes its per-cell DOF
-tables by one stacked dense solve.  check_symmetric keeps a sparse
-matrix sparse.  Dense LAPACK is used only for spectra
-(generalized_symmetric_eig) and the dense Schur matrices X^T K^-1 X of
-their pencils, which are no linear solve but one Cholesky step,
-cholesky_reduce: L = chol(K), W = L^-1 X, and X^T K^-1 X = W^T W, just
-as eigh's "gv" driver factors the mass of every dense pencil.  inertia
-counts the eigenvalues below a shift, with no spectrum, from the signs
-of the sparse_lu pivots.
+A Schur matrix X^T K^-1 X (the inf-sup pencil, the mixed cavity's G)
+takes one unrefined solve per column of X with spd_factor(K), the
+sparse_lu factor whose pivots certify an SPD K; the Lanczos operators of
+complexes.compute_infsup apply factors unrefined too, since the
+eigensolver's own tolerance governs those solves.  The stress element
+dualizes its per-cell DOF tables by one stacked dense solve, and
+check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used only
+for spectra (generalized_symmetric_eig), which factor the mass of every
+dense pencil by Cholesky, as eigh's "gv" driver does.  inertia counts the
+eigenvalues below a shift, with no spectrum, from the signs of the
+sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -28,7 +28,7 @@ known kernel, such as the gradients in an edge space, is split along
 the tree rows the collapse pairs with the kernel's columns (the
 tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
 block, against a Schur complement of the mass, is dense, and the
-kernel keeps its computed Ritz values.  The Cholesky step on the
+kernel keeps its computed Ritz values.  One Cholesky step on the
 kernel's mass block reduces the kernel's pencil and gives that complement.
 """
 from __future__ import annotations
@@ -112,6 +112,15 @@ def sparse_lu(A):
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError("singular system") from exc
+
+
+def spd_factor(K):
+    """sparse_lu(K) for a symmetric positive definite K: a pivot that leaves
+    the diagonal or is not positive raises NotPositiveDefiniteError."""
+    lu = sparse_lu(K)
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
+        raise NotPositiveDefiniteError("matrix is not SPD by the pivots of its factor")
+    return lu
 
 
 def symmetric_indefinite_solve(A, b) -> np.ndarray:
@@ -222,8 +231,11 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     cotree = np.ones(A.shape[0], dtype=bool)
     cotree[pairs[:, 1]] = False
     BG = B @ G
-    # S = B_cc - W^T W, W = L^-1 B_Gc; dsyrk writes its lower triangle
-    L, W = cholesky_reduce(G.T @ BG, BG[cotree].T)
+    # S = B_cc - W^T W, W = L^-1 B_Gc, L = chol(G^T B G): the solve overwrites
+    # the F-ordered transpose of B_cG uncopied, and dsyrk the lower triangle of S
+    L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
+    W = sla.solve_triangular(L, BG[cotree].toarray().T, lower=True, overwrite_b=True,
+                             check_finite=False)
     S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
                    lower=1, overwrite_c=1)
     GAG = (G.T @ AG).toarray()
@@ -232,16 +244,6 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     del W, GAG, L                   # only the two cotree blocks stay dense
     A_cc = A[cotree][:, cotree].toarray(order="F")
     return np.sort(np.concatenate([ritz, _dense_eig(A_cc, _cholesky(S))]))
-
-
-def cholesky_reduce(K, X) -> tuple[np.ndarray, np.ndarray]:
-    """(L, W): the lower triangle of L is the Cholesky factor of a sparse SPD K
-    (NotPositiveDefiniteError where it fails), and W = L^-1 X for a sparse X,
-    by one triangular solve, so that the Schur matrix X^T K^-1 X is W^T W."""
-    L = _cholesky(check_symmetric(sp.csr_matrix(K, dtype=float), "K").toarray(order="F"))
-    # X^T as a C-ordered array is X F-ordered, which the solve overwrites uncopied
-    W = sla.solve_triangular(L, X.T.toarray().T, lower=True, overwrite_b=True, check_finite=False)
-    return L, W
 
 
 def _cholesky(B) -> np.ndarray:

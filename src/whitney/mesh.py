@@ -220,24 +220,6 @@ class Mesh:
         """Signed volume det[v1-v0, ..., vd-v0] / d! per cell."""
         return self.geometry.detB / math.factorial(self.dim)
 
-    def entity_measures(self, k: int) -> np.ndarray:
-        """Unsigned k-volume of each k-entity."""
-        tab = self.entities[k]
-        if k == 0:
-            return np.ones(tab.shape[0])
-        pts = self.vertices[tab]
-        if k == 1:
-            return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        if k == 2:
-            a = pts[:, 1] - pts[:, 0]
-            b = pts[:, 2] - pts[:, 0]
-            if self.dim == 2:
-                return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-            return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
-        if k == 3:
-            return np.abs(self.signed_cell_volumes())
-        raise ValueError(f"bad entity dimension {k}")
-
 
 def row_keys(rows: np.ndarray, nv: int):
     """One int64 key per row of vertex ids below nv, read as digits in base

@@ -351,16 +351,3 @@ def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     out = np.zeros(space.ndofs)
     np.add.at(out, space.cell_dofs, local)
     return out
-
-
-def assemble_component_products(space: DiscreteSpace, a: int, b: int) -> sp.csr_matrix:
-    """int d_a(phi_i) d_b(phi_j) dx for a scalar H1 space.
-
-    Building block for Cartesian-product vector fields (the nodal
-    Maxwell discretization couples gradient components this way).
-    """
-    if space.family.mapping != "h1":
-        raise ValueError("component products need a scalar H1 family")
-    unit = np.zeros((space.mesh.dim, space.mesh.dim))
-    unit[a, b] = 1.0
-    return assemble_stiffness_like(space, space, "grad", unit)

@@ -6,6 +6,8 @@ canonical JSON payload, stderr the human table.  Exit code oracle:
 program crashed.
 """
 
+import ast
+import inspect
 import json
 import os
 import pathlib
@@ -16,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+import whitney
 from whitney import cli, experiments
 from whitney.cli import DEFAULT_SEED, build_parser, emit_csv, main
 from whitney.complexes import DiscreteComplex, derham_complex
@@ -190,6 +193,31 @@ def test_unknown_commands_are_usage_errors(capsys):
     assert run(capsys, "eig", "maxwell", "--family", "face1")[0] == 2
 
 
+# each out-of-range option value with the text its message must name; run
+# in a subprocess with a timeout, since a --min-shape no triangle reaches
+# would leave the rejection sampler looping forever
+OUT_OF_RANGE = [
+    ("complex commute --domain square --degree -1", "--degree"),
+    ("aw commute --degree -1", "--degree"),
+    ("eig laplace --count 0", "--count"),
+    ("eig maxwell --count 0", "--count"),
+    ("eig maxwell --count -2", "--count"),
+    ("aw unisolvence --trials -3", "--trials"),
+    ("aw unisolvence --min-shape 0.5", "--min-shape"),
+    ("solve mixed-poisson --ns 2,4 --coefficient nan", "coefficient"),
+    ("solve mixed-poisson --ns 2,4 --coefficient inf", "coefficient"),
+]
+
+
+@pytest.mark.parametrize("argv,option", OUT_OF_RANGE, ids=[argv for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_options_are_usage_errors(argv, option):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "whitney", *argv.split()], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert option in proc.stderr
+
+
 @pytest.mark.parametrize("group,sub", ALL_SUBCOMMANDS)
 def test_every_subcommand_has_help(capsys, group, sub):
     assert main([group, sub, "--help"]) == 0
@@ -358,3 +386,19 @@ def test_readme_json_diff_of_a_tree_against_itself_is_zero(capsys, tmp_path):
     assert lines == ["exit 0 0  max_rel 0.00e+00  bytes identical  whitney aw commute --n 4"]
     floats, problems = script["compare"]({"a": [1.0, 2], "b": "x"}, {"a": [1.5, 2], "c": "x"})
     assert floats == [("a.0", 1.0, 1.5, 1.0 / 3.0)] and problems == ["b", "c", "{}"]
+
+
+def test_every_export_is_used_outside_the_package_init():
+    # a non-module name in whitney.__all__ must be referenced in src other than
+    # __init__.py (its own def/class statement is no reference), or in scripts/
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [f for f in sorted((root / "src" / "whitney").glob("*.py")) if f.name != "__init__.py"]
+    referenced = set()
+    for path in files + sorted((root / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    exports = [name for name in whitney.__all__ if not inspect.ismodule(getattr(whitney, name))]
+    assert [name for name in exports if name not in referenced] == []

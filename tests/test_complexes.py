@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from whitney import complexes
+from whitney import complexes, elasticity
+from whitney.cli import AW_COMMUTE_TOL, COMMUTE_TOL
 from whitney.complexes import (
     DiscreteComplex,
     NotAComplexError,
@@ -24,8 +25,8 @@ from whitney.complexes import (
     derham_complex,
     incidence_matrix,
 )
-from whitney.linalg import (CheckFailedError, NotPositiveDefiniteError, cholesky_reduce,
-                            complex_ranks, generalized_symmetric_eig)
+from whitney.linalg import (CheckFailedError, NotPositiveDefiniteError, complex_ranks,
+                            generalized_symmetric_eig)
 from whitney.mesh import (Mesh, generate_annulus_mesh, generate_cube_mesh, generate_disk_mesh,
                           generate_square_mesh)
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
@@ -197,6 +198,33 @@ def test_commuting_projections_ignore_bc(disk2):
     assert np.max(res) <= 1e-10
 
 
+def _scale_one_entry(D):
+    """D with its largest stored entry scaled by 1 + 1e-6."""
+    D = sp.csr_matrix(D, copy=True)
+    D.data[np.argmax(np.abs(D.data))] *= 1.0 + 1e-6
+    return D
+
+
+@pytest.mark.parametrize("pair", ["derham1", "derham2", "stress"])
+def test_commuting_audit_catches_one_scaled_entry(crossed2, square4, monkeypatch, pair):
+    # the shared audit at the CLI tolerances: one entry of D off by 1e-6
+    # breaks its square far above roundoff
+    if pair == "stress":
+        assert elasticity.commutativity_residual(square4) <= AW_COMMUTE_TOL
+        divergence = elasticity.assemble_divergence
+        monkeypatch.setattr(elasticity, "assemble_divergence",
+                            lambda *args: _scale_one_entry(divergence(*args)))
+        assert elasticity.commutativity_residual(square4) > AW_COMMUTE_TOL
+        return
+    cx = derham_complex(crossed2, order=int(pair[-1]))
+    assert check_commuting(cx).max() <= COMMUTE_TOL
+    for k in range(len(cx) - 1):
+        derivatives = list(cx.derivatives)
+        derivatives[k] = _scale_one_entry(derivatives[k])
+        residuals = check_commuting(DiscreteComplex(cx.spaces, tuple(derivatives)))
+        assert residuals[k] > COMMUTE_TOL
+
+
 def test_infsup_identity_oracles():
     eye = np.eye(5)
     assert compute_infsup(eye, eye, eye) == pytest.approx(1.0, abs=1e-12)
@@ -233,8 +261,9 @@ def test_explicit_infsup_pencil_stays_in_bounded_memory():
     u, w = rng.standard_normal(m), rng.standard_normal(n)
     B = sp.csr_matrix(np.outer(u, w))
     Mv = np.diag(rng.uniform(1.0, 2.0, m))
-    _, W = cholesky_reduce(a, B.T)
-    expected = math.sqrt(generalized_symmetric_eig(W.T @ W, Mv)[-1])
+    Bd = B.toarray()
+    schur = Bd @ np.linalg.solve(a.toarray(), Bd.T)
+    expected = math.sqrt(generalized_symmetric_eig(schur, Mv)[-1])
     tracemalloc.start()
     try:
         gamma = compute_infsup(B, a, Mv)

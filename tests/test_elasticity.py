@@ -16,9 +16,7 @@ from whitney.cli import _random_triangle
 from whitney.elasticity import (
     NDOF,
     P3,
-    aw_unisolvence_check,
     aw_unisolvence_survey,
-    assemble_coupling,
     assemble_divergence,
     build_stress_space,
     commutativity_residual,
@@ -33,7 +31,7 @@ from whitney.linalg import RANK_RTOL
 from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
 from whitney.poly import Poly, SymPoly, monomial_exponents
 from whitney.quadrature import interval_rule, tetrahedron_rule, triangle_rule
-from whitney.spaces import assemble_mass, build_space, canonical_projection, evaluate_on_cells
+from whitney.spaces import build_space, canonical_projection, evaluate_on_cells
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -88,9 +86,8 @@ def test_all_quadratics_satisfy_the_constraint():
 
 
 def test_unisolvence_reference_and_random_triangles(rng):
-    report = aw_unisolvence_check(REF)
-    assert report.passed and report.rank == NDOF
-    assert report.to_dict()["pass"] is True
+    rank, _ = aw_unisolvence_survey(REF[None])
+    assert rank[0] == NDOF
     found = 0
     while found < 25:
         verts = rng.uniform(-1.0, 1.0, (3, 2))
@@ -102,9 +99,8 @@ def test_unisolvence_reference_and_random_triangles(rng):
         if area < 0.02 * diam ** 2:
             continue
         found += 1
-        for scale in (1.0, 10.0):
-            rep = aw_unisolvence_check(scale * verts + 3.0)
-            assert rep.rank == NDOF, verts
+        rank, _ = aw_unisolvence_survey([verts + 3.0, 10.0 * verts + 3.0])
+        assert np.all(rank == NDOF), verts
 
 
 def test_stacked_survey_matches_one_triangle_checks():
@@ -115,8 +111,8 @@ def test_stacked_survey_matches_one_triangle_checks():
     rank, cond = aw_unisolvence_survey(triangles)
     assert rank[1] < NDOF and np.all(np.delete(rank, 1) == NDOF)
     for verts, r, c in zip(triangles, rank, cond):
-        rep = aw_unisolvence_check(verts)
-        assert rep.rank == r and rep.cond == c
+        one_rank, one_cond = aw_unisolvence_survey(verts[None])
+        assert one_rank[0] == r and one_cond[0] == c
         # the one-matrix oracles: numpy's SVD rank and cond
         V = el._shape_dof_matrix(verts[None])[2][0]
         assert np.linalg.matrix_rank(V, rtol=RANK_RTOL) == r and np.linalg.cond(V) == c
@@ -127,12 +123,12 @@ def test_stacked_survey_matches_one_triangle_checks():
 def test_degenerate_triangle_rejected():
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="degenerate"):
-        aw_unisolvence_check(collinear)
+        aw_unisolvence_survey(collinear[None])
     sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
     with pytest.raises(ValueError, match="degenerate"):
         el._dualize(np.stack([REF, sliver]))
     with pytest.raises(ValueError, match="3 plane vertices"):
-        aw_unisolvence_check(REF[:2])
+        aw_unisolvence_survey(REF[None, :2])
 
 
 def test_nodal_basis_dual_to_global_dofs():
@@ -159,15 +155,6 @@ def test_nodal_divergences_are_affine():
             high = [c for e, c in comp.terms.items() if sum(e) >= 2]
             if high:
                 assert np.max(np.abs(high)) <= 1e-10 * scale
-
-
-def test_coupling_factors_through_divergence(crossed2):
-    stress = build_stress_space(crossed2)
-    disp = build_space(crossed2, "dg1_vector")
-    B = assemble_coupling(stress, disp)
-    MvD = assemble_mass(disp) @ assemble_divergence(stress, disp)
-    diff = np.abs((B - MvD).todense()).max()
-    assert diff <= 1e-12 * max(1.0, np.abs(B.todense()).max())
 
 
 def test_divergence_is_onto_displacements(crossed2):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from whitney import linalg
@@ -31,12 +30,12 @@ from whitney.linalg import (
     RANK_RTOL,
     SingularSystemError,
     check_symmetric,
-    cholesky_reduce,
     collapse,
     complex_ranks,
     exact_rank,
     generalized_symmetric_eig,
     inertia,
+    spd_factor,
     symmetric_indefinite_solve,
 )
 
@@ -229,17 +228,17 @@ def test_sparse_right_hand_side_needs_no_refinement(monkeypatch):
         assert np.abs(system.mass @ x - b[:, j]).max() <= 1e-14 * np.abs(b[:, j]).max()
 
 
-def test_cholesky_reduce_gives_the_schur_matrix_as_a_gram_matrix():
-    # W^T W = X^T K^-1 X for the mixed cavity at n=8: K the edge mass, X = (M2 D)^T
+def test_spd_factor_gives_the_schur_matrix_and_rejects_indefinite_pivots():
+    # X^T K^-1 X for the mixed cavity at n=8: K the edge mass, X = (M2 D)^T
     system = edge_cavity_system(8)
-    X = (system.cell_mass @ system.curl).T.tocsc()
-    L, W = cholesky_reduce(system.mass, X)
-    L = np.tril(L)
-    assert np.allclose(L @ L.T, system.mass.toarray(), rtol=0.0, atol=1e-15)
-    want = X.T @ spla.splu(sp.csc_matrix(system.mass)).solve(X.toarray())
-    assert np.abs(W.T @ W - want).max() <= 1e-14 * np.abs(want).max()
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_reduce(sp.diags([1.0, -1.0]), sp.eye(2))
+    X = (system.cell_mass @ system.curl).T.toarray()
+    got = X.T @ spd_factor(system.mass).solve(X)
+    want = X.T @ np.linalg.solve(system.mass.toarray(), X)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # a negative pivot, and a zero diagonal whose pivot leaves the diagonal
+    for K in (sp.diags([1.0, -1.0]), sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_factor(K)
 
 
 def test_unrefined_solve_is_judged_componentwise(monkeypatch):
