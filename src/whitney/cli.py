@@ -49,6 +49,10 @@ COMMUTE_TOL = 1e-10
 AW_COMMUTE_TOL = 1e-9
 AW_TRIALS = 100
 AW_MIN_SHAPE = 0.02
+# draws per sampled triangle before --min-shape is reported unreachable:
+# uniform draws meet 0.43 once in ~20,000 and 0.432 once in ~150,000
+# (the equilateral ratio is sqrt(3)/4 = 0.4330)
+AW_MAX_DRAWS = 200_000
 
 
 class UsageError(Exception):
@@ -350,7 +354,7 @@ def _cmd_solve_elasticity(args) -> Outcome:
 def _random_triangle(rng, min_shape):
     # shape floor area >= min_shape * diam^2: slivers drive the DOF matrix
     # conditioning past the rank tolerance long before exact degeneracy
-    while True:
+    for _ in range(AW_MAX_DRAWS):
         verts = rng.uniform(-1.0, 1.0, size=(3, 2))
         e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
         area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -358,6 +362,8 @@ def _random_triangle(rng, min_shape):
                    for i, j in ((0, 1), (0, 2), (1, 2)))
         if area >= min_shape * diam ** 2:
             return verts
+    raise ValueError(f"no triangle with area >= {min_shape} * diameter^2 in {AW_MAX_DRAWS} "
+                     "draws; lower --min-shape")
 
 
 def _cmd_aw_unisolvence(args) -> Outcome:

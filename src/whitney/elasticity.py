@@ -29,10 +29,19 @@ entities: the canonical interpolant runs it on the global vertices,
 edges and cells, the per-cell DOF tables on each cell's own entities
 with the 10 cubic monomials in one component as a batch, from which
 the table over the 30 monomial fields of P3(T, S) is placed.  The
-bases exist only as stacked arrays, with no per-cell objects: the
-(cells, 24, 30) DOF tables are dualized by one batched condition number
-and one stacked solve, and every global operator is a contraction of
-the stacked nodal coefficients followed by a single sparse scatter.
+bases exist only as stacked arrays, with no per-cell objects, and
+every global operator is a contraction of the stacked nodal
+coefficients followed by a single sparse scatter.
+
+Cells are grouped into kinds by the exact bytes of their DOF table,
+quadrature-point monomials and |det|: on a structured mesh most cells
+repeat a few shapes (2,048 cells and 72 kinds on the uniform square at
+n = 32).  The (kinds, 24, 24) tables are dualized by one batched
+condition number and one stacked solve, and the compliance blocks are
+formed per kind; both are gathered back to the cells.  LAPACK and
+matmul work matrix by matrix, so the gathered arrays are bit-identical
+to a per-cell computation, and a mesh with no repeated shape pays only
+for the grouping.  The divergence stays per cell.
 """
 from __future__ import annotations
 
@@ -228,14 +237,12 @@ def _condition_numbers(s: np.ndarray) -> np.ndarray:
         return s[:, 0] / s[:, -1]
 
 
-def _dualize(vertices: np.ndarray):
-    """Nodal bases of stacked triangles (nc, 3, 2).
+def _dualize(V: np.ndarray):
+    """Nodal bases from stacked DOF tables V (n, 24, 24) on the shape basis.
 
-    Returns (origin, scale, coeffs (nc, 24, 30), cond (nc,)): coeffs[c]
-    holds the nodal fields dual to the 24 DOFs as rows over the
-    P3(T, S) monomials.
+    Returns (coeffs (n, 24, 30), cond (n,)): coeffs[i] holds the nodal
+    fields dual to the 24 DOFs as rows over the P3(T, S) monomials.
     """
-    origin, scale, V = _shape_dof_matrix(vertices)
     null = _shape_null_space()
     cond = _condition_numbers(np.linalg.svd(V, compute_uv=False))
     bad = ~(cond <= COND_MAX)
@@ -244,7 +251,25 @@ def _dualize(vertices: np.ndarray):
             f"stress element dualization ill-conditioned: {np.max(cond[bad]):.2e}")
     # nodal_j = sum_i X[i, j] shape_i with V X = I, so rows of X^T null
     coeffs = np.linalg.solve(np.swapaxes(V, 1, 2), np.broadcast_to(null, (len(V),) + null.shape))
-    return origin, scale, coeffs, cond
+    return coeffs, cond
+
+
+def _cell_kinds(*tables) -> tuple[np.ndarray, np.ndarray]:
+    """(first, kind): cells whose rows of every stacked float table
+    (cells, ...) are bit-identical share a kind; first[k] is the lowest
+    cell of kind k and kind[c] the kind of cell c, as np.unique numbers
+    the rows' bytes."""
+    rows = np.concatenate([t.reshape(len(t), -1) for t in tables], axis=1)
+    # sort one void scalar per row, then compare neighbours as integers:
+    # np.unique on axis=0, or on the void scalars, compares far slower
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                       kind="stable")
+    ranked = rows.view(np.uint64)[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    kind = np.empty(len(rows), dtype=np.intp)
+    kind[order] = np.cumsum(new) - 1
+    return order[new], kind
 
 
 def aw_unisolvence_survey(triangles):
@@ -271,6 +296,10 @@ class StressSpace:
     24 nodal fields have the P3(T, S) coefficients coeffs[c].  mono[c]
     holds the P3 monomials at the triangle_rule points of cell c, in its
     local frame, for the compliance, the divergence and evaluate_stress.
+    Cells with bit-identical DOF tables, monomials and |det| are one
+    kind: kind[c] is the kind of cell c and first[k] one cell of kind k,
+    and coeffs, cond and the compliance block of a kind are computed
+    once, on first[k], then gathered.
     """
 
     mesh: Mesh
@@ -281,6 +310,8 @@ class StressSpace:
     coeffs: np.ndarray             # (num_cells, 24, 30)
     cond: np.ndarray               # (num_cells,) dualization condition numbers
     mono: np.ndarray               # (num_cells, nq, 10)
+    first: np.ndarray              # (num_kinds,) one cell of each kind
+    kind: np.ndarray               # (num_cells,) kind of each cell
 
     @property
     def num_cells(self):
@@ -297,11 +328,15 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
         (3 * mesh.cells[:, :, None] + np.arange(3)).reshape(nt, 9),
         (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
         cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
-    origin, scale, coeffs, cond = _dualize(mesh.vertices[mesh.cells])
+    origin, scale, V = _shape_dof_matrix(mesh.vertices[mesh.cells])
     local = (mesh.geometry.push_points(triangle_rule().points) - origin[:, None, :]) \
         / scale[:, None, None]
-    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond,
-                       _monomials(local, P3))
+    mono = _monomials(local, P3)
+    first, kind = _cell_kinds(V, mono, mesh.geometry.absdet)
+    coeffs, cond = _dualize(V[first])
+    del V                          # the per-cell tables end with the representatives
+    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs[kind], cond[kind],
+                       mono, first, kind)
 
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
@@ -332,18 +367,21 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     the nodal coefficients, the local matrix is C_c kron(K, G_c) C_c^T
     (the columns of C_c are component blocks), where sigma : tau = s11
     t11 + 2 s12 t12 + s22 t22 and K = a1 (diag(1, 2, 1) - a2 e e^T),
-    e = (1, 0, 1) picking out the trace.
+    e = (1, 0, 1) picking out the trace.  It is formed once per cell
+    kind, and each cell scatters its kind's block.
     """
     a1, a2 = compliance_coefficients(lam, mu)
     rule = triangle_rule()
-    mono = space.mono
-    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[:, None]
-    gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (nc, 10, 10)
+    first = space.first
+    mono, coeffs = space.mono[first], space.coeffs[first]
+    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[first, None]
+    gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (kinds, 10, 10)
     trace = np.array([1.0, 0.0, 1.0])
     K = a1 * (np.diag([1.0, 2.0, 1.0]) - a2 * np.outer(trace, trace))
     kron = (K[None, :, None, :, None] * gram[:, None, :, None, :]).reshape(-1, NCOEF, NCOEF)
-    local = space.coeffs @ kron @ np.swapaxes(space.coeffs, 1, 2)
-    return scatter_cell_blocks(local, space.cell_dofs, space.cell_dofs, (space.ndofs, space.ndofs))
+    local = coeffs @ kron @ np.swapaxes(coeffs, 1, 2)
+    return scatter_cell_blocks(local[space.kind], space.cell_dofs, space.cell_dofs,
+                               (space.ndofs, space.ndofs))
 
 
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:

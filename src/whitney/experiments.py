@@ -222,6 +222,12 @@ def _spectrum(A, M, rank, kernel=None):
     return lam, zero_count, threshold
 
 
+def _require_count(count: int):
+    """A spectrum study compares at least one reference eigenvalue."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+
+
 # -- Laplace eigenvalues -------------------------------------------------------
 
 
@@ -237,6 +243,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
     against the exact rank of the gradient into the family's
     EDGE_PARTNER, which is the rank of the stiffness.
     """
+    _require_count(count)
     if domain == "square":
         mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
     elif domain == "ellipse":
@@ -354,6 +361,7 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     family: crossed for edge1, uniform for nodal (where the clamped
     uniform grid shows the cleanest pollution).
     """
+    _require_count(count)
     if family == "edge1":
         pattern = pattern or "crossed"
         system = edge_cavity_system(n, pattern)
@@ -408,6 +416,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
     Galerkin cavity spectrum; `passed` asserts exactly that equivalence,
     computed side by side.
     """
+    _require_count(count)
     system = edge_cavity_system(n, pattern)
     M2D = system.cell_mass @ system.curl
     G = M2D @ spd_factor(system.mass).solve(M2D.T.toarray())

@@ -14,12 +14,12 @@ takes one unrefined solve per column of X with spd_factor(K), the
 sparse_lu factor whose pivots certify an SPD K; the Lanczos operators of
 complexes.compute_infsup apply factors unrefined too, since the
 eigensolver's own tolerance governs those solves.  The stress element
-dualizes its per-cell DOF tables by one stacked dense solve, and
-check_symmetric keeps a sparse matrix sparse.  Dense LAPACK is used only
-for spectra (generalized_symmetric_eig), which factor the mass of every
-dense pencil by Cholesky, as eigh's "gv" driver does.  inertia counts the
-eigenvalues below a shift, with no spectrum, from the signs of the
-sparse_lu pivots.
+dualizes its DOF tables, one per kind of cell, by one stacked dense
+solve, and check_symmetric keeps a sparse matrix sparse.  Dense LAPACK
+is used only for spectra (generalized_symmetric_eig), which factor the
+mass of every dense pencil by Cholesky, as eigh's "gv" driver does.
+inertia counts the eigenvalues below a shift, with no spectrum, from
+the signs of the sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -30,6 +30,10 @@ tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
 block, against a Schur complement of the mass, is dense, and the
 kernel keeps its computed Ritz values.  One Cholesky step on the
 kernel's mass block reduces the kernel's pencil and gives that complement.
+The split works on 2^k multiples of its triangular solve and of the
+kernel's roundoff-sized pencil, so that LAPACK meets no subnormal
+numbers (slow on x86), and undoes the power of two exactly in the
+rank-k update and the Ritz values.
 """
 from __future__ import annotations
 
@@ -232,15 +236,23 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     cotree[pairs[:, 1]] = False
     BG = B @ G
     # S = B_cc - W^T W, W = L^-1 B_Gc, L = chol(G^T B G): the solve overwrites
-    # the F-ordered transpose of B_cG uncopied, and dsyrk the lower triangle of S
+    # the F-ordered transpose of B_cG uncopied, and dsyrk the lower triangle of S.
+    # B_cG and G^T A G are scaled by 2^k while sparse, so that the small
+    # entries of W and of the Ritz pencil stay normal numbers, on which LAPACK
+    # is fast, and pages of their dense arrays that LAPACK never writes stay
+    # untouched.  S is positive semidefinite, so W^T W <= B_cc: every product
+    # and partial sum in dsyrk is at most 4^k max diag(B_cc), which k keeps
+    # below 2^1000.  G^T A G is roundoff, KERNEL_RTOL-small next to |A| |G|^2,
+    # and 2^k <= 2^400 leaves its reduced pencil far from overflow.
+    k = min(400, int((1000 - np.log2(max(B.diagonal()[cotree].max(initial=0.0), 1e-300))) // 2))
     L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
-    W = sla.solve_triangular(L, BG[cotree].toarray().T, lower=True, overwrite_b=True,
-                             check_finite=False)
-    S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
-                   lower=1, overwrite_c=1)
-    GAG = (G.T @ AG).toarray()
+    W = sla.solve_triangular(L, (2.0 ** k * BG[cotree]).toarray().T, lower=True,
+                             overwrite_b=True, check_finite=False)
+    S = blas.dsyrk(-(2.0 ** (-2 * k)), W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"),
+                   trans=1, lower=1, overwrite_c=1)
+    GAG = (2.0 ** k * (G.T @ AG)).toarray()
     # G^T A G is roundoff alone, which check_symmetric can reject as asymmetric
-    ritz = _dense_eig((0.5 * (GAG + GAG.T)).T, L)
+    ritz = _dense_eig((0.5 * (GAG + GAG.T)).T, L) / 2.0 ** k
     del W, GAG, L                   # only the two cotree blocks stay dense
     A_cc = A[cotree][:, cotree].toarray(order="F")
     return np.sort(np.concatenate([ritz, _dense_eig(A_cc, _cholesky(S))]))

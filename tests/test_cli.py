@@ -194,8 +194,8 @@ def test_unknown_commands_are_usage_errors(capsys):
 
 
 # each out-of-range option value with the text its message must name; run
-# in a subprocess with a timeout, since a --min-shape no triangle reaches
-# would leave the rejection sampler looping forever
+# in a subprocess with a timeout, since a --min-shape that (almost) no
+# triangle reaches costs the rejection sampler its whole draw budget
 OUT_OF_RANGE = [
     ("complex commute --domain square --degree -1", "--degree"),
     ("aw commute --degree -1", "--degree"),
@@ -204,6 +204,7 @@ OUT_OF_RANGE = [
     ("eig maxwell --count -2", "--count"),
     ("aw unisolvence --trials -3", "--trials"),
     ("aw unisolvence --min-shape 0.5", "--min-shape"),
+    ("aw unisolvence --trials 1 --min-shape 0.433", "--min-shape"),
     ("solve mixed-poisson --ns 2,4 --coefficient nan", "coefficient"),
     ("solve mixed-poisson --ns 2,4 --coefficient inf", "coefficient"),
 ]

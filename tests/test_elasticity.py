@@ -27,7 +27,7 @@ from whitney.elasticity import (
     manufactured_solution,
     solve_mixed_elasticity,
 )
-from whitney.linalg import RANK_RTOL
+from whitney.linalg import RANK_RTOL, CheckFailedError
 from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
 from whitney.poly import Poly, SymPoly, monomial_exponents
 from whitney.quadrature import interval_rule, tetrahedron_rule, triangle_rule
@@ -126,9 +126,21 @@ def test_degenerate_triangle_rejected():
         aw_unisolvence_survey(collinear[None])
     sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
     with pytest.raises(ValueError, match="degenerate"):
-        el._dualize(np.stack([REF, sliver]))
+        el._shape_dof_matrix(np.stack([REF, sliver]))
     with pytest.raises(ValueError, match="3 plane vertices"):
         aw_unisolvence_survey(REF[None, :2])
+
+
+def test_one_ill_conditioned_cell_fails_the_dualization():
+    # one legal sliver among many cells of a few kinds: the guard runs on
+    # every kind, so the sliver's own kind trips it
+    square = generate_square_mesh(4, pattern="uniform")
+    corner = [int(np.flatnonzero(np.all(square.vertices == p, axis=1))[0])
+              for p in ([0.0, 0.0], [0.25, 0.0])]
+    mesh = Mesh(2, np.vstack([square.vertices, [0.125, -1e-4]]),
+                np.vstack([square.cells, corner + [square.num_vertices]]))
+    with pytest.raises(CheckFailedError, match="ill-conditioned"):
+        build_stress_space(mesh)
 
 
 def test_nodal_basis_dual_to_global_dofs():

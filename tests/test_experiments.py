@@ -72,6 +72,16 @@ def test_laplace_validation_and_ellipse():
     assert r.passed and r.reference == () and r.zero_count == 0
 
 
+@pytest.mark.parametrize("study", [laplace_eigenvalues, maxwell_eigenvalues,
+                                   maxwell_mixed_eigenvalues])
+@pytest.mark.parametrize("count", [0, -1])
+def test_spectrum_studies_need_a_positive_count(study, count):
+    # with no reference value compared, a study would pass vacuously or
+    # crash on an empty max()
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        study(n=4, count=count)
+
+
 def test_edge_cavity_zero_modes_are_gradients():
     system = edge_cavity_system(4)
     lam, vecs = sla.eigh(system.curlcurl.toarray(), system.mass.toarray())

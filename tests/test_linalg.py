@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import blas
 
 from whitney import linalg
 from whitney.experiments import (
@@ -194,6 +195,37 @@ def test_kernel_split_ritz_values_are_dense_gv_values(n):
                     eigvals_only=True, driver="gv")
     got = generalized_symmetric_eig(A, B, kernel=G)
     assert np.array_equal(got[:system.interior_vertices], want)
+
+
+def unscaled_split(A, B, G):
+    """The tree-cotree split of generalized_symmetric_eig with W and
+    G^T A G unscaled: the same LAPACK and BLAS calls on the same layouts,
+    before the power-of-two scaling."""
+    A, B = (check_symmetric(sp.csr_matrix(M)) for M in (A, B))
+    G = sp.csc_matrix(G)
+    (pairs,), _ = collapse([G])
+    cotree = np.ones(A.shape[0], dtype=bool)
+    cotree[pairs[:, 1]] = False
+    BG = B @ G
+    L = linalg._cholesky(check_symmetric(G.T @ BG).toarray(order="F"))
+    W = sla.solve_triangular(L, BG[cotree].toarray().T, lower=True, overwrite_b=True,
+                             check_finite=False)
+    S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
+                   lower=1, overwrite_c=1)
+    GAG = (G.T @ (A @ G)).toarray()
+    ritz = linalg._dense_eig((0.5 * (GAG + GAG.T)).T, L)
+    A_cc = A[cotree][:, cotree].toarray(order="F")
+    return np.sort(np.concatenate([ritz, linalg._dense_eig(A_cc, linalg._cholesky(S))]))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_kernel_split_scaling_changes_no_bit(n):
+    # scaling W and G^T A G by powers of two only keeps subnormals out of
+    # LAPACK: the spectrum is the unscaled split's, bit for bit
+    system = edge_cavity_system(n, "crossed")
+    want = unscaled_split(system.curlcurl, system.mass, system.gradient)
+    got = generalized_symmetric_eig(system.curlcurl, system.mass, kernel=system.gradient)
+    assert np.array_equal(got, want)
 
 
 def test_kernel_split_rejects_indefinite_tree_gram():

@@ -20,6 +20,7 @@ and saddle solutions to 1e-12, and the inf-sup constant and the mixed
 cavity eigenvalues to 1e-10.
 """
 
+import dataclasses
 import itertools
 
 import math
@@ -658,6 +659,52 @@ def test_batched_stress_element_matches_cell_loop(jittered_meshes, which):
                       loop_compliance(space, cells, lam, mu), ("compliance", lam, mu))
     _assert_close(el.assemble_divergence(space, disp), loop_divergence(space, disp, cells),
                   "divergence")
+
+
+def test_cell_kinds_match_unique_on_row_bytes():
+    """The grouping is np.unique's on one void scalar per row: equal bytes,
+    so 0.0 and -0.0 differ; first is the lowest cell of each kind."""
+    rng = np.random.default_rng(5)
+    pool = rng.standard_normal((6, 4, 3))
+    pool[1] = pool[0]
+    pool[1, 2, 1] = -0.0
+    pool[0, 2, 1] = 0.0
+    a = pool[rng.integers(0, 6, 200)]
+    b = np.where(rng.random(200) < 0.1, 1.5, 2.5)
+    first, kind = el._cell_kinds(a, b)
+    rows = np.ascontiguousarray(np.concatenate([a.reshape(200, -1), b[:, None]], axis=1))
+    _, want_first, want_kind = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first) and np.array_equal(kind, want_kind)
+    assert len(first) == 12
+
+
+def _kind_meshes(jittered_meshes):
+    return {"uniform8": generate_square_mesh(8, pattern="uniform"),
+            "crossed4": generate_square_mesh(4, pattern="crossed"),
+            "jittered": jittered_meshes[2]}
+
+
+@pytest.mark.parametrize("which", ["uniform8", "crossed4", "jittered"])
+def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
+    """Dualizing and forming the compliance once per kind, then gathering,
+    gives bit for bit the arrays of the same steps run on every cell."""
+    mesh = _kind_meshes(jittered_meshes)[which]
+    space = el.build_stress_space(mesh)
+    nc = mesh.num_cells
+    assert np.array_equal(space.kind[space.first], np.arange(len(space.first)))
+    if which == "jittered":
+        assert len(space.first) == nc
+    else:
+        assert len(space.first) < nc
+    coeffs, cond = el._dualize(el._shape_dof_matrix(mesh.vertices[mesh.cells])[2])
+    assert np.array_equal(space.coeffs, coeffs) and np.array_equal(space.cond, cond)
+    per_cell = dataclasses.replace(space, first=np.arange(nc), kind=np.arange(nc))
+    for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
+        got, want = el.assemble_compliance(space, lam, mu), el.assemble_compliance(per_cell, lam, mu)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (attr, lam, mu)
 
 
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
