@@ -36,12 +36,14 @@ coefficients followed by a single sparse scatter.
 Cells are grouped into kinds by the exact bytes of their DOF table,
 quadrature-point monomials and |det|: on a structured mesh most cells
 repeat a few shapes (2,048 cells and 72 kinds on the uniform square at
-n = 32).  The (kinds, 24, 24) tables are dualized by one batched
-condition number and one stacked solve, and the compliance blocks are
-formed per kind; both are gathered back to the cells.  LAPACK and
-matmul work matrix by matrix, so the gathered arrays are bit-identical
-to a per-cell computation, and a mesh with no repeated shape pays only
-for the grouping.  The divergence stays per cell.
+n = 32).  The nodal coefficients, the monomial table and the condition
+number are stored once per kind, from one batched condition number and
+one stacked solve of the (kinds, 24, 24) tables.  The compliance blocks
+are formed per kind and scattered cell by cell; the divergence and
+evaluate_stress gather the per-kind tables to the cells as they need
+them.  LAPACK and matmul work matrix by matrix, so every gathered array
+is bit-identical to a per-cell computation, and a mesh with no repeated
+shape pays only for the grouping.
 """
 from __future__ import annotations
 
@@ -291,15 +293,13 @@ def aw_unisolvence_survey(triangles):
 class StressSpace:
     """Global H(div, S) stress space: 3 DOFs/vertex + 4/edge + 3/cell.
 
-    The nodal bases of all cells are stacked: cell c maps physical
-    points x to local coordinates (x - origin[c]) / scale[c], where its
-    24 nodal fields have the P3(T, S) coefficients coeffs[c].  mono[c]
-    holds the P3 monomials at the triangle_rule points of cell c, in its
-    local frame, for the compliance, the divergence and evaluate_stress.
     Cells with bit-identical DOF tables, monomials and |det| are one
-    kind: kind[c] is the kind of cell c and first[k] one cell of kind k,
-    and coeffs, cond and the compliance block of a kind are computed
-    once, on first[k], then gathered.
+    kind: kind[c] is the kind of cell c and first[k] its lowest cell of
+    kind k.  Cell c maps physical points x to local coordinates (x -
+    origin[c]) / scale[c], where its 24 nodal fields have the P3(T, S)
+    coefficients coeffs[kind[c]]; mono[kind[c]] holds the P3 monomials
+    at the triangle_rule points of cell c in that frame.  Only the DOF
+    numbering and the frame are stored per cell.
     """
 
     mesh: Mesh
@@ -307,10 +307,10 @@ class StressSpace:
     cell_dofs: np.ndarray          # (num_cells, 24)
     origin: np.ndarray             # (num_cells, 2)
     scale: np.ndarray              # (num_cells,)
-    coeffs: np.ndarray             # (num_cells, 24, 30)
-    cond: np.ndarray               # (num_cells,) dualization condition numbers
-    mono: np.ndarray               # (num_cells, nq, 10)
-    first: np.ndarray              # (num_kinds,) one cell of each kind
+    coeffs: np.ndarray             # (num_kinds, 24, 30)
+    cond: np.ndarray               # (num_kinds,) dualization condition numbers
+    mono: np.ndarray               # (num_kinds, nq, 10)
+    first: np.ndarray              # (num_kinds,) lowest cell of each kind
     kind: np.ndarray               # (num_cells,) kind of each cell
 
     @property
@@ -334,9 +334,8 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
     mono = _monomials(local, P3)
     first, kind = _cell_kinds(V, mono, mesh.geometry.absdet)
     coeffs, cond = _dualize(V[first])
-    del V                          # the per-cell tables end with the representatives
-    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs[kind], cond[kind],
-                       mono, first, kind)
+    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond, mono[first],
+                       first, kind)
 
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
@@ -344,8 +343,8 @@ def evaluate_stress(space: StressSpace, sigma: np.ndarray):
     rule = triangle_rule()
     geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
-    coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs)
-    vals = np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(P3)), space.mono)
+    coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs[space.kind])
+    vals = np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(P3)), space.mono[space.kind])
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     return pts, wdet, vals
 
@@ -372,9 +371,8 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     """
     a1, a2 = compliance_coefficients(lam, mu)
     rule = triangle_rule()
-    first = space.first
-    mono, coeffs = space.mono[first], space.coeffs[first]
-    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[first, None]
+    mono, coeffs = space.mono, space.coeffs
+    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[space.first, None]
     gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (kinds, 10, 10)
     trace = np.array([1.0, 0.0, 1.0])
     K = a1 * (np.diag([1.0, 2.0, 1.0]) - a2 * np.outer(trace, trace))
@@ -391,8 +389,8 @@ def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matri
     # takes every rule, and each DOF keeps its own component
     _, W = moment_rule(disp.family.dofs, 2)
     comp = [dof.component for dof in disp.family.dofs]
-    p2 = space.mono[..., [P3.index(e) for e in P2]]                # (nc, nq, 6)
-    dcoef = (space.coeffs @ _divergence_operator().T) / space.scale[:, None, None]
+    p2 = space.mono[space.kind][..., [P3.index(e) for e in P2]]    # (nc, nq, 6)
+    dcoef = (space.coeffs[space.kind] @ _divergence_operator().T) / space.scale[:, None, None]
     dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
     local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
     local = local[:, comp, range(len(comp))]                       # (nc, 6, 24)
@@ -504,19 +502,3 @@ def manufactured_solution(lam: float = 1.0, mu: float = 1.0):
                          -(mu + lam) * np.pi ** 2 * cc], axis=-1)
 
     return u, sigma, f
-
-
-def dimension_bookkeeping(mesh: Mesh) -> dict:
-    """Euler-style count for the discrete elasticity sequence.
-
-    The head space is counted but never built: 6 DOFs per vertex plus 1
-    per edge (values, first and second derivatives at vertices; edge
-    normal-derivative means).  On a disk the alternating sum equals 3,
-    the dimension of the resolved P1 kernel.
-    """
-    nv, ne, nt = mesh.num_vertices, mesh.num_entities(1), mesh.num_cells
-    head = 6 * nv + ne
-    stress = 3 * nv + 4 * ne + 3 * nt
-    disp = 6 * nt
-    return {"head": head, "stress": stress, "displacement": disp,
-            "alternating_sum": head - stress + disp}

@@ -355,11 +355,13 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     of the curl-curl operator and the interior-vertex count, and the
     positive eigenvalues against the exact m^2 + n^2 list.  For the
     nodal discretization `passed` means the expected spectral
-    pollution was observed (a badly wrong count in the reference band
-    plus at least one exact eigenvalue with no computed value nearby),
-    since that failure is the point of the run.  pattern defaults per
-    family: crossed for edge1, uniform for nodal (where the clamped
-    uniform grid shows the cleanest pollution).
+    pollution was observed: the count of computed values in the
+    reference band is off from the exact count by more than
+    POLLUTION_FACTOR, since that failure is the point of the run.  The
+    exact values with no computed value nearby are reported as a note;
+    on fine meshes the spurious values fill the band and none is left.
+    pattern defaults per family: crossed for edge1, uniform for nodal
+    (where the clamped uniform grid shows the cleanest pollution).
     """
     _require_count(count)
     if family == "edge1":
@@ -387,14 +389,13 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
         lo, hi = REFERENCE_BAND
         band_count = int(np.count_nonzero((lam > max(lo, threshold)) & (lam < hi)))
         expected = sum(1 for v in reference if lo < v < hi)
-        off_count = (band_count > POLLUTION_FACTOR * expected
-                     or band_count < expected / POLLUTION_FACTOR)
         unmatched = [v for v in sorted(set(reference))
                      if np.min(np.abs(lam - v)) > CLUSTER_RTOL * v]
         notes.update({"band": list(REFERENCE_BAND), "band_count": band_count,
                       "expected_band_count": expected,
                       "unmatched_reference": [float(v) for v in unmatched]})
-        passed = bool(off_count and unmatched)
+        passed = (band_count > POLLUTION_FACTOR * expected
+                  or band_count < expected / POLLUTION_FACTOR)
 
     return SpectrumReport(
         family=family, mesh=system.mesh.domain_tag, eigenvalues=lam,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class QuadratureRule:
             arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def reference_measure(dim: int) -> float:
-    return 1.0 / factorial(dim)
 
 
 def _gauss_01(n: int):

@@ -123,6 +123,15 @@ def test_maxwell_nodal_and_mixed(capsys):
     assert code == 1 and payload["zero_count"] == payload["kernel_dim"] == 36
 
 
+@pytest.mark.parametrize("n, band", [(12, 67), (16, 103)])
+def test_maxwell_nodal_passes_on_fine_meshes(capsys, n, band):
+    code, out, _ = run(capsys, "eig", "maxwell", "--family", "nodal", "--n", str(n))
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert payload["notes"]["band_count"] == band
+    assert payload["notes"]["unmatched_reference"] == []
+
+
 # every README command on the coarsest meshes; the sweeps run --ns 1,2
 TINY_COMMANDS = [f"{cmd} --n {n}" for n in (1, 2) for cmd in (
     "eig laplace", "eig maxwell", "eig maxwell --family nodal", "eig maxwell-mixed",

@@ -40,6 +40,7 @@ from whitney.elements import (
     apply_dofs,
     get_family,
     local_derivative_matrix,
+    moment_rule,
     reference_vertices,
 )
 from whitney.experiments import solve_poisson
@@ -52,7 +53,7 @@ from whitney.mesh import (
     generate_square_mesh,
     row_keys,
 )
-from whitney.quadrature import interval_rule, reference_measure, simplex_rule, triangle_rule
+from whitney.quadrature import interval_rule, simplex_rule, triangle_rule
 from whitney.spaces import (
     assemble_derivative,
     assemble_load,
@@ -61,6 +62,7 @@ from whitney.spaces import (
     build_space,
     canonical_projection,
     evaluate_on_cells,
+    scatter_cell_blocks,
 )
 
 RTOL = 1e-13
@@ -268,7 +270,7 @@ def loop_projection(space, f):
             wmono = np.prod(rule.points ** np.asarray(dof.weight, dtype=float), axis=1)
             comp = vals if dof.component is None else vals[:, dof.component]
             out[base[mesh.dim] + c * counts[mesh.dim] + slot] = (
-                np.sum(rule.weights * wmono * comp) / reference_measure(mesh.dim))
+                np.sum(rule.weights * wmono * comp) * math.factorial(mesh.dim))
     return out
 
 
@@ -650,8 +652,8 @@ def test_batched_stress_element_matches_cell_loop(jittered_meshes, which):
     space = el.build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     cells = loop_stress_cells(mesh)
-    _assert_close(space.coeffs, np.stack([c[2] for c in cells]), "coeffs")
-    _assert_close(space.cond, np.array([c[3] for c in cells]), "cond")
+    _assert_close(space.coeffs[space.kind], np.stack([c[2] for c in cells]), "coeffs")
+    _assert_close(space.cond[space.kind], np.array([c[3] for c in cells]), "cond")
     _assert_close(space.origin, np.stack([c[0] for c in cells]), "origin")
     _assert_close(space.scale, np.array([c[1] for c in cells]), "scale")
     for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
@@ -686,10 +688,47 @@ def _kind_meshes(jittered_meshes):
             "jittered": jittered_meshes[2]}
 
 
+def _one_kind_per_cell(space):
+    """The space with its tables computed by the same steps on every cell:
+    kind c is cell c."""
+    mesh, nc = space.mesh, space.num_cells
+    _, _, V = el._shape_dof_matrix(mesh.vertices[mesh.cells])
+    coeffs, cond = el._dualize(V)
+    local = (mesh.geometry.push_points(triangle_rule().points) - space.origin[:, None, :]) \
+        / space.scale[:, None, None]
+    return dataclasses.replace(space, coeffs=coeffs, cond=cond, mono=el._monomials(local, el.P3),
+                               first=np.arange(nc), kind=np.arange(nc))
+
+
+def per_cell_divergence(space, disp):
+    """The divergence from per-cell tables (space.kind the identity), in the
+    arithmetic of the batched einsum."""
+    _, W = moment_rule(disp.family.dofs, 2)
+    comp = [dof.component for dof in disp.family.dofs]
+    p2 = space.mono[..., [el.P3.index(e) for e in el.P2]]
+    dcoef = (space.coeffs @ el._divergence_operator().T) / space.scale[:, None, None]
+    dcoef = dcoef.reshape(-1, el.NDOF, 2, len(el.P2))
+    local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
+    return scatter_cell_blocks(local[:, comp, range(len(comp))], disp.cell_dofs, space.cell_dofs,
+                               (disp.ndofs, space.ndofs))
+
+
+def per_cell_stress_values(space, sigma):
+    """evaluate_stress's values from per-cell tables (space.kind the identity)."""
+    coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs)
+    return np.einsum("cik,cqk->cqi", coef.reshape(-1, 3, len(el.P3)), space.mono)
+
+
+def _assert_same_csr(got, want, what):
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), (attr, what)
+
+
 @pytest.mark.parametrize("which", ["uniform8", "crossed4", "jittered"])
 def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
-    """Dualizing and forming the compliance once per kind, then gathering,
-    gives bit for bit the arrays of the same steps run on every cell."""
+    """Dualizing and forming the compliance once per kind gives, gathered
+    through kind, bit for bit the arrays of the same steps run on every
+    cell; so do the divergence and evaluate_stress, which gather."""
     mesh = _kind_meshes(jittered_meshes)[which]
     space = el.build_stress_space(mesh)
     nc = mesh.num_cells
@@ -698,13 +737,32 @@ def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
         assert len(space.first) == nc
     else:
         assert len(space.first) < nc
-    coeffs, cond = el._dualize(el._shape_dof_matrix(mesh.vertices[mesh.cells])[2])
-    assert np.array_equal(space.coeffs, coeffs) and np.array_equal(space.cond, cond)
-    per_cell = dataclasses.replace(space, first=np.arange(nc), kind=np.arange(nc))
+    per_cell = _one_kind_per_cell(space)
+    for attr in ("coeffs", "cond", "mono"):
+        assert np.array_equal(getattr(space, attr)[space.kind], getattr(per_cell, attr)), attr
     for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
-        got, want = el.assemble_compliance(space, lam, mu), el.assemble_compliance(per_cell, lam, mu)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (attr, lam, mu)
+        _assert_same_csr(el.assemble_compliance(space, lam, mu),
+                         el.assemble_compliance(per_cell, lam, mu), (lam, mu))
+    disp = build_space(mesh, "dg1_vector")
+    _assert_same_csr(el.assemble_divergence(space, disp), per_cell_divergence(per_cell, disp),
+                     "divergence")
+    sigma = np.random.default_rng(3).standard_normal(space.ndofs)
+    assert np.array_equal(el.evaluate_stress(space, sigma)[2],
+                          per_cell_stress_values(per_cell, sigma))
+
+
+@pytest.mark.parametrize("which, kinds", [("uniform32", 72), ("jittered", None)])
+def test_stress_tables_have_one_row_per_kind(jittered_meshes, which, kinds):
+    """coeffs, mono and cond are stored per kind, not per cell: 72 kinds on
+    the uniform square at n = 32, one per cell on the jittered mesh."""
+    mesh = (generate_square_mesh(32, pattern="uniform") if which == "uniform32"
+            else jittered_meshes[2])
+    space = el.build_stress_space(mesh)
+    kinds = kinds or mesh.num_cells
+    assert space.coeffs.shape == (kinds, el.NDOF, el.NCOEF)
+    assert space.mono.shape == (kinds, len(triangle_rule().weights), len(el.P3))
+    assert space.cond.shape == space.first.shape == (kinds,)
+    assert space.kind.shape == (mesh.num_cells,) and space.kind.max() == kinds - 1
 
 
 @pytest.mark.parametrize("which", ["crossed2", "jittered"])
