@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     commute.add_argument("--bc", choices=("none", "essential"), default="none")
     commute.add_argument("--degree", type=_in_range(int, 0), default=3,
                          help="polynomial battery degree (default 3)")
-    commute.add_argument("--tol", type=float, default=COMMUTE_TOL,
+    commute.add_argument("--tol", type=_in_range(float, 0.0), default=COMMUTE_TOL,
                          help=f"max residual allowed (default {COMMUTE_TOL:g})")
 
     eig = parser_sub(top, "eig", "eigenvalue studies")
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     awc.add_argument("--n", type=int, default=4)
     awc.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
     awc.add_argument("--degree", type=_in_range(int, 0), default=3)
-    awc.add_argument("--tol", type=float, default=AW_COMMUTE_TOL,
+    awc.add_argument("--tol", type=_in_range(float, 0.0), default=AW_COMMUTE_TOL,
                      help=f"max residual allowed (default {AW_COMMUTE_TOL:g})")
     return parser
 

@@ -230,21 +230,24 @@ def _is_row_scaled(D, incidence, unit):
 # -- commuting diagrams --------------------------------------------------------
 
 
-def _battery(family, degree):
-    """Monomial test fields (u, du) shaped for a family's value type."""
-    dim, scalar = family.mesh_dim, family.value_kind == "scalar"
-    for comp in range(1 if scalar else dim):
+def monomial_battery(dim, degree, slots, derivative):
+    """Test fields as callables (u.eval, du.eval) with du = derivative(u):
+    every monomial u in `dim` variables of total degree <= degree, placed
+    in each of `slots` value slots of a VecPoly (zero in the others), or
+    a scalar Poly when `slots` is None."""
+    for slot in range(slots or 1):
         for e in monomial_exponents(dim, degree):
             u = Poly.monomial(dim, e)
-            if not scalar:
-                u = VecPoly([u if c == comp else Poly.constant(dim, 0.0) for c in range(dim)])
-            yield u, _exterior_derivative(u, family.derivative_kind)
+            if slots is not None:
+                u = VecPoly([u if c == slot else Poly(dim) for c in range(slots)])
+            yield u.eval, derivative(u).eval
 
 
 def commuting_residual(D, project_from, project_to, fields) -> float:
-    """Max over the pairs (u, du) of `fields` of |D Pi(u) - Pi'(du)|, relative
-    to max(1, |Pi'(du)|), with Pi = project_from and Pi' = project_to: the
-    audit of one commuting square, roundoff for a commuting construction."""
+    """Max over the callable pairs (u, du) of `fields` of |D Pi(u) - Pi'(du)|,
+    relative to max(1, |Pi'(du)|), with Pi = project_from and Pi' =
+    project_to: the audit of one commuting square, roundoff for a commuting
+    construction."""
     worst = 0.0
     for u, du in fields:
         lhs = D @ project_from(u)
@@ -261,9 +264,14 @@ def check_commuting(cx: DiscreteComplex, degree: int = BATTERY_DEGREE) -> np.nda
     within the quadrature design degree, so residuals are pure roundoff
     for a commuting construction.
     """
+    def battery(family):
+        slots = None if family.value_kind == "scalar" else family.mesh_dim
+        derivative = partial(_exterior_derivative, kind=family.derivative_kind)
+        return monomial_battery(family.mesh_dim, degree, slots, derivative)
+
     return np.array([
         commuting_residual(D, partial(canonical_projection, src),
-                           partial(canonical_projection, dst), _battery(src.family, degree))
+                           partial(canonical_projection, dst), battery(src.family))
         for D, src, dst in zip(cx.derivatives, cx.spaces, cx.spaces[1:])])
 
 

@@ -54,12 +54,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .complexes import commuting_residual
+from .complexes import commuting_residual, monomial_battery
 from .elements import _read_only, moment_rule
 from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
 from .mesh import Mesh
-from .poly import Poly, SymPoly, monomial_exponents
-from .quadrature import interval_rule, triangle_rule
+from .poly import VecPoly, monomial_exponents
+from .quadrature import simplex_rule
 from .spaces import (
     DiscreteSpace,
     assemble_load,
@@ -163,7 +163,7 @@ def _stress_dofs(points: np.ndarray, edges: np.ndarray, triangles: np.ndarray, f
     """
     vertex = np.moveaxis(np.asarray(f(points)), -1, 1)
 
-    erule = interval_rule()
+    erule = simplex_rule(1)
     s = erule.points[:, 0]
     smom = np.stack([erule.weights, erule.weights * s])           # (2, nq)
     pa = points[edges[:, 0]]
@@ -177,7 +177,7 @@ def _stress_dofs(points: np.ndarray, edges: np.ndarray, triangles: np.ndarray, f
     traction = np.stack([t[:, 1, None, None] * m[..., r1] - t[:, 0, None, None] * m[..., r2]
                          for r1, r2 in _ROWS], axis=1)
 
-    trule = triangle_rule()
+    trule = simplex_rule(2)
     tri = points[triangles]
     B = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
     phys = tri[:, None, 0] + trule.points @ np.swapaxes(B, 1, 2)
@@ -298,7 +298,7 @@ class StressSpace:
     kind k.  Cell c maps physical points x to local coordinates (x -
     origin[c]) / scale[c], where its 24 nodal fields have the P3(T, S)
     coefficients coeffs[kind[c]]; mono[kind[c]] holds the P3 monomials
-    at the triangle_rule points of cell c in that frame.  Only the DOF
+    at the simplex_rule(2) points of cell c in that frame.  Only the DOF
     numbering and the frame are stored per cell.
     """
 
@@ -329,7 +329,7 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
         (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
         cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
     origin, scale, V = _shape_dof_matrix(mesh.vertices[mesh.cells])
-    local = (mesh.geometry.push_points(triangle_rule().points) - origin[:, None, :]) \
+    local = (mesh.geometry.push_points(simplex_rule(2).points) - origin[:, None, :]) \
         / scale[:, None, None]
     mono = _monomials(local, P3)
     first, kind = _cell_kinds(V, mono, mesh.geometry.absdet)
@@ -340,7 +340,7 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
     """(points, weights*|det|, values (nc, nq, 3)) of a stress DOF vector."""
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
     coef = np.einsum("cs,csk->ck", sigma[space.cell_dofs], space.coeffs[space.kind])
@@ -354,8 +354,8 @@ def evaluate_stress(space: StressSpace, sigma: np.ndarray):
 
 def compliance_coefficients(lam: float, mu: float) -> tuple[float, float]:
     """(a1, a2) with C^-1 sigma = a1 (sigma - a2 tr(sigma) I) in 2D."""
-    if mu <= 0.0 or lam < 0.0:
-        raise ValueError("need mu > 0 and lam >= 0")
+    if not (np.isfinite(lam) and np.isfinite(mu) and mu > 0.0 and lam >= 0.0):
+        raise ValueError(f"need finite mu > 0 and lam >= 0, got lam={lam}, mu={mu}")
     return 1.0 / (2.0 * mu), lam / (2.0 * mu + 2.0 * lam)
 
 
@@ -370,7 +370,7 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     kind, and each cell scatters its kind's block.
     """
     a1, a2 = compliance_coefficients(lam, mu)
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     mono, coeffs = space.mono, space.coeffs
     wdet = rule.weights[None, :] * space.mesh.geometry.absdet[space.first, None]
     gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (kinds, 10, 10)
@@ -384,7 +384,7 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
 
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma."""
-    # DOF m of the family is moment rule W[m] (on the triangle_rule points
+    # DOF m of the family is moment rule W[m] (on the simplex_rule(2) points
     # of space.mono) of component comp[m] of div sigma; every component
     # takes every rule, and each DOF keeps its own component
     _, W = moment_rule(disp.family.dofs, 2)
@@ -409,24 +409,21 @@ def interpolate_stress(space: StressSpace, field) -> np.ndarray:
     return np.concatenate([d.ravel() for d in dofs])
 
 
+def _row_divergence(tau: VecPoly) -> VecPoly:
+    """Row-wise divergence of a symmetric field (s11, s12, s22): the rows
+    of tau are the component pairs of _ROWS."""
+    return VecPoly([tau.comps[a].diff(0) + tau.comps[b].diff(1) for a, b in _ROWS])
+
+
 def commutativity_residual(mesh: Mesh, degree: int = 3) -> float:
     """complexes.commuting_residual of the square D Pi_S = Pi_V div, over every
     monomial of total degree <= degree in each symmetric component slot."""
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
-    zero = Poly.constant(2, 0.0)
-
-    def battery():
-        for block in range(3):
-            for e in monomial_exponents(2, degree):
-                comps = [zero, zero, zero]
-                comps[block] = Poly.monomial(2, e)
-                tau = SymPoly(*comps)
-                yield tau.eval, tau.div()
-
     return commuting_residual(assemble_divergence(stress, disp),
                               partial(interpolate_stress, stress),
-                              partial(canonical_projection, disp), battery())
+                              partial(canonical_projection, disp),
+                              monomial_battery(2, degree, 3, _row_divergence))
 
 
 # -- mixed solver ------------------------------------------------------------

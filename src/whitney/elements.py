@@ -11,12 +11,13 @@ coefficients, each DOF of a polynomial is computed exactly by
 restricting it to its entity (affine substitution with the integer
 reference vertices) and integrating term by term, and the Vandermonde
 is inverted by exact Gauss-Jordan elimination.  The nodal basis, its
-derivatives and the local derivative matrices are rounded to float once,
-at the end, so the integer entries of every derivative matrix in the
-catalog (the signed incidence pattern at lowest order) come out exact.
-Quadrature is used only to apply DOFs to fields given as callables:
-`dof_moments` does so on stacked entities, the reference ones or all
-entities of a mesh (the canonical interpolant of `spaces`).
+derivatives and the local derivative matrices stay exact; each exact
+coefficient is rounded once, when evaluated (tabulation) or when the
+derivative matrix is formed, so the integer entries of every derivative
+matrix in the catalog (the signed incidence pattern at lowest order)
+come out exact.  Quadrature is used only to apply DOFs to fields given
+as callables: `dof_moments` does so on stacked entities of a mesh (the
+canonical interpolant of `spaces`).
 
 2D families: lagrange1..3 (scalar, C0), dg0..2 (scalar, discontinuous),
 edge1..2 (vector, tangentially continuous; order 1 span a + b(-y, x)),
@@ -199,20 +200,6 @@ def _exact_moment(dof: DofSpec, field, dim: int):
     return _scale(dof) * restricted.integral_reference_simplex()
 
 
-def _quadrature_moment(dof: DofSpec, f, dim: int) -> float:
-    """One DOF of a field given as a callable on points (N, dim)."""
-    b, A = _dof_frame(dof, dim)
-    return float(dof_moments([dof], b[None], A[None], f)[0, 0])
-
-
-def evaluate_dof(dof: DofSpec, field, dim: int) -> float:
-    """Apply one reference DOF to a field: a Poly or VecPoly (exact
-    moment, rounded once) or a callable on points (quadrature)."""
-    if isinstance(field, (Poly, VecPoly)):
-        return float(_exact_moment(dof, field, dim))
-    return _quadrature_moment(dof, field, dim)
-
-
 def _rational_inverse(V, name: str):
     """Gauss-Jordan inverse of a square matrix in exact rationals."""
     n = len(V)
@@ -244,8 +231,8 @@ class ElementFamily:
     """A reference element: shape space, DOFs and the dual nodal basis.
 
     The span is given with exact (int or Fraction) coefficients; the
-    nodal basis is then exact, and `nodal_basis`/`nodal_derivatives`
-    are its float rounding.
+    nodal basis and its exterior derivatives are then exact, and
+    `tabulate`/`tabulate_derivative` evaluate them in floats.
     """
 
     def __init__(self, name, mesh_dim, form_degree, order, mapping, span, dofs):
@@ -258,8 +245,6 @@ class ElementFamily:
         self.dofs = tuple(dofs)
         if len(self.span) != len(self.dofs):
             raise ValueError(f"{name}: {len(span)} span functions vs {len(dofs)} dofs")
-        self._nodal = None
-        self._deriv = None
 
     # -- basic facts ---------------------------------------------------------
 
@@ -303,38 +288,23 @@ class ElementFamily:
         C = _rational_inverse(V, self.name)
         return [_combine(self.span, [row[j] for row in C]) for j in range(self.shape_dim)]
 
-    @property
-    def nodal_basis(self):
-        """Shape functions dual to the DOFs (delta property)."""
-        if self._nodal is None:
-            self._nodal = [p.to_float() for p in self._exact_basis]
-        return self._nodal
-
-    @property
-    def nodal_derivatives(self):
-        """Exterior derivative of each nodal shape function.
-
-        grad for h1, scalar curl (2D) / curl (3D) for covariant, div for
-        contravariant; None for discontinuous families.
-        """
-        if self.derivative_kind is None:
-            return None
-        if self._deriv is None:
-            self._deriv = [_exterior_derivative(p, self.derivative_kind).to_float()
-                           for p in self._exact_basis]
-        return self._deriv
+    @cached_property
+    def _exact_derivatives(self):
+        """Exterior derivative of each exact nodal shape function: grad
+        for h1, scalar curl (2D) / curl (3D) for covariant, div for
+        contravariant."""
+        return [_exterior_derivative(p, self.derivative_kind) for p in self._exact_basis]
 
     # -- tabulation ------------------------------------------------------------
 
     def tabulate(self, points) -> np.ndarray:
         """Values of the nodal basis: (shape_dim, N) or (shape_dim, N, dim)."""
-        return np.stack([p.eval(points) for p in self.nodal_basis])
+        return np.stack([p.eval(points) for p in self._exact_basis])
 
     def tabulate_derivative(self, points) -> np.ndarray:
-        der = self.nodal_derivatives
-        if der is None:
+        if self.derivative_kind is None:
             raise ValueError(f"{self.name} has no derivative operator")
-        return np.stack([d.eval(points) for d in der])
+        return np.stack([d.eval(points) for d in self._exact_derivatives])
 
     @cached_property
     def rule_values(self) -> np.ndarray:
@@ -354,11 +324,6 @@ class ElementFamily:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def apply_dofs(family: ElementFamily, field) -> np.ndarray:
-    """Evaluate all reference DOFs on a field (callable, Poly or VecPoly)."""
-    return np.array([evaluate_dof(d, field, family.mesh_dim) for d in family.dofs])
 
 
 # -- catalog -------------------------------------------------------------------
@@ -538,8 +503,7 @@ def local_derivative_matrix(fam_from: ElementFamily, fam_to: ElementFamily) -> n
         raise IncompatibleFamiliesError(f"{kind} of {fam_from.name} lands in a {image} space")
     target = fam_to._exact_basis
     columns = []
-    for p in fam_from._exact_basis:
-        dp = _exterior_derivative(p, kind)
+    for dp in fam_from._exact_derivatives:
         coeffs = [_exact_moment(d, dp, fam_to.mesh_dim) for d in fam_to.dofs]
         if not (dp - _combine(target, coeffs)).almost_zero(0):
             raise IncompatibleFamiliesError("derivative target does not contain image")

@@ -187,24 +187,6 @@ class Mesh:
     def num_entities(self, k: int) -> int:
         return self.entities[k].shape[0]
 
-    def entity_id(self, k: int, verts) -> int:
-        """Id of the k-entity with the given vertices (any order).
-
-        Narrows the lexicographically sorted table one column at a time;
-        raises KeyError when no such entity exists.
-        """
-        key = sorted(int(v) for v in verts)
-        if len(key) != k + 1:
-            raise KeyError(tuple(key))
-        tab = self.entities[k]
-        lo, hi = 0, tab.shape[0]
-        for col, v in enumerate(key):
-            column = tab[lo:hi, col]
-            lo, hi = lo + np.searchsorted(column, v, "left"), lo + np.searchsorted(column, v, "right")
-        if hi - lo != 1:
-            raise KeyError(tuple(key))
-        return int(lo)
-
     def cell_subentities(self, k: int) -> np.ndarray:
         """(num_cells, C(dim+1, k+1)) array of global sub-entity ids."""
         return self._cell_sub[k]
@@ -215,10 +197,6 @@ class Mesh:
     def scale(self) -> float:
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(max(span.max(), 1.0))
-
-    def signed_cell_volumes(self) -> np.ndarray:
-        """Signed volume det[v1-v0, ..., vd-v0] / d! per cell."""
-        return self.geometry.detB / math.factorial(self.dim)
 
 
 def row_keys(rows: np.ndarray, nv: int):

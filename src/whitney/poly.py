@@ -1,15 +1,16 @@
-"""Polynomials in monomial form on 2D/3D reference domains.
+"""Polynomials in monomial form on 2D/3D reference domains: the exact
+construction layer of the element catalog.
 
-Shape functions, their exterior derivatives and the constrained stress
-space are all low-degree polynomials, so a small exact symbolic layer is
-cheaper and more reliable than numerical differentiation.  Coefficients
-are kept in a dict keyed by exponent tuples.  Integer and `Fraction`
-coefficients stay exact: arithmetic, calculus (diff, grad, curl, div),
-affine substitution with integer or rational maps and the reference
-simplex integral then involve no rounding at all, which is how the
-element catalog builds its dual bases.  Any other coefficient is stored
-as a float, and the same operations are exact up to float rounding of
-the coefficients.  `eval` always works in floats.
+Shape functions, their exterior derivatives and the dual bases are all
+low-degree polynomials, so a small exact symbolic layer is cheaper and
+more reliable than numerical differentiation.  Coefficients are kept in
+a dict keyed by exponent tuples.  Integer and `Fraction` coefficients
+stay exact: arithmetic, calculus (diff, grad, curl, div), affine
+substitution with integer or rational maps and the reference simplex
+integral then involve no rounding at all, which is how the element
+catalog builds its dual bases.  Any other coefficient is stored as a
+float.  Floats appear only in `eval`, which rounds each coefficient
+once as it evaluates.
 """
 from __future__ import annotations
 
@@ -73,11 +74,6 @@ class Poly:
         exps[axis] = 1
         return cls.monomial(dim, exps)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(self.dim, other)
@@ -116,7 +112,9 @@ class Poly:
         return Poly(self.dim, out)
 
     def eval(self, points) -> np.ndarray:
-        """Evaluate at points of shape (N, dim); returns shape (N,)."""
+        """Evaluate at points of shape (N, dim); returns shape (N,).
+
+        Each coefficient is rounded to float here, once per term."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = np.zeros(pts.shape[0])
         for e, c in self.terms.items():
@@ -182,9 +180,6 @@ class Poly:
     def almost_zero(self, tol=1e-12) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
 
-    def to_float(self) -> "Poly":
-        return Poly(self.dim, {e: float(c) for e, c in self.terms.items()})
-
     def __repr__(self):
         return f"Poly(dim={self.dim}, terms={self.terms!r})"
 
@@ -245,30 +240,7 @@ class VecPoly:
     def almost_zero(self, tol=1e-12) -> bool:
         return all(c.almost_zero(tol) for c in self.comps)
 
-    def to_float(self) -> "VecPoly":
-        return VecPoly([c.to_float() for c in self.comps])
-
 
 def grad(p: Poly) -> VecPoly:
     return VecPoly([p.diff(ax) for ax in range(p.dim)])
 
-
-class SymPoly:
-    """Symmetric 2x2 matrix field (s11, s12, s22) with polynomial entries."""
-
-    __slots__ = ("s11", "s12", "s22")
-    __array_ufunc__ = None
-
-    def __init__(self, s11: Poly, s12: Poly, s22: Poly):
-        self.s11, self.s12, self.s22 = s11, s12, s22
-
-    def div(self) -> VecPoly:
-        """Row-wise divergence (d1 s11 + d2 s12, d1 s12 + d2 s22)."""
-        return VecPoly([
-            self.s11.diff(0) + self.s12.diff(1),
-            self.s12.diff(0) + self.s22.diff(1),
-        ])
-
-    def eval(self, points) -> np.ndarray:
-        """Shape (N, 3), components ordered (s11, s12, s22)."""
-        return np.stack([self.s11.eval(points), self.s12.eval(points), self.s22.eval(points)], axis=-1)

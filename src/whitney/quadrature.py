@@ -64,52 +64,23 @@ def _jacobi_01(alpha: int):
 
 
 @lru_cache(maxsize=None)
-def interval_rule() -> QuadratureRule:
-    """Rule on the parameter interval [0, 1], exact to degree 9."""
-    x, w = _gauss_01(NPOINTS)
-    return QuadratureRule(x.reshape(-1, 1), w)
-
-
-@lru_cache(maxsize=None)
-def triangle_rule() -> QuadratureRule:
-    """Collapsed rule on the unit triangle, exact to degree 8."""
-    n = NPOINTS
-    u, wu = _gauss_01(n)
-    v, wv = _jacobi_01(1)
-    pts = []
-    wts = []
-    for i in range(n):
-        for j in range(n):
-            pts.append((u[i] * (1.0 - v[j]), v[j]))
-            wts.append(wu[i] * wv[j])
-    return QuadratureRule(np.array(pts), np.array(wts))
-
-
-@lru_cache(maxsize=None)
-def tetrahedron_rule() -> QuadratureRule:
-    """Collapsed rule on the unit tetrahedron, exact to degree 8."""
-    n = NPOINTS
-    u, wu = _gauss_01(n)
-    v, wv = _jacobi_01(1)
-    w, ww = _jacobi_01(2)
-    pts = []
-    wts = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x = u[i] * (1.0 - v[j]) * (1.0 - w[k])
-                y = v[j] * (1.0 - w[k])
-                z = w[k]
-                pts.append((x, y, z))
-                wts.append(wu[i] * wv[j] * ww[k])
-    return QuadratureRule(np.array(pts), np.array(wts))
-
-
 def simplex_rule(dim: int) -> QuadratureRule:
-    if dim == 1:
-        return interval_rule()
-    if dim == 2:
-        return triangle_rule()
-    if dim == 3:
-        return tetrahedron_rule()
-    raise ValueError(f"no reference simplex rule for dim {dim}")
+    """Collapsed rule on the unit simplex of dimension 1, 2 or 3, exact to
+    degree 9 on the interval and 8 on triangles and tetrahedra.
+
+    Gauss-Legendre on [0, 1] is the rule in one dimension.  Each further
+    dimension takes every point p of the previous rule with every node t
+    of the Jacobi rule with weight (1 - t)^alpha, alpha the previous
+    dimension: the new point is (p (1 - t), t) and its weight the product.
+    """
+    if dim not in (1, 2, 3):
+        raise ValueError(f"no reference simplex rule for dim {dim}")
+    x, w = _gauss_01(NPOINTS)
+    pts = x[:, None]
+    for alpha in range(1, dim):
+        t, wt = _jacobi_01(alpha)
+        scaled = pts[:, None, :] * (1.0 - t)[None, :, None]
+        last = np.broadcast_to(t[None, :, None], scaled.shape[:2] + (1,))
+        pts = np.concatenate([scaled, last], axis=2).reshape(-1, alpha + 1)
+        w = (w[:, None] * wt[None, :]).ravel()
+    return QuadratureRule(pts, w)

@@ -271,21 +271,18 @@ def assemble_derivative(space_from: DiscreteSpace, space_to: DiscreteSpace) -> s
 # -- canonical projection ------------------------------------------------------
 
 
-def _as_callable(fieldlike):
-    return fieldlike.eval if hasattr(fieldlike, "eval") else fieldlike
-
-
-def canonical_projection(space: DiscreteSpace, fieldlike) -> np.ndarray:
+def canonical_projection(space: DiscreteSpace, f) -> np.ndarray:
     """DOF vector of the canonical interpolant of a smooth field.
 
-    The family's DOFs on the entities of each dimension k are applied to
+    `f` is a callable mapping points (N, dim) to (N,) scalars or (N, dim)
+    vectors, matching the family's value kind (for a Poly or VecPoly,
+    pass its `eval`).  The family's DOFs on the entities of each dimension k are applied to
     all global k-entities at once, each entity framed by its ascending
     vertex tuple, so the result restricted to any cell coincides with
     the reference-element DOFs of the pulled-back field.  Cell DOFs see
     the field through the family's Piola pullback.  The field is called
     once per entity kind, on the quadrature points of all its entities.
     """
-    f = _as_callable(fieldlike)
     mesh, fam = space.mesh, space.family
     layout = fam.dof_entity_layout()
     blocks = []
@@ -335,8 +332,8 @@ def evaluate_derivative_on_cells(space: DiscreteSpace, u):
 def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     """Load vector int f . phi_i dx against every global basis function.
 
-    `f` maps (N, dim) points to (N,) scalars or (N, dim) vectors to
-    match the family's value kind.
+    `f` is a callable mapping points (N, dim) to (N,) scalars or (N, dim)
+    vectors, matching the family's value kind.
     """
     mesh = space.mesh
     geo = mesh.geometry
@@ -344,7 +341,7 @@ def assemble_load(space: DiscreteSpace, f) -> np.ndarray:
     ref = _as_vector_tab(space.family.rule_values)
     M = _pullback(space.family, False, geo)
     pts = geo.push_points(rule.points)
-    fv = np.asarray(_as_callable(f)(pts.reshape(-1, mesh.dim))).reshape(mesh.num_cells, rule.weights.size, -1)
+    fv = np.asarray(f(pts.reshape(-1, mesh.dim))).reshape(mesh.num_cells, rule.weights.size, -1)
     wdet = rule.weights[None, :] * geo.absdet[:, None]
     pulled = np.einsum("cij,cqi->cqj", M, fv) * wdet[:, :, None]
     local = pulled.reshape(mesh.num_cells, -1) @ ref.reshape(ref.shape[0], -1).T

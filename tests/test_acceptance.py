@@ -65,6 +65,11 @@ def nodal8():
 
 
 @pytest.fixture(scope="module")
+def nodal12():
+    return maxwell_eigenvalues("nodal", n=12, pattern="uniform")
+
+
+@pytest.fixture(scope="module")
 def mixed_poisson_sweep():
     return mixed_poisson_convergence(ns=(4, 8, 16, 32))
 
@@ -90,15 +95,18 @@ def test_cavity_zero_modes_equal_interior_vertices(edge16):
                  f"rank-based {edge16.kernel_dim}")
 
 
-def test_nodal_cavity_spectrum_is_polluted(nodal8):
-    band = nodal8.notes["band_count"]
-    expected = nodal8.notes["expected_band_count"]
+def test_nodal_cavity_spectrum_is_polluted(nodal8, nodal12):
+    # at n = 8 some exact values have no computed value within 5 %; from
+    # n = 12 the spurious values fill the band, and only the count shows it
     unmatched = nodal8.notes["unmatched_reference"]
-    count_off = band > 2 * expected or band < expected / 2
-    ok = nodal8.passed and count_off and len(unmatched) > 0
+    ok = len(unmatched) > 0
+    counts = []
+    for rep in (nodal8, nodal12):
+        band, expected = rep.notes["band_count"], rep.notes["expected_band_count"]
+        ok = ok and rep.passed and (band > 2 * expected or band < expected / 2)
+        counts.append(f"{band} eigenvalues in (0,10) vs {expected} exact")
     assert _line(3, "nodal cavity spectrum pollution", ok,
-                 f"{band} eigenvalues in (0,10) vs {expected} exact, "
-                 f"no match within 5% for {unmatched}")
+                 f"n=8: {counts[0]}, no match within 5% for {unmatched}; n=12: {counts[1]}")
 
 
 def test_mixed_and_galerkin_cavity_spectra_agree():

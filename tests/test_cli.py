@@ -216,6 +216,10 @@ OUT_OF_RANGE = [
     ("aw unisolvence --trials 1 --min-shape 0.433", "--min-shape"),
     ("solve mixed-poisson --ns 2,4 --coefficient nan", "coefficient"),
     ("solve mixed-poisson --ns 2,4 --coefficient inf", "coefficient"),
+    ("solve elasticity --ns 2 --lam nan", "lam"),
+    ("solve elasticity --ns 2 --mu inf", "mu"),
+    ("complex commute --domain square --tol nan", "--tol"),
+    ("aw commute --tol -1", "--tol"),
 ]
 
 
@@ -398,17 +402,50 @@ def test_readme_json_diff_of_a_tree_against_itself_is_zero(capsys, tmp_path):
     assert floats == [("a.0", 1.0, 1.5, 1.0 / 3.0)] and problems == ["b", "c", "{}"]
 
 
+def _names_used(tree, skip=None):
+    """Names and attribute names read anywhere in an AST, except inside `skip`."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
 def test_every_export_is_used_outside_the_package_init():
-    # a non-module name in whitney.__all__ must be referenced in src other than
-    # __init__.py (its own def/class statement is no reference), or in scripts/
+    # a non-module name in whitney.__all__, and every top-level def or class and
+    # public method in src, must be referenced in src other than __init__.py or in
+    # scripts/, outside its own definition; an unexported definition that only
+    # tests call is test code and belongs in tests/
     root = pathlib.Path(__file__).resolve().parents[1]
     files = [f for f in sorted((root / "src" / "whitney").glob("*.py")) if f.name != "__init__.py"]
-    referenced = set()
-    for path in files + sorted((root / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    trees = {path: ast.parse(path.read_text())
+             for path in files + sorted((root / "scripts").glob("*.py"))}
+    referenced = set().union(*(_names_used(tree) for tree in trees.values()))
     exports = [name for name in whitney.__all__ if not inspect.ismodule(getattr(whitney, name))]
     assert [name for name in exports if name not in referenced] == []
+
+    definitions = []        # (label, name, node, its module's tree)
+    for path in files:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{path.stem}.{node.name}", node.name, node, trees[path]))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{path.stem}.{node.name}.{item.name}", item.name, item,
+                                 trees[path])
+                                for item in node.body if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")]
+
+    def used_elsewhere(node, tree):
+        return set().union(_names_used(tree, skip=node),
+                           *(_names_used(t) for t in trees.values() if t is not tree))
+
+    unused = [label for label, name, node, tree in definitions
+              if name not in whitney.__all__ and name not in used_elsewhere(node, tree)]
+    assert unused == []

@@ -28,22 +28,22 @@ from whitney.elasticity import (
 )
 from whitney.linalg import RANK_RTOL, CheckFailedError
 from whitney.mesh import Mesh, generate_annulus_mesh, generate_square_mesh
-from whitney.poly import Poly, SymPoly, monomial_exponents
-from whitney.quadrature import interval_rule, tetrahedron_rule, triangle_rule
+from whitney.poly import Poly, VecPoly, monomial_exponents
+from whitney.quadrature import simplex_rule
 from whitney.spaces import build_space, canonical_projection, evaluate_on_cells
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _sympoly(coeffs):
-    """The symmetric field with P3(T, S) coefficients (s11, s12, s22 blocks)."""
+def _symmetric_field(coeffs):
+    """The symmetric field (s11, s12, s22) with P3(T, S) coefficients."""
     blocks = np.reshape(coeffs, (3, len(P3)))
-    return SymPoly(*[Poly(2, dict(zip(P3, block))) for block in blocks])
+    return VecPoly([Poly(2, dict(zip(P3, block))) for block in blocks])
 
 
 def _nodal_fields(space, c):
-    """The 24 nodal fields of cell c as SymPolys in its local frame."""
-    return [_sympoly(row) for row in space.coeffs[space.kind[c]]]
+    """The 24 nodal fields of cell c as 3-slot VecPolys in its local frame."""
+    return [_symmetric_field(row) for row in space.coeffs[space.kind[c]]]
 
 
 def _tabulate(space, c, points):
@@ -64,7 +64,7 @@ def test_shape_space_has_24_dimensions():
 def test_shared_cached_arrays_are_read_only():
     """Arrays handed out by cached builders are shared by every later
     caller, so an in-place write must fail instead of leaking."""
-    rules = (interval_rule(), triangle_rule(), tetrahedron_rule())
+    rules = map(simplex_rule, (1, 2, 3))
     shared = [a for r in rules for a in (r.points, r.weights)]
     shared += [el._divergence_operator(), el._shape_null_space()]
     for arr in shared:
@@ -159,7 +159,7 @@ def test_nodal_basis_dual_to_global_dofs():
 def test_nodal_divergences_are_affine():
     mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.2], [0.4, 1.1]]), [(0, 1, 2)])
     for field in _nodal_fields(build_stress_space(mesh), 0):
-        div = field.div()
+        div = el._row_divergence(field)
         for comp in div.comps:
             coeffs = np.array(list(comp.terms.values()))
             scale = max(np.abs(coeffs).max(), 1.0) if coeffs.size else 1.0
@@ -299,11 +299,24 @@ def test_solver_converges_and_balances():
         solve_mixed_elasticity(generate_square_mesh(2), f=None)
 
 
+def test_row_divergence_hand_example():
+    # sigma = [[x^2, x y], [x y, y^2]]: div = (2x + x, y + 2y) = (3x, 3y)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    sigma = VecPoly([x * x, x * y, y * y])
+    pts = np.array([[1.0, 2.0], [-0.5, 0.25]])
+    assert np.allclose(el._row_divergence(sigma).eval(pts), 3.0 * pts)
+    # values come in slot order (s11, s12, s22)
+    assert np.allclose(sigma.eval(pts), [[1.0, 2.0, 4.0], [0.25, -0.125, 0.0625]])
+
+
 def test_moduli_validation():
     from whitney.elasticity import compliance_coefficients
 
     with pytest.raises(ValueError, match="mu"):
         compliance_coefficients(1.0, -1.0)
+    for lam, mu in ((np.nan, 1.0), (1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            compliance_coefficients(lam, mu)
     a1, a2 = compliance_coefficients(0.0, 0.5)
     assert a1 == 1.0 and a2 == 0.0
 

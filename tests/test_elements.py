@@ -19,12 +19,15 @@ from whitney.elements import (
     IncompatibleFamiliesError,
     UnevenDofLayoutError,
     UnknownFamilyError,
-    apply_dofs,
+    _exact_moment,
     get_family,
     local_derivative_matrix,
+    reference_vertices,
 )
+from whitney.mesh import Mesh
 from whitney.poly import Poly, VecPoly
 from whitney.quadrature import simplex_rule
+from whitney.spaces import build_space, canonical_projection
 
 SHAPE_DIMS = {
     "lagrange1": 3,
@@ -45,6 +48,14 @@ SHAPE_DIMS = {
 }
 
 
+def reference_dofs(name, f):
+    """The DOFs of a family applied to a callable field by quadrature: the
+    canonical projection on the one-cell reference mesh, in local order."""
+    dim = get_family(name).mesh_dim
+    space = build_space(Mesh(dim, reference_vertices(dim), [list(range(dim + 1))]), name)
+    return canonical_projection(space, f)[space.cell_dofs[0]]
+
+
 def test_catalog_matches_dimension_table():
     assert set(FAMILY_NAMES) == set(SHAPE_DIMS)
     for name, dim in SHAPE_DIMS.items():
@@ -58,12 +69,10 @@ def test_unknown_family_raises():
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_nodal_basis_is_dual_to_dofs(name):
+    # exact moments of the exact basis: the identity, with no rounding
     fam = get_family(name)
-    n = fam.shape_dim
-    V = np.empty((n, n))
-    for j, phi in enumerate(fam.nodal_basis):
-        V[:, j] = apply_dofs(fam, phi)
-    assert np.max(np.abs(V - np.eye(n))) <= 1e-12, name
+    V = [[_exact_moment(d, phi, fam.mesh_dim) for phi in fam._exact_basis] for d in fam.dofs]
+    assert V == np.eye(fam.shape_dim, dtype=int).tolist(), name
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -74,7 +83,7 @@ def test_interpolation_reproduces_shape_space(name, rng):
     u = None
     for c, p in zip(coeffs, fam.span):
         u = p * float(c) if u is None else u + p * float(c)
-    weights = apply_dofs(fam, u)
+    weights = reference_dofs(name, u.eval)
     pts = simplex_rule(fam.mesh_dim).points
     recon = np.einsum("i,i...->...", weights, fam.tabulate(pts))
     assert np.allclose(recon, u.eval(pts), atol=1e-10)
@@ -98,16 +107,16 @@ def test_entity_dof_layout():
 def test_lagrange1_dofs_are_vertex_values():
     # barycentric coordinate of vertex 0 takes value delta_v0 at vertices
     lam0 = Poly(2, {(0, 0): 1.0, (1, 0): -1.0, (0, 1): -1.0})
-    assert np.allclose(apply_dofs(get_family("lagrange1"), lam0), [1.0, 0.0, 0.0])
+    assert np.allclose(reference_dofs("lagrange1", lam0.eval), [1.0, 0.0, 0.0])
 
 
 def test_edge_dofs_of_constant_fields():
     # edges in ascending order: (0,1), (0,2), (1,2)
     # tangential moment of (1,0): edge vector x-components 1, 0, -1
     ex = VecPoly([Poly.constant(2, 1.0), Poly.constant(2, 0.0)])
-    assert np.allclose(apply_dofs(get_family("edge1"), ex), [1.0, 0.0, -1.0])
+    assert np.allclose(reference_dofs("edge1", ex.eval), [1.0, 0.0, -1.0])
     # normal (t2, -t1) moments of (1,0): normals (0,-1), (1,0), (1,1)
-    assert np.allclose(apply_dofs(get_family("face1"), ex), [0.0, 1.0, 1.0])
+    assert np.allclose(reference_dofs("face1", ex.eval), [0.0, 1.0, 1.0])
 
 
 def test_gradient_matrix_is_signed_incidence():
@@ -156,8 +165,9 @@ def test_derivative_matrices_have_integer_entries(step):
 def test_quadrature_dofs_match_exact_dofs(name):
     # callables go through quadrature, polynomials through exact moments
     fam = get_family(name)
-    for phi in fam.nodal_basis:
-        assert np.allclose(apply_dofs(fam, phi.eval), apply_dofs(fam, phi), rtol=0, atol=1e-13), name
+    for phi in fam._exact_basis:
+        exact = [float(_exact_moment(d, phi, fam.mesh_dim)) for d in fam.dofs]
+        assert np.allclose(reference_dofs(name, phi.eval), exact, rtol=0, atol=1e-13), name
 
 
 def test_face_basis_is_rotated_edge_basis():
@@ -189,7 +199,7 @@ def test_non_unisolvent_dofs_rejected():
         [repeated, repeated],
     )
     with pytest.raises(ValueError, match="unisolvent"):
-        fam.nodal_basis
+        fam.tabulate(simplex_rule(2).points)
 
 
 def test_uneven_dof_layout_raises():

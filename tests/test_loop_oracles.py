@@ -37,7 +37,7 @@ from whitney import experiments, linalg
 from whitney.complexes import compute_infsup, derham_complex, incidence_matrix
 from whitney.elements import (
     FAMILY_NAMES,
-    apply_dofs,
+    _exact_moment,
     get_family,
     local_derivative_matrix,
     moment_rule,
@@ -53,7 +53,8 @@ from whitney.mesh import (
     generate_square_mesh,
     row_keys,
 )
-from whitney.quadrature import interval_rule, simplex_rule, triangle_rule
+from whitney.poly import Poly, VecPoly, monomial_exponents
+from whitney.quadrature import simplex_rule
 from whitney.spaces import (
     assemble_derivative,
     assemble_load,
@@ -232,7 +233,7 @@ def loop_projection(space, f):
     for slot, dof in enumerate(program(0)):
         out[base[0] + slot:base[1]:counts[0]] = vals if dof.component is None else vals[:, dof.component]
 
-    rule = interval_rule()
+    rule = simplex_rule(1)
     s = rule.points[:, 0]
     for eid, (a, b) in enumerate(mesh.entities[1].tolist() if program(1) else []):
         va, vb = mesh.vertices[a], mesh.vertices[b]
@@ -247,7 +248,7 @@ def loop_projection(space, f):
             out[base[1] + eid * counts[1] + slot] = np.sum(rule.weights * s ** dof.weight[0] * integrand)
 
     if mesh.dim == 3 and program(2):
-        rule = triangle_rule()
+        rule = simplex_rule(2)
         s, t = rule.points[:, 0], rule.points[:, 1]
         for fid, (ia, ib, ic) in enumerate(mesh.entities[2].tolist()):
             pa, pb, pc = mesh.vertices[ia], mesh.vertices[ib], mesh.vertices[ic]
@@ -275,12 +276,13 @@ def loop_projection(space, f):
 
 
 def loop_incidence_matrix(mesh, k):
+    ids = {tuple(row): i for i, row in enumerate(mesh.entities[k].tolist())}
     high = mesh.entities[k + 1]
     M = np.zeros((high.shape[0], mesh.num_entities(k)), dtype=np.int64)
     for row, verts in enumerate(high.tolist()):
         for i in range(k + 2):
             facet = tuple(verts[:i] + verts[i + 1:])
-            M[row, mesh.entity_id(k, facet)] = (-1) ** i
+            M[row, ids[facet]] = (-1) ** i
     return M
 
 
@@ -348,7 +350,7 @@ def loop_stress_dof_matrix(vertices, origin, scale):
     for v in range(3):
         for comp in range(3):
             W[v * 3 + comp, comp * nmono:(comp + 1) * nmono] = vmono[:, v]
-    erule = interval_rule()
+    erule = simplex_rule(1)
     s = erule.points[:, 0]
     smom = np.stack([erule.weights, erule.weights * s])
     for le, (a, b) in enumerate(el._EDGE_LOCAL):
@@ -362,7 +364,7 @@ def loop_stress_dof_matrix(vertices, origin, scale):
                 row = 9 + le * 4 + comp * 2 + deg
                 W[row, r1 * nmono:(r1 + 1) * nmono] = n[0] * moments[deg]
                 W[row, r2 * nmono:(r2 + 1) * nmono] = n[1] * moments[deg]
-    trule = triangle_rule()
+    trule = simplex_rule(2)
     B = np.column_stack([vertices[1] - vertices[0], vertices[2] - vertices[0]])
     phys = vertices[0][None, :] + trule.points @ B.T
     means = 2.0 * (monomials((phys - origin) / scale) @ trule.weights)
@@ -397,7 +399,7 @@ def _cell_tabulate(cell, points, derivative=False):
 
 def loop_compliance(space, cells, lam, mu):
     a1, a2 = el.compliance_coefficients(lam, mu)
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     geo = space.mesh.geometry
     pts = geo.push_points(rule.points)
     metric = np.array([1.0, 2.0, 1.0])
@@ -423,7 +425,7 @@ def _dg1_moment_weights(rule):
 
 
 def loop_divergence(space, disp, cells):
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     mono = _dg1_moment_weights(rule)
     pts = space.mesh.geometry.push_points(rule.points)
     rows, cols, vals = [], [], []
@@ -438,7 +440,7 @@ def loop_divergence(space, disp, cells):
 
 
 def einsum_displacement_mass(disp):
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     tab = get_family("dg1").tabulate(rule.points)
     local = np.einsum("iq,jq,q->ij", tab, tab, rule.weights)
     blocks = disp.mesh.geometry.absdet[:, None, None] * local[None, :, :]
@@ -449,7 +451,7 @@ def einsum_displacement_mass(disp):
 
 
 def einsum_displacement_projection(disp, f):
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     pts = disp.mesh.geometry.push_points(rule.points)
     vals = np.asarray(f(pts.reshape(-1, 2))).reshape(disp.mesh.num_cells, -1, 2)
     moments = 2.0 * np.einsum("cqi,sq,q->cis", vals, _dg1_moment_weights(rule), rule.weights)
@@ -457,7 +459,7 @@ def einsum_displacement_projection(disp, f):
 
 
 def einsum_load_vector(disp, f):
-    rule = triangle_rule()
+    rule = simplex_rule(2)
     tab = get_family("dg1").tabulate(rule.points)
     geo = disp.mesh.geometry
     vals = np.asarray(f(geo.push_points(rule.points).reshape(-1, 2))).reshape(disp.mesh.num_cells, -1, 2)
@@ -476,7 +478,7 @@ def loop_interpolate_stress_edges(space, field):
     """Edge moments of the stress interpolant, one field call per edge."""
     mesh = space.mesh
     out = np.zeros(4 * mesh.num_entities(1))
-    erule = interval_rule()
+    erule = simplex_rule(1)
     s = erule.points[:, 0]
     smom = np.stack([erule.weights, erule.weights * s])
     for eid, (a, b) in enumerate(mesh.entities[1].tolist()):
@@ -694,7 +696,7 @@ def _one_kind_per_cell(space):
     mesh, nc = space.mesh, space.num_cells
     _, _, V = el._shape_dof_matrix(mesh.vertices[mesh.cells])
     coeffs, cond = el._dualize(V)
-    local = (mesh.geometry.push_points(triangle_rule().points) - space.origin[:, None, :]) \
+    local = (mesh.geometry.push_points(simplex_rule(2).points) - space.origin[:, None, :]) \
         / space.scale[:, None, None]
     return dataclasses.replace(space, coeffs=coeffs, cond=cond, mono=el._monomials(local, el.P3),
                                first=np.arange(nc), kind=np.arange(nc))
@@ -760,7 +762,7 @@ def test_stress_tables_have_one_row_per_kind(jittered_meshes, which, kinds):
     space = el.build_stress_space(mesh)
     kinds = kinds or mesh.num_cells
     assert space.coeffs.shape == (kinds, el.NDOF, el.NCOEF)
-    assert space.mono.shape == (kinds, len(triangle_rule().weights), len(el.P3))
+    assert space.mono.shape == (kinds, len(simplex_rule(2).weights), len(el.P3))
     assert space.cond.shape == space.first.shape == (kinds,)
     assert space.kind.shape == (mesh.num_cells,) and space.kind.max() == kinds - 1
 
@@ -836,7 +838,7 @@ def test_dg1_displacement_space_matches_einsum_helpers(jittered_meshes, which):
     _assert_close(assemble_load(disp, f), einsum_load_vector(disp, f), "load")
     u = np.random.default_rng(5).standard_normal(disp.ndofs)
     new = evaluate_on_cells(disp, u)
-    old = einsum_evaluate_displacement(disp, u, triangle_rule())
+    old = einsum_evaluate_displacement(disp, u, simplex_rule(2))
     for a, b, what in zip(new, old, ("points", "weights", "values")):
         assert a.shape == b.shape
         _assert_close(a, b, what)
@@ -845,14 +847,19 @@ def test_dg1_displacement_space_matches_einsum_helpers(jittered_meshes, which):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_projection_on_reference_cell_is_apply_dofs(dim):
     """One definition of each DOF: on the reference simplex, the global
-    projection restricted to the cell is the family's own DOFs."""
+    projection of a cubic field restricted to the cell is the family's own
+    DOFs, taken exactly in rationals."""
     mesh = Mesh(dim, reference_vertices(dim), [list(range(dim + 1))])
+    exps = monomial_exponents(dim, 3)
     for name in _families(dim):
         space = build_space(mesh, name)
-        f = _smooth_field(dim, space.family.value_kind == "vector")
-        new = canonical_projection(space, f)[space.cell_dofs[0]]
-        old = apply_dofs(space.family, f)
-        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max(), name
+        fam = space.family
+        field = [Poly(dim, {e: Fraction(i + c + 1, 7 - c) for i, e in enumerate(exps)})
+                 for c in range(dim)]
+        field = VecPoly(field) if fam.value_kind == "vector" else field[0]
+        new = canonical_projection(space, field.eval)[space.cell_dofs[0]]
+        exact = np.array([float(_exact_moment(d, field, dim)) for d in fam.dofs])
+        assert np.abs(new - exact).max() <= 1e-14 * np.abs(exact).max(), name
 
 
 def _flux_pressure(n, pattern, bc):

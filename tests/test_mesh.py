@@ -61,9 +61,10 @@ def test_boundary_flags_square(square4):
 
 def test_cell_volumes_positive_total():
     mesh = generate_square_mesh(3, pattern="crossed", side=2.0)
-    assert np.isclose(np.abs(mesh.signed_cell_volumes()).sum(), 4.0)
+    # signed volume det[v1-v0, v2-v0] / 2! per cell
+    assert np.isclose(np.abs(mesh.geometry.detB / math.factorial(2)).sum(), 4.0)
     disk = generate_disk_mesh(3)
-    assert np.abs(disk.signed_cell_volumes()).sum() < np.pi  # inscribed polygon
+    assert np.abs(disk.geometry.detB / math.factorial(2)).sum() < np.pi  # inscribed polygon
 
 
 def test_entities_stored_ascending(cube2):
@@ -128,7 +129,6 @@ def test_cofactor_geometry_matches_lapack(jittered_meshes, dim):
     assert np.all(np.abs(geo.Binv - inv) <= 1e-14 * np.abs(inv).max(axis=(1, 2))[:, None, None])
     assert np.abs(geo.Binv @ geo.B - np.eye(dim)).max() <= 1e-14
     assert np.array_equal(geo.absdet, np.abs(geo.detB))
-    assert np.array_equal(mesh.signed_cell_volumes(), geo.detB / math.factorial(dim))
 
 
 def test_roundtrip_bit_exact(disk2):
@@ -180,16 +180,6 @@ def test_disk_and_ellipse_topology(n):
         assert mesh.euler_characteristic() == 1
     ann = generate_annulus_mesh(8 * n)
     assert ann.euler_characteristic() == 0
-
-
-def test_entity_id_lookup(square4):
-    edge = tuple(square4.entities[1][5].tolist())
-    assert square4.entity_id(1, edge) == 5
-    assert square4.entity_id(1, edge[::-1]) == 5  # order-insensitive
-    with pytest.raises(KeyError):
-        square4.entity_id(1, (0, 24))
-    with pytest.raises(KeyError):
-        square4.entity_id(1, (0, 1, 2))
 
 
 def test_geometry_is_cached_and_read_only(crossed2):

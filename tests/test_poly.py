@@ -12,8 +12,7 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from whitney.poly import (MixedDimensionError, Poly, SymPoly, VecPoly, grad,
-                          monomial_exponents)
+from whitney.poly import MixedDimensionError, Poly, VecPoly, grad, monomial_exponents
 
 
 def random_poly(dim, degree, coeffs):
@@ -40,7 +39,6 @@ def test_arithmetic_and_eval_hand_example():
     p = (x + y) * (x - y) + 1.0          # x^2 - y^2 + 1
     pts = np.array([[2.0, 1.0], [0.5, 0.25]])
     assert np.allclose(p.eval(pts), [4.0, 1.1875])
-    assert p.degree() == 2
 
 
 def test_diff_hand_example():
@@ -73,7 +71,6 @@ def test_exact_coefficients_stay_exact():
     assert edge.terms == {(1,): Fraction(1, 3), (2,): Fraction(-2, 3), (3,): Fraction(1, 3)}
     assert edge.integral_reference_simplex() == Fraction(1, 36)
     assert grad(p).comps[0].terms == {(1, 1): Fraction(2, 3)}
-    assert p.to_float().terms == {(2, 1): 1 / 3}
     # a point is the 0-simplex: restriction there is evaluation
     assert p.compose_affine(np.zeros((2, 0), dtype=int), [3, 2]).integral_reference_simplex() == 6
 
@@ -101,22 +98,6 @@ def test_numpy_scalar_coefficient_keeps_poly_type():
     p = np.float64(2.0) * Poly.variable(2, 0)
     assert isinstance(p, Poly)
     assert p.terms == {(1, 0): 2.0}
-
-
-def test_sympoly_divergence_hand_example():
-    # sigma = [[x^2, x y], [x y, y^2]]: div = (2x + x, y + 2y) = (3x, 3y)
-    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    s = SymPoly(x * x, x * y, y * y)
-    div = s.div()
-    pts = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    assert np.allclose(div.eval(pts), 3.0 * pts)
-
-
-def test_sympoly_eval_component_order():
-    s = SymPoly(Poly.constant(2, 1.0), Poly.constant(2, 2.0), Poly.constant(2, 3.0))
-    vals = s.eval(np.zeros((2, 2)))
-    assert vals.shape == (2, 3)
-    assert np.allclose(vals, [[1.0, 2.0, 3.0]] * 2)
 
 
 def test_vector_components_must_share_a_dimension():

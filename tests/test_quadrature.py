@@ -11,14 +11,7 @@ from math import factorial
 import numpy as np
 from hypothesis import given, strategies as st
 
-from whitney.quadrature import (
-    NPOINTS,
-    _GAUSS_JACOBI,
-    interval_rule,
-    simplex_rule,
-    tetrahedron_rule,
-    triangle_rule,
-)
+from whitney.quadrature import NPOINTS, _GAUSS_JACOBI, simplex_rule
 
 
 def exact_simplex_monomial(exponents) -> float:
@@ -36,19 +29,20 @@ def quad_monomial(rule, exponents) -> float:
 
 
 def test_weights_positive_and_sum_to_measure():
-    for rule, dim in ((interval_rule(), 1), (triangle_rule(), 2), (tetrahedron_rule(), 3)):
+    for dim in (1, 2, 3):
+        rule = simplex_rule(dim)
         assert np.all(rule.weights > 0)
         assert np.isclose(rule.weights.sum(), 1.0 / factorial(dim), rtol=0, atol=1e-14)
 
 
 def test_points_inside_reference_simplex():
-    for rule in (interval_rule(), triangle_rule(), tetrahedron_rule()):
+    for rule in map(simplex_rule, (1, 2, 3)):
         assert np.all(rule.points >= 0)
         assert np.all(rule.points.sum(axis=1) <= 1 + 1e-14)
 
 
 def test_interval_exact_to_degree_9():
-    rule = interval_rule()
+    rule = simplex_rule(1)
     for k in range(10):
         assert abs(quad_monomial(rule, (k,)) - 1.0 / (k + 1)) < 1e-15
 
@@ -56,7 +50,7 @@ def test_interval_exact_to_degree_9():
 @given(st.integers(0, 8).flatmap(
     lambda a: st.tuples(st.just(a), st.integers(0, 8 - a))))
 def test_triangle_exact_to_degree_8(exps):
-    got = quad_monomial(triangle_rule(), exps)
+    got = quad_monomial(simplex_rule(2), exps)
     assert abs(got - exact_simplex_monomial(exps)) < 1e-15
 
 
@@ -64,7 +58,7 @@ def test_triangle_exact_to_degree_8(exps):
     lambda a: st.integers(0, 8 - a).flatmap(
         lambda b: st.tuples(st.just(a), st.just(b), st.integers(0, 8 - a - b)))))
 def test_tetrahedron_exact_to_degree_8(exps):
-    got = quad_monomial(tetrahedron_rule(), exps)
+    got = quad_monomial(simplex_rule(3), exps)
     assert abs(got - exact_simplex_monomial(exps)) < 1e-15
 
 
