@@ -299,16 +299,6 @@ def test_solver_converges_and_balances():
         solve_mixed_elasticity(generate_square_mesh(2), f=None)
 
 
-def test_row_divergence_hand_example():
-    # sigma = [[x^2, x y], [x y, y^2]]: div = (2x + x, y + 2y) = (3x, 3y)
-    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    sigma = VecPoly([x * x, x * y, y * y])
-    pts = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    assert np.allclose(el._row_divergence(sigma).eval(pts), 3.0 * pts)
-    # values come in slot order (s11, s12, s22)
-    assert np.allclose(sigma.eval(pts), [[1.0, 2.0, 4.0], [0.25, -0.125, 0.0625]])
-
-
 def test_moduli_validation():
     from whitney.elasticity import compliance_coefficients
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import pytest
 
+from whitney.elasticity import _row_divergence
 from whitney.poly import MixedDimensionError, Poly, VecPoly, grad, monomial_exponents
 
 
@@ -98,6 +99,23 @@ def test_numpy_scalar_coefficient_keeps_poly_type():
     p = np.float64(2.0) * Poly.variable(2, 0)
     assert isinstance(p, Poly)
     assert p.terms == {(1, 0): 2.0}
+
+
+def test_sympoly_divergence_hand_example():
+    # sigma = [[x^2, x y], [x y, y^2]] as the 3-slot field (s11, s12, s22):
+    # div = (2x + x, y + 2y) = (3x, 3y)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    sigma = VecPoly([x * x, x * y, y * y])
+    pts = np.array([[1.0, 2.0], [-0.5, 0.25]])
+    assert np.allclose(_row_divergence(sigma).eval(pts), 3.0 * pts)
+
+
+def test_sympoly_eval_component_order():
+    # a symmetric field evaluates in slot order (s11, s12, s22)
+    s = VecPoly([Poly.constant(2, 1.0), Poly.constant(2, 2.0), Poly.constant(2, 3.0)])
+    vals = s.eval(np.zeros((2, 2)))
+    assert vals.shape == (2, 3)
+    assert np.allclose(vals, [[1.0, 2.0, 3.0]] * 2)
 
 
 def test_vector_components_must_share_a_dimension():
