@@ -356,7 +356,10 @@ def compliance_coefficients(lam: float, mu: float) -> tuple[float, float]:
     """(a1, a2) with C^-1 sigma = a1 (sigma - a2 tr(sigma) I) in 2D."""
     if not (np.isfinite(lam) and np.isfinite(mu) and mu > 0.0 and lam >= 0.0):
         raise ValueError(f"need finite mu > 0 and lam >= 0, got lam={lam}, mu={mu}")
-    return 1.0 / (2.0 * mu), lam / (2.0 * mu + 2.0 * lam)
+    a1, denominator = 1.0 / (2.0 * mu), 2.0 * mu + 2.0 * lam
+    if not np.isfinite([a1, denominator]).all():    # 2 lam near the float maximum, subnormal mu
+        raise ValueError(f"compliance overflows for lam={lam}, mu={mu}")
+    return a1, lam / denominator
 
 
 def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -> sp.csr_matrix:
@@ -477,6 +480,8 @@ def manufactured_solution(lam: float = 1.0, mu: float = 1.0):
     on the boundary of the unit square, matching the weak Dirichlet
     condition of the mixed form.
     """
+    if not np.isfinite([(3.0 * mu + lam) * np.pi ** 2, 2.0 * mu + lam]).all():
+        raise ValueError(f"manufactured load overflows for lam={lam}, mu={mu}")
     def u(points):
         x, y = points[:, 0], points[:, 1]
         return np.stack([np.sin(np.pi * x) * np.sin(np.pi * y),

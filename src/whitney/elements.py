@@ -1,10 +1,18 @@
 """Reference element catalog.
 
-Four families on the unit simplex, all constructed the same way: a
-polynomial shape space given by an explicit spanning set, a list of
-degrees of freedom (point values and entity moments), and the nodal
-basis dual to those degrees of freedom obtained by inverting the
-DOF-by-span Vandermonde matrix (the construction of FIAT, Kirby 2004).
+Every de Rham family on the unit simplex comes from one rule (Hiptmair
+1999; Arnold, Falk & Winther 2006): the shape space is
+
+    P_r^- Lambda^k = P_{r-1} Lambda^k + kappa H_{r-1} Lambda^{k+1},
+
+and its degrees of freedom are the moments on each d-face against
+P_{r+k-d-1} Lambda^{d-k} (point values at vertices).  For k = 0 this is
+P_r (lagrange_r); for k = n it is P_{r-1}, so dg_p = P_{p+1}^- Lambda^n.
+Vector families are P_{r-1} vectors plus a Koszul field times the
+homogeneous monomials of degree r - 1: x for face families, e_i cross x
+for 3D edges and (-y, x) for 2D edges, so 2D edge and face differ only in
+that field.  The nodal basis is dual to the DOFs, obtained by inverting
+the DOF-by-span Vandermonde matrix (the construction of FIAT, Kirby 2004).
 
 The dual basis is built in exact rationals: spans have integer
 coefficients, each DOF of a polynomial is computed exactly by
@@ -19,15 +27,11 @@ come out exact.  Quadrature is used only to apply DOFs to fields given
 as callables: `dof_moments` does so on stacked entities of a mesh (the
 canonical interpolant of `spaces`).
 
-2D families: lagrange1..3 (scalar, C0), dg0..2 (scalar, discontinuous),
-edge1..2 (vector, tangentially continuous; order 1 span a + b(-y, x)),
-face1..2 (vector, normally continuous; order 1 span a + b x), and
-dg1_vector (discontinuous P1 vectors, the elasticity displacements: the
-dg1 moments of component 0, then of component 1).  The edge family is
-the 90-degree rotation of the face family.
-
-3D families (suffix _3d): lagrange1_3d, dg0_3d, edge1_3d (span a + b
-cross x), face1_3d (span a + b x).
+2D families: lagrange1..3, dg0..2, edge1..2 (tangentially continuous),
+face1..2 (normally continuous) and dg1_vector (discontinuous P1 vectors,
+the elasticity displacements, outside the rule: the dg1 moments of
+component 0, then of component 1).  3D families (suffix _3d):
+lagrange1_3d, dg0_3d, edge1_3d, face1_3d.
 
 Conventions: tangents run from the lower to the higher local vertex
 index; 2D edge normals are the tangent rotated by -90 degrees, i.e.
@@ -44,6 +48,7 @@ assembly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -235,11 +240,10 @@ class ElementFamily:
     `tabulate`/`tabulate_derivative` evaluate them in floats.
     """
 
-    def __init__(self, name, mesh_dim, form_degree, order, mapping, span, dofs):
+    def __init__(self, name, mesh_dim, form_degree, mapping, span, dofs):
         self.name = name
         self.mesh_dim = mesh_dim
         self.form_degree = form_degree
-        self.order = order
         self.mapping = mapping  # h1 | covariant | contravariant | l2
         self.span = tuple(span)
         self.dofs = tuple(dofs)
@@ -329,10 +333,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 # -- catalog -------------------------------------------------------------------
 
 
-def _scalar_span(dim, degree):
-    return [Poly.monomial(dim, e) for e in monomial_exponents(dim, degree)]
-
-
 def _vec(dim, comp, poly: Poly) -> VecPoly:
     zero = Poly(dim)
     comps = [zero] * dim
@@ -340,136 +340,81 @@ def _vec(dim, comp, poly: Poly) -> VecPoly:
     return VecPoly(comps)
 
 
-def _p1_vector_span(dim):
-    out = []
-    for e in monomial_exponents(dim, 1):
-        for comp in range(dim):
-            out.append(_vec(dim, comp, Poly.monomial(dim, e)))
-    return out
-
-
-def _radial(dim) -> VecPoly:
-    return VecPoly([Poly.variable(dim, ax) for ax in range(dim)])
-
-
-def _rotated_radial() -> VecPoly:
-    return VecPoly([-Poly.variable(2, 1), Poly.variable(2, 0)])
-
-
-def _build_lagrange(dim, p):
-    dofs = [DofSpec(0, i, "value") for i in range(dim + 1)]
-    for e_idx in range(len(local_entities(dim, 1))):
-        for j in range(p - 1):
-            dofs.append(DofSpec(1, e_idx, "scalar", (j,)))
-    if dim == 2 and p >= 3:
-        for exps in monomial_exponents(2, p - 3):
-            dofs.append(DofSpec(2, 0, "interior", exps))
-    name = f"lagrange{p}" + ("_3d" if dim == 3 else "")
-    return ElementFamily(name, dim, 0, p, "h1", _scalar_span(dim, p), dofs)
-
-
-def _build_dg(dim, p):
-    dofs = [DofSpec(dim, 0, "interior", exps) for exps in monomial_exponents(dim, p)]
-    name = f"dg{p}" + ("_3d" if dim == 3 else "")
-    return ElementFamily(name, dim, dim, p, "l2", _scalar_span(dim, p), dofs)
-
-
-def _build_dg1_vector():
-    dofs = [DofSpec(2, 0, "interior", exps, comp)
-            for comp in (0, 1) for exps in monomial_exponents(2, 1)]
-    return ElementFamily("dg1_vector", 2, 2, 1, "l2", _p1_vector_span(2), dofs)
-
-
-def _build_edge_2d(p):
-    if p == 1:
-        span = [_vec(2, 0, Poly.constant(2, 1)), _vec(2, 1, Poly.constant(2, 1)), _rotated_radial()]
-    else:
-        rr = _rotated_radial()
-        span = _p1_vector_span(2) + [
-            VecPoly([Poly.variable(2, ax) * c for c in rr.comps]) for ax in (0, 1)
-        ]
-    dofs = []
-    for e_idx in range(3):
-        for j in range(p):
-            dofs.append(DofSpec(1, e_idx, "tangential", (j,)))
-    if p == 2:
-        for comp in (0, 1):
-            dofs.append(DofSpec(2, 0, "interior", (0, 0), comp))
-    return ElementFamily(f"edge{p}", 2, 1, p, "covariant", span, dofs)
-
-
-def _build_face_2d(p):
-    if p == 1:
-        span = [_vec(2, 0, Poly.constant(2, 1)), _vec(2, 1, Poly.constant(2, 1)), _radial(2)]
-    else:
-        rad = _radial(2)
-        span = _p1_vector_span(2) + [
-            VecPoly([Poly.variable(2, ax) * c for c in rad.comps]) for ax in (0, 1)
-        ]
-    dofs = []
-    for e_idx in range(3):
-        for j in range(p):
-            dofs.append(DofSpec(1, e_idx, "normal", (j,)))
-    if p == 2:
-        for comp in (0, 1):
-            dofs.append(DofSpec(2, 0, "interior", (0, 0), comp))
-    return ElementFamily(f"face{p}", 2, 1, p, "contravariant", span, dofs)
-
-
-def _build_edge_3d():
-    x = [Poly.variable(3, ax) for ax in range(3)]
+def _koszul_fields(x, mapping):
+    """The Koszul fields of a vector family with coordinates x: x itself
+    (face), (-y, x) (2D edge) or the three e_i cross x (3D edge)."""
+    if mapping == "contravariant":
+        return [VecPoly(x)]
+    if len(x) == 2:
+        return [VecPoly([-x[1], x[0]])]
     zero = Poly(3)
-    span = [
-        _vec(3, 0, Poly.constant(3, 1)),
-        _vec(3, 1, Poly.constant(3, 1)),
-        _vec(3, 2, Poly.constant(3, 1)),
-        VecPoly([zero, -x[2], x[1]]),   # e1 cross x
-        VecPoly([x[2], zero, -x[0]]),   # e2 cross x
-        VecPoly([-x[1], x[0], zero]),   # e3 cross x
-    ]
-    dofs = [DofSpec(1, e_idx, "tangential", (0,)) for e_idx in range(6)]
-    return ElementFamily("edge1_3d", 3, 1, 1, "covariant", span, dofs)
+    return [VecPoly([zero, -x[2], x[1]]), VecPoly([x[2], zero, -x[0]]),
+            VecPoly([-x[1], x[0], zero])]
 
 
-def _build_face_3d():
-    span = [
-        _vec(3, 0, Poly.constant(3, 1)),
-        _vec(3, 1, Poly.constant(3, 1)),
-        _vec(3, 2, Poly.constant(3, 1)),
-        _radial(3),
-    ]
-    dofs = [DofSpec(2, f_idx, "normal", (0, 0)) for f_idx in range(4)]
-    return ElementFamily("face1_3d", 3, 2, 1, "contravariant", span, dofs)
+def _trimmed_family(name, dim, k, r, mapping):
+    """P_r^- Lambda^k = P_{r-1} Lambda^k + kappa H_{r-1} Lambda^{k+1} with
+    moments on each d-face against P_{r+k-d-1} Lambda^{d-k}."""
+    if k in (0, dim):  # P_r for k = 0, P_{r-1} for k = dim
+        span = [Poly.monomial(dim, e) for e in monomial_exponents(dim, r if k == 0 else r - 1)]
+    else:
+        span = [_vec(dim, c, Poly.monomial(dim, e))
+                for e in monomial_exponents(dim, r - 1) for c in range(dim)]
+        x = [Poly.variable(dim, ax) for ax in range(dim)]
+        fields = _koszul_fields(x, mapping)
+        for axes in itertools.combinations_with_replacement(range(dim), r - 1):
+            factor = math.prod((x[ax] for ax in axes), start=Poly.constant(dim, 1))
+            span += [field * factor for field in fields]
+    trace = "tangential" if mapping == "covariant" else "normal"
+    dofs = []
+    for d in range(k, dim + 1):
+        kind = "interior" if d == dim else "value" if d == 0 else "scalar" if k == 0 else trace
+        comps = range(dim) if d == dim and 0 < k < dim else [None]
+        for idx in range(len(local_entities(dim, d))):
+            dofs += [DofSpec(d, idx, kind, e, c)
+                     for c in comps for e in monomial_exponents(d, r + k - d - 1)]
+    return ElementFamily(name, dim, k, mapping, span, dofs)
 
 
-_BUILDERS = {
-    "lagrange1": lambda: _build_lagrange(2, 1),
-    "lagrange2": lambda: _build_lagrange(2, 2),
-    "lagrange3": lambda: _build_lagrange(2, 3),
-    "dg0": lambda: _build_dg(2, 0),
-    "dg1": lambda: _build_dg(2, 1),
-    "dg2": lambda: _build_dg(2, 2),
-    "dg1_vector": _build_dg1_vector,
-    "edge1": lambda: _build_edge_2d(1),
-    "edge2": lambda: _build_edge_2d(2),
-    "face1": lambda: _build_face_2d(1),
-    "face2": lambda: _build_face_2d(2),
-    "lagrange1_3d": lambda: _build_lagrange(3, 1),
-    "dg0_3d": lambda: _build_dg(3, 0),
-    "edge1_3d": _build_edge_3d,
-    "face1_3d": _build_face_3d,
+def _dg1_vector():
+    """Discontinuous P1 vectors (the elasticity displacements): the dg1
+    moments of component 0, then of component 1."""
+    p1 = monomial_exponents(2, 1)
+    span = [_vec(2, c, Poly.monomial(2, e)) for e in p1 for c in (0, 1)]
+    dofs = [DofSpec(2, 0, "interior", e, c) for c in (0, 1) for e in p1]
+    return ElementFamily("dg1_vector", 2, 2, "l2", span, dofs)
+
+
+# name -> (dim, k, r, mapping) of P_r^- Lambda^k; dg_p is r = p + 1
+_TRIMMED = {
+    "lagrange1": (2, 0, 1, "h1"),
+    "lagrange2": (2, 0, 2, "h1"),
+    "lagrange3": (2, 0, 3, "h1"),
+    "dg0": (2, 2, 1, "l2"),
+    "dg1": (2, 2, 2, "l2"),
+    "dg2": (2, 2, 3, "l2"),
+    "edge1": (2, 1, 1, "covariant"),
+    "edge2": (2, 1, 2, "covariant"),
+    "face1": (2, 1, 1, "contravariant"),
+    "face2": (2, 1, 2, "contravariant"),
+    "lagrange1_3d": (3, 0, 1, "h1"),
+    "dg0_3d": (3, 3, 1, "l2"),
+    "edge1_3d": (3, 1, 1, "covariant"),
+    "face1_3d": (3, 2, 1, "contravariant"),
 }
 
-FAMILY_NAMES = tuple(sorted(_BUILDERS))
+FAMILY_NAMES = tuple(sorted([*_TRIMMED, "dg1_vector"]))
 
 
 @lru_cache(maxsize=None)
 def get_family(name: str) -> ElementFamily:
+    if name == "dg1_vector":
+        return _dg1_vector()
     try:
-        builder = _BUILDERS[name]
+        spec = _TRIMMED[name]
     except KeyError:
         raise UnknownFamilyError(f"family {name!r} not in catalog (choose from {', '.join(FAMILY_NAMES)})") from None
-    return builder()
+    return _trimmed_family(name, *spec)
 
 
 # -- local derivative ----------------------------------------------------------

@@ -141,11 +141,16 @@ def symmetric_indefinite_solve(A, b) -> np.ndarray:
     omega_2 split of Arioli, Demmel & Duff, SIMAX 1989).  The same
     componentwise backward error judges the result: a residual entry
     above RESIDUAL_RTOL times its row scale means a singular A (its
-    shifted matrix is regular) or a refinement that fell short.
+    shifted matrix is regular) or a refinement that fell short.  The
+    solve runs on b scaled by a power of two to max|b| in [1/2, 1), an
+    exact scaling that keeps the shifted factor's solves from
+    overflowing when |b| nears the top of the float range.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError(f"b must be a vector, not an array of shape {b.shape}")
+    exponent = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b = np.ldexp(b, -exponent)
     A = sp.csc_matrix(A, dtype=float)
     # the one copy of A, duplicates summed: its CSR arrays, read as CSC,
     # are A^T.  It gives the symmetry check, the row maxima of |A| and the
@@ -165,8 +170,8 @@ def symmetric_indefinite_solve(A, b) -> np.ndarray:
             del R
             factor = sparse_lu(A - sp.diags(SADDLE_SHIFT * schur * (d == 0)))
             absA = abs(A)
-            # x = 0 is exact only for b = 0
-            x, r, r_max, passed = np.zeros_like(b), b, np.abs(b).max(), not b.any()
+            # the first solve is always taken: its residual may exceed |b|
+            x, r, r_max, passed = np.zeros_like(b), b, np.inf, False
             for _ in range(1 + MAX_REFINEMENT_STEPS):    # one solve, then refinement
                 x_next = x + factor.solve(r)
                 r_next = b - A @ x_next
@@ -182,7 +187,7 @@ def symmetric_indefinite_solve(A, b) -> np.ndarray:
         raise SingularSystemError("singular system") from exc
     if not passed:
         raise SingularSystemError("singular system")
-    return x
+    return np.ldexp(x, exponent)
 
 
 def _row_scale(absA, row_max, b, x) -> np.ndarray:

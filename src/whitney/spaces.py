@@ -59,11 +59,8 @@ class DiscreteSpace:
         return self.free.size
 
     def restrict(self, A):
-        """Free-by-free block of an assembled operator."""
-        A = A.tocsr() if sp.issparse(A) else np.asarray(A)
-        if sp.issparse(A):
-            return A[self.free, :][:, self.free]
-        return A[np.ix_(self.free, self.free)]
+        """Free-by-free block of an assembled sparse operator."""
+        return A.tocsr()[self.free, :][:, self.free]
 
     def restrict_vector(self, v):
         return np.asarray(v)[self.free]

@@ -218,6 +218,8 @@ OUT_OF_RANGE = [
     ("solve mixed-poisson --ns 2,4 --coefficient inf", "coefficient"),
     ("solve elasticity --ns 2 --lam nan", "lam"),
     ("solve elasticity --ns 2 --mu inf", "mu"),
+    ("solve elasticity --ns 2,4 --lam 1e308", "lam"),
+    ("solve elasticity --ns 2,4 --mu 1e-309", "mu"),
     ("complex commute --domain square --tol nan", "--tol"),
     ("aw commute --tol -1", "--tol"),
 ]

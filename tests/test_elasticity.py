@@ -299,6 +299,22 @@ def test_solver_converges_and_balances():
         solve_mixed_elasticity(generate_square_mesh(2), f=None)
 
 
+def test_near_incompressible_solve_refines_its_first_solve():
+    # lam / mu = 1e7: the first solve's residual exceeds max|b|, and
+    # refinement must start from it, not from x = 0
+    err_u, err_s, resid = _solution_errors(4, lam=1.0, mu=1e-7)
+    assert resid <= 1e-9
+    assert err_s <= 0.05
+
+
+def test_huge_lambda_solves():
+    # |b| ~ 1e306: the solver's scaled right-hand side keeps the factor's
+    # solves finite, and the discrete equilibrium holds
+    _, _, f = manufactured_solution(1e305, 1.0)
+    sol = solve_mixed_elasticity(generate_square_mesh(2), 1e305, 1.0, f)
+    assert np.all(np.isfinite(sol.sigma)) and sol.equilibrium_residual <= 1e-9
+
+
 def test_moduli_validation():
     from whitney.elasticity import compliance_coefficients
 
@@ -307,6 +323,13 @@ def test_moduli_validation():
     for lam, mu in ((np.nan, 1.0), (1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             compliance_coefficients(lam, mu)
+    # finite moduli whose derived coefficients or load overflow
+    for lam, mu in ((1e308, 1.0), (1.0, 1e-309)):
+        with pytest.raises(ValueError, match="compliance overflows for lam=.*, mu="):
+            compliance_coefficients(lam, mu)
+    with pytest.raises(ValueError, match="manufactured load overflows for lam=.*, mu="):
+        manufactured_solution(2e307, 1.0)
+    assert np.isfinite(compliance_coefficients(1e307, 1.0)).all()
     a1, a2 = compliance_coefficients(0.0, 0.5)
     assert a1 == 1.0 and a2 == 0.0
 

@@ -9,6 +9,8 @@ matrices are built in exact rationals, so these integer oracles are
 checked with exact equality.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,29 @@ def test_catalog_matches_dimension_table():
     assert set(FAMILY_NAMES) == set(SHAPE_DIMS)
     for name, dim in SHAPE_DIMS.items():
         assert get_family(name).shape_dim == dim, name
+
+
+# (n, k, r) of each trimmed family P_r^- Lambda^k, restated from the
+# classical definitions rather than read from the catalog: lagrange_p is
+# r = p, dg_p is r = p + 1, edge and face are k = 1 (2D) or k = 1, 2 (3D)
+TRIMMED = {
+    "lagrange1": (2, 0, 1), "lagrange2": (2, 0, 2), "lagrange3": (2, 0, 3),
+    "dg0": (2, 2, 1), "dg1": (2, 2, 2), "dg2": (2, 2, 3),
+    "edge1": (2, 1, 1), "edge2": (2, 1, 2), "face1": (2, 1, 1), "face2": (2, 1, 2),
+    "lagrange1_3d": (3, 0, 1), "dg0_3d": (3, 3, 1), "edge1_3d": (3, 1, 1), "face1_3d": (3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIMMED))
+def test_trimmed_family_counts(name):
+    # Arnold, Falk & Winther 2006: dim P_r^- Lambda^k(T^n) = C(r+n, r+k) C(r+k-1, k),
+    # and each d-face carries dim P_{r+k-d-1} Lambda^{d-k}(f^d) = C(r+k-1, d) C(d, k)
+    n, k, r = TRIMMED[name]
+    fam = get_family(name)
+    assert (fam.mesh_dim, fam.form_degree) == (n, k)
+    assert fam.shape_dim == comb(r + n, r + k) * comb(r + k - 1, k)
+    for d in range(n + 1):
+        assert fam.dofs_per_entity(d) == comb(r + k - 1, d) * comb(d, k), (name, d)
 
 
 def test_unknown_family_raises():
@@ -194,7 +219,7 @@ def test_incompatible_family_pairs_raise():
 def test_non_unisolvent_dofs_rejected():
     repeated = DofSpec(0, 0, "value")
     fam = ElementFamily(
-        "broken", 2, 0, 1, "h1",
+        "broken", 2, 0, "h1",
         [Poly.constant(2, 1.0), Poly.variable(2, 0)],
         [repeated, repeated],
     )
@@ -205,7 +230,7 @@ def test_non_unisolvent_dofs_rejected():
 def test_uneven_dof_layout_raises():
     # two moments on the first edge, one on the second: no per-edge count
     fam = ElementFamily(
-        "uneven", 2, 0, 1, "h1",
+        "uneven", 2, 0, "h1",
         [Poly.constant(2, 1.0), Poly.variable(2, 0), Poly.variable(2, 1)],
         [DofSpec(1, 0, "scalar", (0,)), DofSpec(1, 0, "scalar", (1,)),
          DofSpec(1, 1, "scalar", (0,))],

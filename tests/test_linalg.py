@@ -100,6 +100,18 @@ def test_sparse_indefinite_matches_dense():
     assert np.allclose(dense, sparse, atol=1e-10)
 
 
+def test_indefinite_solve_scales_exactly():
+    # b is solved at max|b| in [1/2, 1): a right-hand side scaled by a
+    # power of two gives the same solution, scaled, bit for bit
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((4, 7))
+    K = sp.csr_matrix(np.block([[np.eye(7), B.T], [B, np.zeros((4, 4))]]))
+    rhs = rng.standard_normal(11)
+    x = symmetric_indefinite_solve(K, rhs)
+    for k in (-990, 40, 995):
+        assert np.array_equal(symmetric_indefinite_solve(K, np.ldexp(rhs, k)), np.ldexp(x, k))
+
+
 def test_singular_system_raises():
     with pytest.raises(SingularSystemError):
         symmetric_indefinite_solve(np.zeros((2, 2)), np.ones(2))

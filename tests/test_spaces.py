@@ -209,8 +209,6 @@ def test_restrict_and_extend_roundtrip(square4):
     full = W.extend_vector(v)
     assert np.allclose(W.restrict_vector(full), v)
     assert np.all(full[W.dof_boundary] == 0.0)
-    dense = W.restrict(np.asarray(M.todense()))
-    assert np.allclose(dense, np.asarray(Mf.todense()))
 
 
 def test_geometry_does_not_leak_between_meshes():
