@@ -59,20 +59,6 @@ class UsageError(Exception):
     """Bad command-line input detected after parsing."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the options a run actually used, embedded in its output."""
-
-    command: str
-    params: dict
-    seed: int | None = None
-    version: int = CONFIG_VERSION
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "params": dict(self.params),
-                "seed": self.seed, "version": self.version}
-
-
 @dataclass
 class Outcome:
     payload: dict
@@ -506,12 +492,14 @@ def parser_sub(top, name, help_):
 _CONFIG_SKIP = {"handler", "group", "command", "output", "csv", "output_is_mesh"}
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args) -> dict:
+    """Echo of the options a run actually used, embedded in its output."""
     params = {k: v for k, v in sorted(vars(args).items()) if k not in _CONFIG_SKIP}
     seed = params.pop("seed", None)
     if seed is not None:
         seed = int(os.environ.get("WHITNEY_SEED", seed))
-    return RunConfig(command=f"{args.group} {args.command}", params=params, seed=seed)
+    return {"command": f"{args.group} {args.command}", "params": params, "seed": seed,
+            "version": CONFIG_VERSION}
 
 
 def main(argv=None) -> int:
@@ -540,7 +528,7 @@ def main(argv=None) -> int:
         return 3
 
     payload = dict(outcome.payload)
-    payload["config"] = _run_config(args).to_dict()
+    payload["config"] = _run_config(args)
     text = canonical_json(payload)
     if args.output_is_mesh or not args.output:
         sys.stdout.write(text)

@@ -23,13 +23,15 @@ dimension, and a mismatch raises.  That is size - rank, exact from a
 complex (linalg.complex_ranks) wherever the operator factors through
 one: the curl for the edge cavity and its mixed form, the gradient into
 the edge partner for Laplace.  The nodal cavity, in no complex, counts
-its kernel by the inertia of one sparse factor.  The edge cavity's
-eigensolve splits its gradients off along the tree its collapse pairs
-with them and densifies only the cotree block; the mixed pencil's Schur
-matrix comes from the sparse factor of the edge mass (linalg.spd_factor),
-as the explicit inf-sup pencil's does, and every pencil is solved dense.
-The sweeps share one refinement loop, one order fit per series and one L2
-error integral.
+its kernel by the inertia of one sparse factor.  A zero block so
+certified is reported as exact zeros.  The edge cavity's eigensolve
+splits its gradients off, as exact zeros, along the tree its collapse
+pairs with them and densifies only the cotree block; the mixed pencil's
+Schur matrix comes from the sparse factor of the edge mass
+(linalg.spd_factor), as the explicit inf-sup pencil's does, and every
+pencil is solved dense.  The sweeps share one refinement loop, one order
+fit per series and one L2 error norm, scaled by a power of two so that
+huge errors stay finite.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class SpectrumReport:
     `zero_count` comes from thresholding at `zero_threshold`;
     `kernel_dim` is the independent rank-arithmetic prediction and the
     two always agree (a mismatch aborts the run instead of producing a
-    report).  `relative_errors` are signed, (computed - exact) / exact,
-    for the leading positive eigenvalues against `reference`.
+    report).  The first `zero_count` eigenvalues, the certified kernel,
+    are exact zeros.  `relative_errors` are signed, (computed - exact) /
+    exact, for the leading positive eigenvalues against `reference`.
     """
 
     family: str
@@ -180,12 +183,12 @@ def observed_order(hs, errors):
 # -- references ----------------------------------------------------------------
 
 
-def square_dirichlet_reference(count: int, side: float = np.pi) -> tuple:
-    """Smallest Dirichlet Laplacian eigenvalues on the square, with
-    multiplicity: (m^2 + n^2) (pi/side)^2 for m, n >= 1."""
+def square_dirichlet_reference(count: int) -> tuple:
+    """Smallest Dirichlet Laplacian eigenvalues on the square of side pi,
+    with multiplicity: m^2 + n^2 for m, n >= 1."""
     limit = int(np.ceil(np.sqrt(count))) + 2
     vals = sorted(m * m + n * n for m in range(1, limit + 1) for n in range(1, limit + 1))
-    return tuple((np.pi / side) ** 2 * v for v in vals[:count])
+    return tuple(float(v) for v in vals[:count])
 
 
 def cavity_reference(count: int) -> tuple:
@@ -207,8 +210,9 @@ def _spectrum(A, M, rank, kernel=None):
     """Ascending eigenvalues of A x = lambda M x (none: a usage error), their
     zero count and the zero threshold.  The count from thresholding must
     equal size - rank, or the inertia count below the threshold for rank
-    None, or the run aborts.  `kernel`, a known part of ker A (the edge
-    gradients), splits the eigensolve along its tree-cotree gauge."""
+    None, or the run aborts; once certified, the zero block is returned as
+    exact zeros.  `kernel`, a known part of ker A (the edge gradients),
+    splits the eigensolve along its tree-cotree gauge."""
     lam = generalized_symmetric_eig(A, M, kernel)
     if lam.size == 0:
         raise ValueError("the mesh leaves no free DOFs: the spectrum is empty")
@@ -219,6 +223,7 @@ def _spectrum(A, M, rank, kernel=None):
         raise CheckFailedError(
             f"zero-eigenvalue threshold count {zero_count} disagrees with "
             f"{'rank-based' if rank is not None else 'inertia'} kernel dimension {kernel_dim}")
+    lam[:zero_count] = 0.0
     return lam, zero_count, threshold
 
 
@@ -452,15 +457,26 @@ def _grad_sin_sin(p):
                      np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])], axis=1)
 
 
-def _squared_error(evaluation, exact, metric=None):
-    """Squared L2 error of the (points, weights*|det|, values) triple of an
-    evaluate_* call against exact(points); `metric` weights the components
-    of vector values, which are otherwise summed."""
-    pts, wdet, vals = evaluation
-    sq = (vals - exact(pts.reshape(-1, pts.shape[-1])).reshape(vals.shape))**2
-    if sq.ndim == 3:
-        sq = np.sum(sq, axis=-1) if metric is None else sq @ metric
-    return np.sum(wdet * sq)
+def _l2_error(*terms) -> float:
+    """L2 norm of the errors of one or more (evaluation, exact[, metric])
+    terms: evaluation the (points, weights*|det|, values) triple of an
+    evaluate_* call, compared with exact(points); `metric` weights the
+    components of vector values, which are otherwise summed.  Every error
+    is scaled by one power of two, which brings the largest into [1/2, 1),
+    before it is squared, so the norm is finite wherever the errors are;
+    where no square over- or underflows, it is the unscaled norm bit for bit."""
+    errors = []
+    for (pts, wdet, vals), exact, *metric in terms:
+        err = vals - exact(pts.reshape(-1, pts.shape[-1])).reshape(vals.shape)
+        errors.append((wdet, err, metric[0] if metric else None))
+    exponent = int(np.frexp(max(np.abs(err).max(initial=0.0) for _, err, _ in errors))[1])
+    total = 0.0
+    for wdet, err, metric in errors:
+        sq = np.ldexp(err, -exponent)**2
+        if sq.ndim == 3:
+            sq = np.sum(sq, axis=-1) if metric is None else sq @ metric
+        total += np.sum(wdet * sq)
+    return float(np.ldexp(np.sqrt(total), exponent))
 
 
 def _sweep(ns, pattern: str, level, keys):
@@ -524,8 +540,8 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     rhs = np.concatenate([np.zeros(S.ndofs), -F])
     sol = symmetric_indefinite_solve(K, rhs)
     sigma_h, u_h = sol[:S.ndofs], sol[S.ndofs:]
-    err_u = float(np.sqrt(_squared_error(evaluate_on_cells(V, u_h), _sin_sin)))
-    err_sigma = float(np.sqrt(_squared_error(evaluate_on_cells(S, sigma_h), sigma_exact)))
+    err_u = _l2_error((evaluate_on_cells(V, u_h), _sin_sin))
+    err_sigma = _l2_error((evaluate_on_cells(S, sigma_h), sigma_exact))
 
     gamma = compute_infsup(B, A + D.T @ MV @ D, MV)
     return sigma_h, u_h, err_sigma, err_u, gamma
@@ -579,9 +595,9 @@ def galerkin_quasioptimality_demo(ns=(4, 8, 16, 32), order: int = 1,
 
     def level(mesh):
         W, u_h = solve_poisson(mesh, order)
-        l2sq = _squared_error(evaluate_on_cells(W, u_h), _sin_sin)
-        h1sq = l2sq + _squared_error(evaluate_derivative_on_cells(W, u_h), _grad_sin_sin)
-        return {"err_h1": float(np.sqrt(h1sq)), "err_l2": float(np.sqrt(l2sq))}
+        u_term = (evaluate_on_cells(W, u_h), _sin_sin)
+        return {"err_h1": _l2_error(u_term, (evaluate_derivative_on_cells(W, u_h), _grad_sin_sin)),
+                "err_l2": _l2_error(u_term)}
 
     _, fit = _sweep(ns, pattern, level, ("err_h1", "err_l2"))
     passed = fit["orders"]["err_h1"] >= order - 0.1
@@ -602,10 +618,9 @@ def elasticity_convergence(ns=(4, 8, 16), lam: float = 1.0, mu: float = 1.0,
 
     def level(mesh):
         sol = solve_mixed_elasticity(mesh, lam=lam, mu=mu, f=f)
-        u_sq = _squared_error(evaluate_on_cells(sol.displacement_space, sol.u), u_exact)
-        s_sq = _squared_error(evaluate_stress(sol.stress_space, sol.sigma), sigma_exact,
-                              np.array([1.0, 2.0, 1.0]))
-        return {"err_u": float(np.sqrt(u_sq)), "err_sigma": float(np.sqrt(s_sq)),
+        return {"err_u": _l2_error((evaluate_on_cells(sol.displacement_space, sol.u), u_exact)),
+                "err_sigma": _l2_error((evaluate_stress(sol.stress_space, sol.sigma),
+                                        sigma_exact, np.array([1.0, 2.0, 1.0]))),
                 "residual": float(sol.equilibrium_residual)}
 
     series, fit = _sweep(ns, pattern, level, ("err_u", "err_sigma"))

@@ -26,14 +26,13 @@ entities.  complex_ranks counts the pairs and hands the unpaired core
 to exact_rank, an elimination over the rationals.  A spectrum with a
 known kernel, such as the gradients in an edge space, is split along
 the tree rows the collapse pairs with the kernel's columns (the
-tree-cotree gauge of Albanese & Rubinacci, 1988): only the cotree
-block, against a Schur complement of the mass, is dense, and the
-kernel keeps its computed Ritz values.  One Cholesky step on the
-kernel's mass block reduces the kernel's pencil and gives that complement.
-The split works on 2^k multiples of its triangular solve and of the
-kernel's roundoff-sized pencil, so that LAPACK meets no subnormal
-numbers (slow on x86), and undoes the power of two exactly in the
-rank-k update and the Ritz values.
+tree-cotree gauge of Albanese & Rubinacci, 1988): the kernel's
+eigenvalues are exact zeros, certified by max|A kernel| and the
+pairing, and only the cotree block, against a Schur complement of the
+mass, is dense.  One Cholesky step on the kernel's mass block gives
+that complement.  The split works on a 2^k multiple of its triangular
+solve, so that LAPACK meets no subnormal numbers (slow on x86), and
+undoes the power of two exactly in the rank-k update.
 """
 from __future__ import annotations
 
@@ -212,11 +211,11 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     columns and the unit vectors of the other (cotree) rows C form a
     basis; a column left unpaired raises CheckFailedError.  In that
     basis A is diag(0, A_CC), up to the roundoff that max|A kernel| is
-    checked against, so the spectrum is the Ritz values on span(kernel),
-    which are roundoff, merged with those of (A_CC, S), S the Schur
-    complement of the kernel block of B.  One Cholesky factor L of
-    kernel^T B kernel serves both: it reduces the Ritz pencil by the steps
-    of the "gv" driver, and S = B_CC - W^T W with W = L^-1 (B kernel)_C^T.
+    checked against, so the spectrum is one exact zero per kernel column
+    merged with the eigenvalues of (A_CC, S), S the Schur complement of
+    the kernel block of B: S = B_CC - W^T W with W = L^-1 (B kernel)_C^T,
+    L the Cholesky factor of kernel^T B kernel.  Those zeros are certified
+    by the two checks, not computed: no pencil on span(kernel) is formed.
     Only the cotree pencil is dense at its full size, and LAPACK writes
     over its two blocks in place, so the split holds little more than
     those two arrays.  A kernel the split misses, such as a harmonic
@@ -231,9 +230,9 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
     B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
     G = sp.csc_matrix(kernel, dtype=float)
-    AG = A @ G
-    if _absmax(AG) > KERNEL_RTOL * _absmax(A) * _absmax(G):
-        raise CheckFailedError(f"kernel is not in ker A: max|A G| = {_absmax(AG):.3e}")
+    gap = _absmax(A @ G)
+    if gap > KERNEL_RTOL * _absmax(A) * _absmax(G):
+        raise CheckFailedError(f"kernel is not in ker A: max|A G| = {gap:.3e}")
     (pairs,), _ = collapse([G])
     if len(pairs) < G.shape[1]:
         raise CheckFailedError("kernel columns are left unpaired by the collapse")
@@ -242,25 +241,21 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     BG = B @ G
     # S = B_cc - W^T W, W = L^-1 B_Gc, L = chol(G^T B G): the solve overwrites
     # the F-ordered transpose of B_cG uncopied, and dsyrk the lower triangle of S.
-    # B_cG and G^T A G are scaled by 2^k while sparse, so that the small
-    # entries of W and of the Ritz pencil stay normal numbers, on which LAPACK
-    # is fast, and pages of their dense arrays that LAPACK never writes stay
-    # untouched.  S is positive semidefinite, so W^T W <= B_cc: every product
-    # and partial sum in dsyrk is at most 4^k max diag(B_cc), which k keeps
-    # below 2^1000.  G^T A G is roundoff, KERNEL_RTOL-small next to |A| |G|^2,
-    # and 2^k <= 2^400 leaves its reduced pencil far from overflow.
+    # B_cG is scaled by 2^k while sparse, so that the small entries of W stay
+    # normal numbers, on which LAPACK is fast, and pages of its dense array
+    # that LAPACK never writes stay untouched.  S is positive semidefinite, so
+    # W^T W <= B_cc: every product and partial sum in dsyrk is at most
+    # 4^k max diag(B_cc), which k keeps below 2^1000, and k <= 400 keeps the
+    # factor 2^-2k that undoes the scaling a normal number.
     k = min(400, int((1000 - np.log2(max(B.diagonal()[cotree].max(initial=0.0), 1e-300))) // 2))
     L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
     W = sla.solve_triangular(L, (2.0 ** k * BG[cotree]).toarray().T, lower=True,
                              overwrite_b=True, check_finite=False)
     S = blas.dsyrk(-(2.0 ** (-2 * k)), W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"),
                    trans=1, lower=1, overwrite_c=1)
-    GAG = (2.0 ** k * (G.T @ AG)).toarray()
-    # G^T A G is roundoff alone, which check_symmetric can reject as asymmetric
-    ritz = _dense_eig((0.5 * (GAG + GAG.T)).T, L) / 2.0 ** k
-    del W, GAG, L                   # only the two cotree blocks stay dense
+    del W, L                        # only the two cotree blocks stay dense
     A_cc = A[cotree][:, cotree].toarray(order="F")
-    return np.sort(np.concatenate([ritz, _dense_eig(A_cc, _cholesky(S))]))
+    return np.sort(np.concatenate([np.zeros(G.shape[1]), _dense_eig(A_cc, _cholesky(S))]))
 
 
 def _cholesky(B) -> np.ndarray:

@@ -48,7 +48,6 @@ from .quadrature import simplex_rule
 class DiscreteSpace:
     mesh: Mesh
     family: ElementFamily
-    bc: str
     ndofs: int
     cell_dofs: np.ndarray      # (num_cells, shape_dim) global dof ids
     dof_boundary: np.ndarray   # (ndofs,) bool
@@ -102,7 +101,7 @@ def build_space(mesh: Mesh, family, bc: str = "none") -> DiscreteSpace:
     dof_boundary = np.concatenate([np.repeat(mesh.boundary[k], counts[k])
                                    for k in range(mesh.dim + 1)])
     free = np.nonzero(~dof_boundary)[0] if bc == "essential" else np.arange(ndofs)
-    return DiscreteSpace(mesh, family, bc, ndofs, cell_dofs, dof_boundary, free)
+    return DiscreteSpace(mesh, family, ndofs, cell_dofs, dof_boundary, free)
 
 
 # -- pullbacks and assembly ----------------------------------------------------

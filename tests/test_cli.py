@@ -234,6 +234,21 @@ def test_out_of_range_options_are_usage_errors(argv, option):
     assert option in proc.stderr
 
 
+def test_kernel_block_is_exact_zeros_at_any_blas_thread_count():
+    # the certified kernel is written as exact zeros, so it cannot move
+    # with the summation order that the BLAS thread count picks
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "whitney", "eig", "maxwell", "--n", "16", "--count", "10"]
+    kernels = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(argv, timeout=120, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        kernels.append(payload["eigenvalues"][:payload["zero_count"]])
+    assert len(kernels[0]) == 481 and kernels[0] == kernels[1] == [0.0] * 481
+
+
 @pytest.mark.parametrize("group,sub", ALL_SUBCOMMANDS)
 def test_every_subcommand_has_help(capsys, group, sub):
     assert main([group, sub, "--help"]) == 0

@@ -21,6 +21,7 @@ from whitney.linalg import CheckFailedError, collapse, complex_ranks
 from whitney.mesh import generate_annulus_mesh, generate_disk_mesh, generate_square_mesh
 from whitney.spaces import assemble_derivative, assemble_mass, build_space
 from whitney.experiments import (
+    _l2_error,
     ConvergenceReport,
     _spectrum,
     cavity_reference,
@@ -144,8 +145,8 @@ def test_collapse_tree_block_is_unimodular(domain):
 
 
 def test_annulus_harmonic_field_stays_in_cotree_block():
-    # ker curl is the gradients plus one harmonic field: the Ritz block
-    # holds one value per gradient column, so the extra zero is computed
+    # ker curl is the gradients plus one harmonic field: the kernel block
+    # holds one exact zero per gradient column, so the extra zero is computed
     # in the cotree block, and the count still equals size - rank
     A, M, G, rank = _edge_pencil(generate_annulus_mesh(16))
     assert A.shape[0] - rank == G.shape[1] + 1
@@ -276,6 +277,31 @@ def test_elasticity_sweep_passes():
     assert report.orders["err_u"] >= 1.0
     assert report.orders["err_sigma"] >= 1.0
     assert max(report.notes["equilibrium_residuals"]) <= 1e-9
+
+
+def test_l2_error_scales_before_squaring():
+    # errors of 2^600 times a hand example: their squares overflow, but the
+    # norm is 2^600 times the example's, bit for bit; two terms give the
+    # square root of the summed squares, and a metric weights components
+    pts = np.zeros((1, 2, 2))
+    wdet = np.array([[0.25, 0.75]])
+    scalar = (pts, wdet, np.array([[3.0, 1.0]]))
+    vector = (pts, wdet, np.array([[[1.0, 2.0], [0.0, 4.0]]]))
+    zero = lambda p: np.zeros(len(p))
+    vzero = lambda p: np.zeros((len(p), 2))
+    assert _l2_error((scalar, zero)) == np.sqrt(0.25 * 9 + 0.75)
+    assert _l2_error((scalar, zero), (vector, vzero)) == np.sqrt(3.0 + 0.25 * 5 + 0.75 * 16)
+    assert _l2_error((vector, vzero, np.array([1.0, 2.0]))) == np.sqrt(0.25 * 9 + 0.75 * 32)
+    huge = (pts, wdet, np.ldexp(scalar[2], 600))
+    assert _l2_error((huge, zero)) == np.ldexp(_l2_error((scalar, zero)), 600)
+
+
+def test_elasticity_errors_stay_finite_at_huge_lambda():
+    # at lambda = 1e200 the stress errors are ~1e200, whose squares overflow
+    report = elasticity_convergence(ns=(2, 4), lam=1e200)
+    errors = [e for seq in report.errors.values() for e in seq]
+    assert all(np.isfinite(e) and e > 0 for e in errors)
+    assert all(np.isfinite(order) for order in report.orders.values())
 
 
 def test_report_serialization_is_deterministic():

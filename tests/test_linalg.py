@@ -131,14 +131,15 @@ def test_singular_saddle_raises():
     assert np.abs(K @ symmetric_indefinite_solve(K, rhs) - rhs).max() <= 1e-14
 
 
-def test_kernel_split_keeps_computed_ritz_values():
-    # e_0 is in ker A up to 1e-13 relative: the split returns the Ritz
-    # value 1e-13 / 2 it computes, not a zero it assumes, and the cotree
-    # pencil (A_cc, S) = (4, 2 - 1 * 1/2 * 1) gives 8/3
+def test_kernel_split_reports_exact_zero_kernel():
+    # e_0 is in ker A up to 1e-13 relative, within KERNEL_RTOL: the split
+    # reports its kernel value as an exact zero, not the roundoff Ritz value
+    # 1e-13 / 2, and the cotree pencil (A_cc, S) = (4, 2 - 1 * 1/2 * 1)
+    # gives 8/3; at 1e-11 relative the kernel check refuses
     A = np.diag([1e-13, 4.0])
     B = np.array([[2.0, 1.0], [1.0, 2.0]])
     lam = generalized_symmetric_eig(A, B, kernel=np.array([[1.0], [0.0]]))
-    assert np.allclose(lam, [5e-14, 8.0 / 3.0], rtol=1e-12, atol=0.0)
+    assert lam[0] == 0.0 and np.isclose(lam[1], 8.0 / 3.0, rtol=1e-15, atol=0.0)
     with pytest.raises(CheckFailedError, match="kernel is not in ker A"):
         generalized_symmetric_eig(np.diag([1e-11, 4.0]), B, kernel=np.array([[1.0], [0.0]]))
     # no kernel columns (a mesh without interior vertices): the dense path
@@ -197,22 +198,22 @@ def test_kernel_split_holds_at_most_three_cotree_blocks():
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_kernel_split_ritz_values_are_dense_gv_values(n):
-    # the one Cholesky factor of G^T B G runs the steps of eigh's gv driver,
-    # so the kernel's Ritz values are the dense oracle's bit for bit
+    # the kernel block is one exact zero per gradient column, and the
+    # cotree values are those of eigh's gv driver on (A_cc, S), bit for bit:
+    # the split runs the driver's steps on the lower triangles
     system = edge_cavity_system(n, "crossed")
-    A, B = (check_symmetric(sp.csr_matrix(M)) for M in (system.curlcurl, system.mass))
-    G = sp.csc_matrix(system.gradient)
-    GAG = (G.T @ (A @ G)).toarray()
-    want = sla.eigh(0.5 * (GAG + GAG.T), check_symmetric(G.T @ (B @ G)).toarray(),
-                    eigvals_only=True, driver="gv")
-    got = generalized_symmetric_eig(A, B, kernel=G)
-    assert np.array_equal(got[:system.interior_vertices], want)
+    A_cc, S = cotree_pencil(system.curlcurl, system.mass, system.gradient)
+    want = sla.eigh(A_cc, S, eigvals_only=True, driver="gv")
+    got = generalized_symmetric_eig(system.curlcurl, system.mass, kernel=system.gradient)
+    zeros = system.interior_vertices
+    assert np.all(got[:zeros] == 0.0)
+    assert np.array_equal(got[zeros:], want)
 
 
-def unscaled_split(A, B, G):
-    """The tree-cotree split of generalized_symmetric_eig with W and
-    G^T A G unscaled: the same LAPACK and BLAS calls on the same layouts,
-    before the power-of-two scaling."""
+def cotree_pencil(A, B, G):
+    """The cotree pencil (A_cc, S) of generalized_symmetric_eig's split with
+    W unscaled: the same LAPACK and BLAS calls on the same layouts, before
+    the power-of-two scaling; S holds its lower triangle only."""
     A, B = (check_symmetric(sp.csr_matrix(M)) for M in (A, B))
     G = sp.csc_matrix(G)
     (pairs,), _ = collapse([G])
@@ -224,20 +225,29 @@ def unscaled_split(A, B, G):
                              check_finite=False)
     S = blas.dsyrk(-1.0, W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"), trans=1,
                    lower=1, overwrite_c=1)
-    GAG = (G.T @ (A @ G)).toarray()
-    ritz = linalg._dense_eig((0.5 * (GAG + GAG.T)).T, L)
-    A_cc = A[cotree][:, cotree].toarray(order="F")
-    return np.sort(np.concatenate([ritz, linalg._dense_eig(A_cc, linalg._cholesky(S))]))
+    return A[cotree][:, cotree].toarray(order="F"), S
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_kernel_split_scaling_changes_no_bit(n):
-    # scaling W and G^T A G by powers of two only keeps subnormals out of
-    # LAPACK: the spectrum is the unscaled split's, bit for bit
+    # scaling W by a power of two only keeps subnormals out of LAPACK:
+    # the spectrum is the unscaled split's, bit for bit
     system = edge_cavity_system(n, "crossed")
-    want = unscaled_split(system.curlcurl, system.mass, system.gradient)
+    A_cc, S = cotree_pencil(system.curlcurl, system.mass, system.gradient)
+    want = np.sort(np.concatenate([np.zeros(system.interior_vertices),
+                                   linalg._dense_eig(A_cc, linalg._cholesky(S))]))
     got = generalized_symmetric_eig(system.curlcurl, system.mass, kernel=system.gradient)
     assert np.array_equal(got, want)
+
+
+def test_kernel_split_holds_on_a_tiny_mass_scale():
+    # a mass of order 1e-24 makes 4^-k underflow for the k that would
+    # bring diag(B_cc) up to 2^1000; the cap on k keeps the Schur update
+    system = edge_cavity_system(4, "crossed")
+    A, B, G = system.curlcurl, system.mass, system.gradient
+    lam = generalized_symmetric_eig(A, B, kernel=G)[system.interior_vertices:]
+    tiny = generalized_symmetric_eig(A, 1e-24 * B, kernel=G)[system.interior_vertices:]
+    assert np.allclose(1e-24 * tiny, lam, rtol=1e-12, atol=0.0)
 
 
 def test_kernel_split_rejects_indefinite_tree_gram():
