@@ -24,6 +24,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .elasticity import NDOF, aw_unisolvence_survey, commutativity_residual
 from .elements import UnknownFamilyError
 from .linalg import CheckFailedError
 from .mesh import (
-    MeshFormatError,
     generate_annulus_mesh,
     generate_cube_mesh,
     generate_disk_mesh,
@@ -124,7 +124,7 @@ def _flag(passed) -> str:
 def _spectrum_table(rep: experiments.SpectrumReport) -> str:
     lines = [f"{rep.family} spectrum on {rep.mesh}",
              f"  zero eigenvalues: {rep.zero_count} "
-             f"(threshold {rep.zero_threshold:.3e}, kernel {rep.kernel_dim})"]
+             f"(threshold {rep.zero_threshold:.3e}, kernel {rep.zero_count})"]
     positive = rep.positive_eigenvalues
     shown = max(len(rep.reference), min(10, positive.size))
     lines.append(f"  {'#':>3} {'computed':>12} {'reference':>10} {'rel err':>10}")
@@ -287,29 +287,12 @@ def _cmd_complex_commute(args) -> Outcome:
                    _kv_table(f"commuting diagram order {args.order}", payload))
 
 
-def _cmd_eig_laplace(args) -> Outcome:
-    report = experiments.laplace_eigenvalues(
-        domain=args.domain, family=args.family, n=args.n,
-        pattern=args.pattern, count=args.count)
-    return Outcome(report.to_dict(), report.passed, _spectrum_table(report), report)
-
-
-def _cmd_eig_maxwell(args) -> Outcome:
-    report = experiments.maxwell_eigenvalues(
-        family=args.family, n=args.n, pattern=args.pattern, count=args.count)
-    return Outcome(report.to_dict(), report.passed, _spectrum_table(report), report)
-
-
-def _cmd_eig_maxwell_mixed(args) -> Outcome:
-    report = experiments.maxwell_mixed_eigenvalues(
-        n=args.n, pattern=args.pattern, count=args.count)
-    return Outcome(report.to_dict(), report.passed, _spectrum_table(report), report)
-
-
-def _cmd_solve_poisson(args) -> Outcome:
-    report = experiments.galerkin_quasioptimality_demo(
-        ns=_int_list(args.ns), order=args.order, pattern=args.pattern)
-    return Outcome(report.to_dict(), report.passed, _convergence_table(report), report)
+def _study(run, args) -> Outcome:
+    """Handler of the eig and solve commands: run(args) gives their report."""
+    report = run(args)
+    table = (_spectrum_table if isinstance(report, experiments.SpectrumReport)
+             else _convergence_table)(report)
+    return Outcome(report.to_dict(), report.passed, table, report)
 
 
 def _parse_coefficient(text: str):
@@ -322,19 +305,6 @@ def _parse_coefficient(text: str):
     if len(values) == 2:
         return tuple(values)
     raise UsageError("coefficient must be a scalar or two diagonal entries")
-
-
-def _cmd_solve_mixed_poisson(args) -> Outcome:
-    report = experiments.mixed_poisson_convergence(
-        ns=_int_list(args.ns), coefficient=_parse_coefficient(args.coefficient),
-        pattern=args.pattern)
-    return Outcome(report.to_dict(), report.passed, _convergence_table(report), report)
-
-
-def _cmd_solve_elasticity(args) -> Outcome:
-    report = experiments.elasticity_convergence(
-        ns=_int_list(args.ns), lam=args.lam, mu=args.mu, pattern=args.pattern)
-    return Outcome(report.to_dict(), report.passed, _convergence_table(report), report)
 
 
 def _random_triangle(rng, min_shape):
@@ -426,37 +396,50 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"max residual allowed (default {COMMUTE_TOL:g})")
 
     eig = parser_sub(top, "eig", "eigenvalue studies")
-    lap = leaf(eig, "laplace", _cmd_eig_laplace, "Dirichlet Laplace spectrum")
+    lap = leaf(eig, "laplace", partial(_study, lambda a: experiments.laplace_eigenvalues(
+                   domain=a.domain, family=a.family, n=a.n, pattern=a.pattern, count=a.count)),
+               "Dirichlet Laplace spectrum")
     lap.add_argument("--domain", choices=("square", "ellipse"), default="square")
     lap.add_argument("--family", choices=tuple(experiments.EDGE_PARTNER), default="lagrange1")
     lap.add_argument("--n", type=int, default=8)
     lap.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
     lap.add_argument("--count", type=_in_range(int, 1), default=10,
                      help="reference eigenvalues to compare (default 10)")
-    maxw = leaf(eig, "maxwell", _cmd_eig_maxwell, "cavity spectrum on the pi square")
+    maxw = leaf(eig, "maxwell", partial(_study, lambda a: experiments.maxwell_eigenvalues(
+                    family=a.family, n=a.n, pattern=a.pattern, count=a.count)),
+                "cavity spectrum on the pi square")
     maxw.add_argument("--family", choices=("edge1", "nodal"), default="edge1")
     maxw.add_argument("--n", type=int, default=16)
     maxw.add_argument("--pattern", choices=("uniform", "crossed"), default=None,
                       help="defaults per family: crossed for edge1, uniform for nodal")
     maxw.add_argument("--count", type=_in_range(int, 1), default=10)
-    mixed = leaf(eig, "maxwell-mixed", _cmd_eig_maxwell_mixed,
+    mixed = leaf(eig, "maxwell-mixed", partial(_study, lambda a:
+                 experiments.maxwell_mixed_eigenvalues(n=a.n, pattern=a.pattern, count=a.count)),
                  "cavity spectrum, mixed form on the range of curl")
     mixed.add_argument("--n", type=int, default=8)
     mixed.add_argument("--pattern", choices=("uniform", "crossed"), default="crossed")
     mixed.add_argument("--count", type=_in_range(int, 1), default=10)
 
     solve = parser_sub(top, "solve", "convergence sweeps")
-    poisson = leaf(solve, "poisson", _cmd_solve_poisson, "primal Poisson sweep")
+    poisson = leaf(solve, "poisson", partial(_study, lambda a:
+                   experiments.galerkin_quasioptimality_demo(
+                       ns=_int_list(a.ns), order=a.order, pattern=a.pattern)),
+                   "primal Poisson sweep")
     poisson.add_argument("--order", type=int, default=1, choices=(1, 2))
     poisson.add_argument("--ns", default="4,8,16,32", help="refinement levels")
     poisson.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
-    mp = leaf(solve, "mixed-poisson", _cmd_solve_mixed_poisson,
+    mp = leaf(solve, "mixed-poisson", partial(_study, lambda a:
+              experiments.mixed_poisson_convergence(
+                  ns=_int_list(a.ns), coefficient=_parse_coefficient(a.coefficient),
+                  pattern=a.pattern)),
               "mixed Poisson sweep with inf-sup monitoring")
     mp.add_argument("--ns", default="4,8,16,32", help="refinement levels")
     mp.add_argument("--coefficient", default="1",
                     help="scalar or two diagonal entries, e.g. 2,0.5")
     mp.add_argument("--pattern", choices=("uniform", "crossed"), default="uniform")
-    el = leaf(solve, "elasticity", _cmd_solve_elasticity, "mixed elasticity sweep")
+    el = leaf(solve, "elasticity", partial(_study, lambda a: experiments.elasticity_convergence(
+                  ns=_int_list(a.ns), lam=a.lam, mu=a.mu, pattern=a.pattern)),
+              "mixed elasticity sweep")
     el.add_argument("--ns", default="4,8,16", help="refinement levels")
     el.add_argument("--lam", type=float, default=1.0, help="first Lame parameter")
     el.add_argument("--mu", type=float, default=1.0, help="shear modulus")
@@ -510,13 +493,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         outcome = args.handler(args)
-    except UsageError as exc:
-        print(f"whitney: {exc}", file=sys.stderr)
-        return 2
     except UnknownFamilyError as exc:
         print(f"whitney: unknown family {exc}", file=sys.stderr)
         return 2
-    except (MeshFormatError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:     # MeshFormatError is a ValueError
         print(f"whitney: {exc}", file=sys.stderr)
         return 2
     except CheckFailedError as exc:

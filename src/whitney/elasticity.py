@@ -58,7 +58,7 @@ from .complexes import commuting_residual, monomial_battery
 from .elements import _read_only, moment_rule
 from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
 from .mesh import Mesh
-from .poly import VecPoly, monomial_exponents
+from .poly import Poly, VecPoly, monomial_exponents
 from .quadrature import simplex_rule
 from .spaces import (
     DiscreteSpace,
@@ -98,26 +98,17 @@ def _monomials(points: np.ndarray, exponents) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _divergence_operator() -> np.ndarray:
-    """(12, 30) map from P3(T,S) coefficients to div coefficients on P2.
+    """(12, 30) map from P3(T,S) coefficients to div coefficients on P2:
+    column j holds the _row_divergence of monomial field j.
 
     Row layout: component-major over P2 monomials; column layout:
     component blocks (s11, s12, s22) over P3 monomials.
     """
-    index2 = {e: i for i, e in enumerate(P2)}
-    D = np.zeros((2 * len(P2), NCOEF))
-    for block in range(3):
-        for j, e in enumerate(P3):
-            col = block * len(P3) + j
-            for comp in range(2):
-                if block not in _ROWS[comp]:
-                    continue
-                axis = _ROWS[comp].index(block)
-                if e[axis] == 0:
-                    continue
-                lower = list(e)
-                lower[axis] -= 1
-                D[comp * len(P2) + index2[tuple(lower)], col] += e[axis]
-    return _read_only(D)
+    divs = [_row_divergence(VecPoly([Poly.monomial(2, e) if c == block else Poly(2)
+                                     for c in range(3)]))
+            for block in range(3) for e in P3]
+    return _read_only(np.array([[div.comps[c].terms.get(e, 0) for div in divs]
+                                for c in range(2) for e in P2], dtype=float))
 
 
 @lru_cache(maxsize=1)
@@ -313,10 +304,6 @@ class StressSpace:
     first: np.ndarray              # (num_kinds,) lowest cell of each kind
     kind: np.ndarray               # (num_cells,) kind of each cell
 
-    @property
-    def num_cells(self):
-        return self.mesh.num_cells
-
 
 def build_stress_space(mesh: Mesh) -> StressSpace:
     if mesh.dim != 2:
@@ -385,6 +372,15 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
                                (space.ndofs, space.ndofs))
 
 
+def _trace_integrals(space: StressSpace) -> np.ndarray:
+    """int tr(phi_j) over the mesh for every stress DOF j, from the s11 and
+    s22 coefficients of each kind, summed into the DOFs cell by cell."""
+    wdet = simplex_rule(2).weights * space.mesh.geometry.absdet[space.first, None]
+    trace = space.coeffs[:, :, :len(P3)] + space.coeffs[:, :, 2 * len(P3):]
+    local = np.einsum("kim,kqm,kq->ki", trace, space.mono, wdet)              # (kinds, 24)
+    return np.bincount(space.cell_dofs.ravel(), local[space.kind].ravel(), space.ndofs)
+
+
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
     """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma."""
     # DOF m of the family is moment rule W[m] (on the simplex_rule(2) points
@@ -451,6 +447,12 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     weakly by the first equation.  The reported equilibrium residual is
     max |D sigma + Pi_V f| over the displacement DOFs, which the
     discrete equations satisfy up to solver roundoff.
+
+    The constant stress I has div I = 0 and compliance energy |Omega| /
+    (mu + lam), a near-kernel of the saddle matrix for lam >> mu.  Tested
+    with tau = I, the first equation gives int tr sigma = 0 already, so
+    the mean-trace row, bordering the matrix as the first multiplier row,
+    removes that near-kernel and nothing of the solution.
     """
     if f is None:
         raise ValueError("need a load f(points) -> (N, 2)")
@@ -458,16 +460,19 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
     Bm = (assemble_mass(disp) @ D).tocsr()
+    T = sp.csr_matrix(_trace_integrals(stress))         # the mean-trace row
     F = assemble_load(disp, f)
     # assembled inline and in the solver's format, so that neither the
     # compliance matrix nor a CSR copy of K lives through the factorization;
     # blocks that are all CSC with sorted indices are stacked, not sorted
     Bm.sort_indices()
-    K = sp.bmat([[assemble_compliance(stress, lam, mu).tocsc(), Bm.T],
-                 [Bm.tocsc(), sp.csc_matrix((disp.ndofs, disp.ndofs))]], format="csc")
-    rhs = np.concatenate([np.zeros(stress.ndofs), -F])
+    m = disp.ndofs
+    K = sp.bmat([[assemble_compliance(stress, lam, mu).tocsc(), T.T, Bm.T],
+                 [T.tocsc(), sp.csc_matrix((1, 1)), sp.csc_matrix((1, m))],
+                 [Bm.tocsc(), sp.csc_matrix((m, 1)), sp.csc_matrix((m, m))]], format="csc")
+    rhs = np.concatenate([np.zeros(stress.ndofs), [0.0], -F])
     x = symmetric_indefinite_solve(K, rhs)
-    sigma, u = x[:stress.ndofs], x[stress.ndofs:]
+    sigma, u = x[:stress.ndofs], x[stress.ndofs + 1:]
     target = canonical_projection(disp, f)
     resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
     return ElasticitySolution(stress, disp, sigma, u, float(resid))

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elasticity import evaluate_stress, manufactured_solution, solve_mixed_elasticity
-from .complexes import compute_infsup
+from .complexes import compute_infsup, derham_complex
 from .elements import get_family
 from .linalg import (
     CheckFailedError,
@@ -81,11 +81,11 @@ EDGE_PARTNER = {"lagrange1": "edge1", "lagrange2": "edge2"}
 class SpectrumReport:
     """Full spectrum of one eigenvalue run plus its consistency checks.
 
-    `zero_count` comes from thresholding at `zero_threshold`;
-    `kernel_dim` is the independent rank-arithmetic prediction and the
-    two always agree (a mismatch aborts the run instead of producing a
-    report).  The first `zero_count` eigenvalues, the certified kernel,
-    are exact zeros.  `relative_errors` are signed, (computed - exact) /
+    `zero_count` comes from thresholding at `zero_threshold` and equals
+    the independent rank or inertia count of the kernel (a mismatch
+    aborts the run instead of producing a report); the JSON repeats it
+    as `kernel_dim`.  The first `zero_count` eigenvalues, the certified
+    kernel, are exact zeros.  `relative_errors` are signed, (computed - exact) /
     exact, for the leading positive eigenvalues against `reference`.
     """
 
@@ -94,7 +94,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     zero_count: int
     zero_threshold: float
-    kernel_dim: int
     reference: tuple
     relative_errors: tuple
     passed: bool
@@ -111,7 +110,7 @@ class SpectrumReport:
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "zero_count": int(self.zero_count),
             "zero_threshold": float(self.zero_threshold),
-            "kernel_dim": int(self.kernel_dim),
+            "kernel_dim": int(self.zero_count),
             "reference": [float(v) for v in self.reference],
             "relative_errors": [float(v) for v in self.relative_errors],
             "passed": bool(self.passed),
@@ -275,7 +274,7 @@ def laplace_eigenvalues(domain: str = "square", family: str = "lagrange1",
         passed = zero_count == 0
     return SpectrumReport(
         family=family, mesh=mesh.domain_tag, eigenvalues=lam,
-        zero_count=zero_count, zero_threshold=threshold, kernel_dim=zero_count,
+        zero_count=zero_count, zero_threshold=threshold,
         reference=reference, relative_errors=errors, passed=passed,
         notes={"free_dofs": int(W.num_free)})
 
@@ -306,23 +305,21 @@ class CavitySystem:
 def edge_cavity_system(n: int, pattern: str = "crossed") -> CavitySystem:
     """Edge-element cavity operator on the square of side pi.
 
-    Tangential essential BC; the curl-curl stiffness is assembled both
-    directly and as D^T M2 D and the two must agree, which exercises
-    the derivative-matrix path end to end.  M2 is SPD, so the rank of
-    the curl-curl operator is that of the curl, exact from the complex.
+    The de Rham chain with tangential essential BC; the curl-curl stiffness
+    is assembled both directly and as D^T M2 D and the two must agree,
+    which exercises the derivative-matrix path end to end.  M2 is SPD, so
+    the rank of curl-curl is that of the curl, exact from the complex.
     """
     mesh = generate_square_mesh(n, pattern=pattern, side=np.pi)
-    W = build_space(mesh, get_family("lagrange1"), bc="essential")
-    Q = build_space(mesh, get_family("edge1"), bc="essential")
-    V = build_space(mesh, get_family("dg0"))
-    D1 = assemble_derivative(Q, V)
+    cx = derham_complex(mesh, bc="essential")
+    Q, V = cx.spaces[1:]
+    D1 = cx.derivatives[1]
     M2 = assemble_mass(V)
     A = (D1.T @ M2 @ D1).tocsr()
     gap = abs(A - assemble_stiffness_like(Q, Q, "curl")).max()
     if gap > STRUCTURE_RTOL * max(abs(A).max(), 1.0):
         raise CheckFailedError(f"curl-curl != D^T M2 D (gap {gap:.3e})")
-    gradient = assemble_derivative(W, Q)[Q.free][:, W.free]
-    curl = D1[:, Q.free]
+    gradient, curl = cx.restricted_derivative(0), cx.restricted_derivative(1)
     return CavitySystem(
         mesh=mesh, curlcurl=Q.restrict(A), mass=Q.restrict(assemble_mass(Q)),
         interior_vertices=int(np.count_nonzero(~mesh.boundary[0])),
@@ -404,7 +401,7 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
 
     return SpectrumReport(
         family=family, mesh=system.mesh.domain_tag, eigenvalues=lam,
-        zero_count=zero_count, zero_threshold=threshold, kernel_dim=zero_count,
+        zero_count=zero_count, zero_threshold=threshold,
         reference=reference, relative_errors=errors, passed=passed, notes=notes)
 
 
@@ -440,7 +437,7 @@ def maxwell_mixed_eigenvalues(n: int = 8, pattern: str = "crossed",
              "galerkin_zero_count": int(g_zero), "equivalence_gap": match_gap}
     return SpectrumReport(
         family="edge1-mixed", mesh=system.mesh.domain_tag, eigenvalues=lam,
-        zero_count=0, zero_threshold=threshold, kernel_dim=0,
+        zero_count=0, zero_threshold=threshold,
         reference=reference, relative_errors=errors, passed=passed, notes=notes)
 
 

@@ -343,7 +343,7 @@ def test_readme_commands_keep_their_counts(capsys, argv, counts):
 def test_emit_csv_spectrum_alignment():
     report = SpectrumReport(
         family="edge1", mesh="m", eigenvalues=np.array([0.0, 1.5, 4.5]),
-        zero_count=1, zero_threshold=1e-9, kernel_dim=1,
+        zero_count=1, zero_threshold=1e-9,
         reference=(1.0,), relative_errors=(0.5,), passed=True)
     lines = emit_csv(report).split("\r\n")
     assert lines[0] == "index,eigenvalue,reference,relative_error"
@@ -363,7 +363,7 @@ def test_emit_csv_convergence_orders():
     assert lines[2] == "0.25,0.25,1.0,2.0"  # log2(1.0/0.25) = 2 of the first series
     # empty spectrum degenerates to a bare header
     empty = SpectrumReport(family="x", mesh="m", eigenvalues=np.empty(0),
-                           zero_count=0, zero_threshold=0.0, kernel_dim=0,
+                           zero_count=0, zero_threshold=0.0,
                            reference=(), relative_errors=(), passed=True)
     assert emit_csv(empty) == "index,eigenvalue,reference,relative_error\r\n"
 
@@ -436,17 +436,15 @@ def _names_used(tree, skip=None):
 
 
 def test_every_export_is_used_outside_the_package_init():
-    # a non-module name in whitney.__all__, and every top-level def or class and
-    # public method in src, must be referenced in src other than __init__.py or in
-    # scripts/, outside its own definition; an unexported definition that only
-    # tests call is test code and belongs in tests/
+    # the package root exports its modules only, and every top-level def or
+    # class and public method in src must be referenced in src other than
+    # __init__.py or in scripts/, outside its own definition; a definition
+    # that only tests call is test code and belongs in tests/
+    assert [name for name in whitney.__all__ if not inspect.ismodule(getattr(whitney, name))] == []
     root = pathlib.Path(__file__).resolve().parents[1]
     files = [f for f in sorted((root / "src" / "whitney").glob("*.py")) if f.name != "__init__.py"]
     trees = {path: ast.parse(path.read_text())
              for path in files + sorted((root / "scripts").glob("*.py"))}
-    referenced = set().union(*(_names_used(tree) for tree in trees.values()))
-    exports = [name for name in whitney.__all__ if not inspect.ismodule(getattr(whitney, name))]
-    assert [name for name in exports if name not in referenced] == []
 
     definitions = []        # (label, name, node, its module's tree)
     for path in files:
@@ -464,5 +462,5 @@ def test_every_export_is_used_outside_the_package_init():
                            *(_names_used(t) for t in trees.values() if t is not tree))
 
     unused = [label for label, name, node, tree in definitions
-              if name not in whitney.__all__ and name not in used_elsewhere(node, tree)]
+              if name not in used_elsewhere(node, tree)]
     assert unused == []

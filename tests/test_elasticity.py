@@ -307,6 +307,24 @@ def test_near_incompressible_solve_refines_its_first_solve():
     assert err_s <= 0.05
 
 
+@pytest.mark.parametrize("lam,mu", [(1e8, 1.0), (1.0, 1e-8)])
+def test_extreme_moduli_keep_the_stress_accurate(lam, mu):
+    # lam / mu = 1e8 leaves the constant stress I a near-kernel of the
+    # saddle matrix; bordered by the mean-trace row, the solve keeps the
+    # relative stress error of lam = mu (6.5e-3 at n = 4) and int tr sigma = 0
+    _, sigma_exact, f = manufactured_solution(lam, mu)
+    sol = solve_mixed_elasticity(generate_square_mesh(4), lam, mu, f)
+    pts, wdet, svals = evaluate_stress(sol.stress_space, sol.sigma)
+    exact = sigma_exact(pts.reshape(-1, 2)).reshape(svals.shape)
+
+    def norm(v):
+        return np.sqrt(np.einsum("cqi,i,cq->", v ** 2, [1.0, 2.0, 1.0], wdet))
+
+    assert norm(svals - exact) <= 0.01 * norm(exact)
+    assert abs(np.sum((svals[..., 0] + svals[..., 2]) * wdet)) <= 1e-13 * norm(exact)
+    assert sol.equilibrium_residual <= 1e-9
+
+
 def test_huge_lambda_solves():
     # |b| ~ 1e306: the solver's scaled right-hand side keeps the factor's
     # solves finite, and the discrete equilibrium holds

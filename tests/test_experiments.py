@@ -170,7 +170,7 @@ def test_kernel_outside_ker_a_raises():
 def test_edge_cavity_spectrum_converges():
     r8 = maxwell_eigenvalues("edge1", n=8)
     assert r8.notes["pattern"] == "crossed"
-    assert r8.zero_count == r8.notes["interior_vertices"] == r8.kernel_dim
+    assert r8.zero_count == r8.notes["interior_vertices"]
     assert max(abs(e) for e in r8.relative_errors) <= 0.05
     assert not r8.passed              # 1 percent needs a finer mesh
     r12 = maxwell_eigenvalues("edge1", n=12)

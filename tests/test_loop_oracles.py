@@ -693,7 +693,7 @@ def _kind_meshes(jittered_meshes):
 def _one_kind_per_cell(space):
     """The space with its tables computed by the same steps on every cell:
     kind c is cell c."""
-    mesh, nc = space.mesh, space.num_cells
+    mesh, nc = space.mesh, space.mesh.num_cells
     _, _, V = el._shape_dof_matrix(mesh.vertices[mesh.cells])
     coeffs, cond = el._dualize(V)
     local = (mesh.geometry.push_points(simplex_rule(2).points) - space.origin[:, None, :]) \
