@@ -357,19 +357,19 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     (the columns of C_c are component blocks), where sigma : tau = s11
     t11 + 2 s12 t12 + s22 t22 and K = a1 (diag(1, 2, 1) - a2 e e^T),
     e = (1, 0, 1) picking out the trace.  It is formed once per cell
-    kind, and each cell scatters its kind's block.
+    kind, each cell scatters its kind's block, and the sum is made
+    symmetric bit for bit (an entry and its mirror may sum in two orders).
     """
     a1, a2 = compliance_coefficients(lam, mu)
-    rule = simplex_rule(2)
-    mono, coeffs = space.mono, space.coeffs
-    wdet = rule.weights[None, :] * space.mesh.geometry.absdet[space.first, None]
-    gram = np.swapaxes(mono * wdet[:, :, None], 1, 2) @ mono                 # (kinds, 10, 10)
+    wdet = simplex_rule(2).weights * space.mesh.geometry.absdet[space.first, None]
+    gram = np.swapaxes(space.mono * wdet[:, :, None], 1, 2) @ space.mono     # (kinds, 10, 10)
     trace = np.array([1.0, 0.0, 1.0])
     K = a1 * (np.diag([1.0, 2.0, 1.0]) - a2 * np.outer(trace, trace))
     kron = (K[None, :, None, :, None] * gram[:, None, :, None, :]).reshape(-1, NCOEF, NCOEF)
-    local = coeffs @ kron @ np.swapaxes(coeffs, 1, 2)
-    return scatter_cell_blocks(local[space.kind], space.cell_dofs, space.cell_dofs,
-                               (space.ndofs, space.ndofs))
+    local = space.coeffs @ kron @ np.swapaxes(space.coeffs, 1, 2)
+    C = scatter_cell_blocks(local[space.kind], space.cell_dofs, space.cell_dofs,
+                            (space.ndofs, space.ndofs))
+    return 0.5 * (C + C.T)
 
 
 def _trace_integrals(space: StressSpace) -> np.ndarray:
@@ -452,27 +452,33 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     (mu + lam), a near-kernel of the saddle matrix for lam >> mu.  Tested
     with tau = I, the first equation gives int tr sigma = 0 already, so
     the mean-trace row, bordering the matrix as the first multiplier row,
-    removes that near-kernel and nothing of the solution.
+    removes that near-kernel and nothing of the solution.  The system is
+    solved in balanced moduli, lam and mu times 2^e with 1/(2 mu) = m 2^e,
+    m in [1/2, 1): the compliance is exactly 2^-e times the true one, of
+    order one for any mu, and the multiplier is 2^-e u.
     """
     if f is None:
         raise ValueError("need a load f(points) -> (N, 2)")
+    e = int(np.frexp(compliance_coefficients(lam, mu)[0])[1])
+    if np.frexp(lam)[1] + e > 1024:                 # lam 2^e would overflow
+        raise ValueError(f"balanced moduli overflow for lam={lam}, mu={mu}")
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
     Bm = (assemble_mass(disp) @ D).tocsr()
     T = sp.csr_matrix(_trace_integrals(stress))         # the mean-trace row
     F = assemble_load(disp, f)
-    # assembled inline and in the solver's format, so that neither the
-    # compliance matrix nor a CSR copy of K lives through the factorization;
-    # blocks that are all CSC with sorted indices are stacked, not sorted
+    # assembled inline and as CSC (the exactly symmetric compliance as its
+    # own transpose), so that neither it nor a CSR copy of K lives through
+    # the factorization; CSC blocks with sorted indices are stacked unsorted
     Bm.sort_indices()
     m = disp.ndofs
-    K = sp.bmat([[assemble_compliance(stress, lam, mu).tocsc(), T.T, Bm.T],
+    K = sp.bmat([[assemble_compliance(stress, np.ldexp(lam, e), np.ldexp(mu, e)).T, T.T, Bm.T],
                  [T.tocsc(), sp.csc_matrix((1, 1)), sp.csc_matrix((1, m))],
                  [Bm.tocsc(), sp.csc_matrix((m, 1)), sp.csc_matrix((m, m))]], format="csc")
     rhs = np.concatenate([np.zeros(stress.ndofs), [0.0], -F])
     x = symmetric_indefinite_solve(K, rhs)
-    sigma, u = x[:stress.ndofs], x[stress.ndofs + 1:]
+    sigma, u = x[:stress.ndofs], np.ldexp(x[stress.ndofs + 1:], e)
     target = canonical_projection(disp, f)
     resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
     return ElasticitySolution(stress, disp, sigma, u, float(resid))

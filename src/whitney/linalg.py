@@ -9,17 +9,17 @@ without pivoting, and refinement against the true matrix (Gill,
 Saunders & Shinnerl 1996).  Its refinement and its final check use one
 componentwise backward error, judging rows that a sparse right-hand
 side leaves empty by the omega_2 scale of Arioli, Demmel & Duff (1989).
-A Schur matrix X^T K^-1 X (the inf-sup pencil, the mixed cavity's G)
-takes one unrefined solve per column of X with spd_factor(K), the
-sparse_lu factor whose pivots certify an SPD K; the Lanczos operators of
-complexes.compute_infsup apply factors unrefined too, since the
-eigensolver's own tolerance governs those solves.  The stress element
-dualizes its DOF tables, one per kind of cell, by one stacked dense
-solve, and check_symmetric keeps a sparse matrix sparse.  Dense LAPACK
-is used only for spectra (generalized_symmetric_eig), which factor the
-mass of every dense pencil by Cholesky, as eigh's "gv" driver does.
-inertia counts the eigenvalues below a shift, with no spectrum, from
-the signs of the sparse_lu pivots.
+A Schur matrix X^T K^-1 X (the inf-sup pencil, the mixed cavity's G, the
+tree-cotree split's mass complement) takes one unrefined solve per column
+of X with spd_factor(K), the sparse_lu factor whose pivots certify an SPD
+K; the Lanczos operators of complexes.compute_infsup apply factors
+unrefined too, since the eigensolver's own tolerance governs those
+solves.  The stress element dualizes its DOF tables, one per kind of
+cell, by one stacked dense solve, and check_symmetric keeps a sparse
+matrix sparse.  Dense LAPACK is used only for spectra
+(generalized_symmetric_eig), which factor the mass of every dense pencil
+by Cholesky, as eigh's "gv" driver does.  inertia counts the eigenvalues
+below a shift, with no spectrum, from the signs of the sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -29,10 +29,7 @@ the tree rows the collapse pairs with the kernel's columns (the
 tree-cotree gauge of Albanese & Rubinacci, 1988): the kernel's
 eigenvalues are exact zeros, certified by max|A kernel| and the
 pairing, and only the cotree block, against a Schur complement of the
-mass, is dense.  One Cholesky step on the kernel's mass block gives
-that complement.  The split works on a 2^k multiple of its triangular
-solve, so that LAPACK meets no subnormal numbers (slow on x86), and
-undoes the power of two exactly in the rank-k update.
+mass, is dense.
 """
 from __future__ import annotations
 
@@ -43,7 +40,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
 
 SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
@@ -213,13 +209,13 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     basis A is diag(0, A_CC), up to the roundoff that max|A kernel| is
     checked against, so the spectrum is one exact zero per kernel column
     merged with the eigenvalues of (A_CC, S), S the Schur complement of
-    the kernel block of B: S = B_CC - W^T W with W = L^-1 (B kernel)_C^T,
-    L the Cholesky factor of kernel^T B kernel.  Those zeros are certified
-    by the two checks, not computed: no pencil on span(kernel) is formed.
-    Only the cotree pencil is dense at its full size, and LAPACK writes
-    over its two blocks in place, so the split holds little more than
-    those two arrays.  A kernel the split misses, such as a harmonic
-    field, shows as computed near-zero values of the cotree pencil.
+    the kernel block of B: S = B_CC - X K^-1 X^T with X = (B kernel)_C,
+    K = kernel^T B kernel factored by spd_factor.  Those zeros are
+    certified by the two checks, not computed: no pencil on span(kernel)
+    is formed.  Only the cotree pencil is dense at its full size, and
+    LAPACK writes over its two blocks in place.  A kernel the split
+    misses, such as a harmonic field, shows as computed near-zero values
+    of the cotree pencil.
     """
     if kernel is None or kernel.shape[1] == 0:
         # check_symmetric returns exactly symmetric arrays: their transposes
@@ -238,22 +234,17 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
         raise CheckFailedError("kernel columns are left unpaired by the collapse")
     cotree = np.ones(A.shape[0], dtype=bool)
     cotree[pairs[:, 1]] = False
+    # S = B_cc - X K^-1 X^T, X = (B G)_c, K = G^T B G: one spd_factor(K) solve
+    # per cotree row, into a C-ordered Y that X @ Y reads uncopied.  B_cc adds
+    # its stored entries to the product's F-ordered transpose in place.
     BG = B @ G
-    # S = B_cc - W^T W, W = L^-1 B_Gc, L = chol(G^T B G): the solve overwrites
-    # the F-ordered transpose of B_cG uncopied, and dsyrk the lower triangle of S.
-    # B_cG is scaled by 2^k while sparse, so that the small entries of W stay
-    # normal numbers, on which LAPACK is fast, and pages of its dense array
-    # that LAPACK never writes stay untouched.  S is positive semidefinite, so
-    # W^T W <= B_cc: every product and partial sum in dsyrk is at most
-    # 4^k max diag(B_cc), which k keeps below 2^1000, and k <= 400 keeps the
-    # factor 2^-2k that undoes the scaling a normal number.
-    k = min(400, int((1000 - np.log2(max(B.diagonal()[cotree].max(initial=0.0), 1e-300))) // 2))
-    L = _cholesky(check_symmetric(G.T @ BG, "G^T B G").toarray(order="F"))
-    W = sla.solve_triangular(L, (2.0 ** k * BG[cotree]).toarray().T, lower=True,
-                             overwrite_b=True, check_finite=False)
-    S = blas.dsyrk(-(2.0 ** (-2 * k)), W, beta=1.0, c=B[cotree][:, cotree].toarray(order="F"),
-                   trans=1, lower=1, overwrite_c=1)
-    del W, L                        # only the two cotree blocks stay dense
+    X = BG[cotree]
+    Y = np.empty(X.shape[::-1])
+    Y[:] = spd_factor(check_symmetric(G.T @ BG, "G^T B G")).solve(X.toarray().T)
+    S = (-X @ Y).T
+    del Y
+    B_cc = B[cotree][:, cotree].tocoo()
+    S[B_cc.row, B_cc.col] += B_cc.data
     A_cc = A[cotree][:, cotree].toarray(order="F")
     return np.sort(np.concatenate([np.zeros(G.shape[1]), _dense_eig(A_cc, _cholesky(S))]))
 
@@ -261,7 +252,7 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
 def _cholesky(B) -> np.ndarray:
     """The lower Cholesky factor of B, read from and written over its lower
     triangle (no copy when B is F-ordered)."""
-    L, info = lapack.dpotrf(B, lower=1, clean=0, overwrite_a=1)
+    L, info = sla.lapack.dpotrf(B, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NotPositiveDefiniteError("matrix not positive definite")
     return L
@@ -274,7 +265,7 @@ def _dense_eig(A, L) -> np.ndarray:
     (no copy when F-ordered)."""
     if A.size == 0:
         return np.zeros(0)
-    C, _ = lapack.dsygst(A, L, lower=1, overwrite_a=1)
+    C, _ = sla.lapack.dsygst(A, L, lower=1, overwrite_a=1)
     return sla.eigh(C, eigvals_only=True, driver="ev", overwrite_a=True, check_finite=False)
 
 

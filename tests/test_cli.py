@@ -14,12 +14,13 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import whitney
-from whitney import cli, experiments
+from whitney import cli, experiments, linalg
 from whitney.cli import DEFAULT_SEED, build_parser, emit_csv, main
 from whitney.complexes import DiscreteComplex, derham_complex
 from whitney.experiments import ConvergenceReport, SpectrumReport
@@ -171,6 +172,18 @@ def test_crashes_are_distinct_from_failed_checks(capsys, monkeypatch):
     assert code == 1 and "check failed: threshold count disagrees" in err
 
 
+def test_dropped_schur_correction_fails_the_cavity_claims(capsys, monkeypatch):
+    # a factor whose solves return zeros leaves the tree-cotree split with
+    # S = B_cc: the Galerkin spectrum leaves the mixed one and the exact
+    # values, and each claim fails (exit 1) rather than crashing (exit 3)
+    monkeypatch.setattr(linalg, "spd_factor", lambda K: types.SimpleNamespace(solve=np.zeros_like))
+    code, out, _ = run(capsys, "eig", "maxwell-mixed", "--n", "4")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["notes"]["equivalence_gap"] > 0.1
+    assert run(capsys, "eig", "maxwell", "--n", "8")[0] == 1
+
+
 def test_zeroed_cell_row_fails_complex_check(capsys, monkeypatch):
     # a zeroed cell row keeps d o d = 0 but fails the rank cross-check
     def broken(mesh, order=1, bc="none"):
@@ -220,6 +233,7 @@ OUT_OF_RANGE = [
     ("solve elasticity --ns 2 --mu inf", "mu"),
     ("solve elasticity --ns 2,4 --lam 1e308", "lam"),
     ("solve elasticity --ns 2,4 --mu 1e-309", "mu"),
+    ("solve elasticity --ns 2,4 --lam 1e10 --mu 1e-300", "lam"),
     ("complex commute --domain square --tol nan", "--tol"),
     ("aw commute --tol -1", "--tol"),
 ]

@@ -307,11 +307,13 @@ def test_near_incompressible_solve_refines_its_first_solve():
     assert err_s <= 0.05
 
 
-@pytest.mark.parametrize("lam,mu", [(1e8, 1.0), (1.0, 1e-8)])
+@pytest.mark.parametrize("lam,mu", [(1e8, 1.0), (1.0, 1e-8), (1.0, 1e-300)])
 def test_extreme_moduli_keep_the_stress_accurate(lam, mu):
     # lam / mu = 1e8 leaves the constant stress I a near-kernel of the
     # saddle matrix; bordered by the mean-trace row, the solve keeps the
-    # relative stress error of lam = mu (6.5e-3 at n = 4) and int tr sigma = 0
+    # relative stress error of lam = mu (6.5e-3 at n = 4) and int tr sigma = 0.
+    # mu = 1e-300 makes the compliance ~1e300, which the balanced moduli
+    # bring back to order one
     _, sigma_exact, f = manufactured_solution(lam, mu)
     sol = solve_mixed_elasticity(generate_square_mesh(4), lam, mu, f)
     pts, wdet, svals = evaluate_stress(sol.stress_space, sol.sigma)
@@ -333,6 +335,15 @@ def test_huge_lambda_solves():
     assert np.all(np.isfinite(sol.sigma)) and sol.equilibrium_residual <= 1e-9
 
 
+@pytest.mark.parametrize("n, pattern", [(4, "uniform"), (8, "crossed")])
+def test_compliance_equals_its_transpose_bit_for_bit(n, pattern):
+    # the scatter sums an entry and its mirror in orders that can differ;
+    # the symmetrized sum leaves the solver's A - A^T with no entries
+    space = build_stress_space(generate_square_mesh(n, pattern=pattern))
+    C = el.assemble_compliance(space, lam=3.0, mu=0.7)
+    assert C.nnz and (C != C.T).nnz == 0
+
+
 def test_moduli_validation():
     from whitney.elasticity import compliance_coefficients
 
@@ -347,6 +358,9 @@ def test_moduli_validation():
             compliance_coefficients(lam, mu)
     with pytest.raises(ValueError, match="manufactured load overflows for lam=.*, mu="):
         manufactured_solution(2e307, 1.0)
+    # lam scaled by the power of two that balances a1 = 1/(2 mu) overflows
+    with pytest.raises(ValueError, match="balanced moduli overflow for lam=.*, mu="):
+        solve_mixed_elasticity(generate_square_mesh(1), 1e10, 1e-300, f=lambda p: p)
     assert np.isfinite(compliance_coefficients(1e307, 1.0)).all()
     a1, a2 = compliance_coefficients(0.0, 0.5)
     assert a1 == 1.0 and a2 == 0.0

@@ -984,12 +984,15 @@ def test_mixed_cavity_on_dg0_matches_svd_basis(pattern, n):
 @pytest.mark.parametrize("case, pattern, n, scale", [
     ("mixed-poisson", "uniform", 4, 1.0), ("mixed-poisson", "crossed", 2, 1.0),
     ("mixed-poisson", "uniform", 4, 1e-4), ("elasticity", "uniform", 4, 1.0),
-    ("elasticity", "uniform", 4, 1e-4)],
+    ("elasticity", "uniform", 4, 1e-4), ("elasticity", "uniform", 4, 1e-5),
+    ("elasticity", "uniform", 4, 1e-6), ("elasticity", "crossed", 4, 1e-6)],
     ids=["mixed-poisson-uniform4", "mixed-poisson-crossed2", "mixed-poisson-coefficient1e-4",
-         "elasticity4", "elasticity4-mu1e-4"])
+         "elasticity4", "elasticity4-mu1e-4", "elasticity4-mu1e-5", "elasticity4-mu1e-6",
+         "elasticity-crossed4-mu1e-6"])
 def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case, pattern, n, scale):
     # scale is the Poisson coefficient or the shear modulus mu: the
-    # factored shift must not depend on how the A block is scaled
+    # factored shift must not depend on how the A block is scaled, and
+    # elasticity, solved in balanced moduli, meets the bound at every mu
     seen = {}
     solve, lu = linalg.symmetric_indefinite_solve, linalg.sparse_lu
 
