@@ -29,9 +29,18 @@ entities: the canonical interpolant runs it on the global vertices,
 edges and cells, the per-cell DOF tables on each cell's own entities
 with the 10 cubic monomials in one component as a batch, from which
 the table over the 30 monomial fields of P3(T, S) is placed.  The
-bases exist only as stacked arrays, with no per-cell objects, and
-every global operator is a contraction of the stacked nodal
-coefficients followed by a single sparse scatter.
+bases exist only as stacked arrays, with no per-cell objects, and the
+compliance and the mean-trace row are contractions of the stacked
+nodal coefficients followed by a single sparse scatter.
+
+The divergence needs no basis.  By Green's formula, the dg1_vector
+DOFs of div tau (moments against 1, lambda_2 and lambda_1) are fixed by
+the 12 edge moments and the 3 interior means of tau, with weights from
+the cell's geometry alone: the edge entries are 0 or +-2 / |det B|, the
+interior ones -grad lambda_k, and the vertex values enter nowhere.  So D
+Pi_S = Pi_V div holds to the roundoff of B^-1 (22 stored entries per
+cell on the uniform square), as the lowest-order de Rham derivatives
+are signed incidences.
 
 Cells are grouped into kinds by the exact bytes of their DOF table,
 quadrature-point monomials and |det|: on a structured mesh most cells
@@ -39,11 +48,11 @@ repeat a few shapes (2,048 cells and 72 kinds on the uniform square at
 n = 32).  The nodal coefficients, the monomial table and the condition
 number are stored once per kind, from one batched condition number and
 one stacked solve of the (kinds, 24, 24) tables.  The compliance blocks
-are formed per kind and scattered cell by cell; the divergence and
-evaluate_stress gather the per-kind tables to the cells as they need
-them.  LAPACK and matmul work matrix by matrix, so every gathered array
-is bit-identical to a per-cell computation, and a mesh with no repeated
-shape pays only for the grouping.
+are formed per kind and scattered cell by cell; evaluate_stress gathers
+the per-kind tables to the cells.  LAPACK and matmul work matrix by
+matrix, so every gathered array is bit-identical to a per-cell
+computation, and a mesh with no repeated shape pays only for the
+grouping.
 """
 from __future__ import annotations
 
@@ -55,14 +64,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .complexes import commuting_residual, monomial_battery
-from .elements import _read_only, moment_rule
-from .linalg import RANK_RTOL, CheckFailedError, symmetric_indefinite_solve
+from .elements import _read_only, reference_vertices
+from .linalg import RANK_RTOL, CheckFailedError, spd_factor, symmetric_indefinite_solve
 from .mesh import Mesh
 from .poly import Poly, VecPoly, monomial_exponents
 from .quadrature import simplex_rule
 from .spaces import (
     DiscreteSpace,
-    assemble_load,
     assemble_mass,
     build_space,
     canonical_projection,
@@ -286,18 +294,17 @@ class StressSpace:
 
     Cells with bit-identical DOF tables, monomials and |det| are one
     kind: kind[c] is the kind of cell c and first[k] its lowest cell of
-    kind k.  Cell c maps physical points x to local coordinates (x -
-    origin[c]) / scale[c], where its 24 nodal fields have the P3(T, S)
-    coefficients coeffs[kind[c]]; mono[kind[c]] holds the P3 monomials
-    at the simplex_rule(2) points of cell c in that frame.  Only the DOF
-    numbering and the frame are stored per cell.
+    kind k.  Cell c maps physical points to local coordinates in the
+    frame of _shape_dof_matrix (centroid and diameter), where its 24
+    nodal fields have the P3(T, S) coefficients coeffs[kind[c]];
+    mono[kind[c]] holds the P3 monomials at the simplex_rule(2) points
+    of cell c in that frame.  Only the DOF numbering and the kind are
+    stored per cell.
     """
 
     mesh: Mesh
     ndofs: int
     cell_dofs: np.ndarray          # (num_cells, 24)
-    origin: np.ndarray             # (num_cells, 2)
-    scale: np.ndarray              # (num_cells,)
     coeffs: np.ndarray             # (num_kinds, 24, 30)
     cond: np.ndarray               # (num_kinds,) dualization condition numbers
     mono: np.ndarray               # (num_kinds, nq, 10)
@@ -321,8 +328,7 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
     mono = _monomials(local, P3)
     first, kind = _cell_kinds(V, mono, mesh.geometry.absdet)
     coeffs, cond = _dualize(V[first])
-    return StressSpace(mesh, ndofs, cell_dofs, origin, scale, coeffs, cond, mono[first],
-                       first, kind)
+    return StressSpace(mesh, ndofs, cell_dofs, coeffs, cond, mono[first], first, kind)
 
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
@@ -382,17 +388,35 @@ def _trace_integrals(space: StressSpace) -> np.ndarray:
 
 
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
-    """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma."""
-    # DOF m of the family is moment rule W[m] (on the simplex_rule(2) points
-    # of space.mono) of component comp[m] of div sigma; every component
-    # takes every rule, and each DOF keeps its own component
-    _, W = moment_rule(disp.family.dofs, 2)
-    comp = [dof.component for dof in disp.family.dofs]
-    p2 = space.mono[space.kind][..., [P3.index(e) for e in P2]]    # (nc, nq, 6)
-    dcoef = (space.coeffs[space.kind] @ _divergence_operator().T) / space.scale[:, None, None]
-    dcoef = dcoef.reshape(-1, NDOF, 2, len(P2))
-    local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
-    local = local[:, comp, range(len(comp))]                       # (nc, 6, 24)
+    """DOF matrix of div: (div sigma)'s dg1_vector DOFs = D sigma.
+
+    DOF (c, e) of the displacement family is (2 / |det B|) int_T
+    (div sigma)_c q with q = lambda^e, the barycentric monomial of degree
+    <= 1 (1, lambda_2 or lambda_1).  By Green's formula it is (2 / |det
+    B|) times the outward flux sum_e int_e (sigma n)_c q ds minus int_T
+    sigma_c . grad q, row c of sigma being the pair _ROWS[c].  Along edge
+    (a, b), q = q(p_a) + s (q(p_b) - q(p_a)) in the edge parameter s, so
+    the flux takes the degree 0 and 1 traction moments with weights
+    q(p_a) and q(p_b) - q(p_a), each 0 or +-1; and since 2 |T| = |det B|,
+    the interior mean of sigma_c enters with -grad q, from the rows of
+    B^-1.  D is thus fixed by the geometry alone: no basis, no
+    quadrature, and no entry in a vertex column.
+    """
+    geo = space.mesh.geometry
+    # the DOF normal (t_y, -t_x) points out of a positively oriented cell
+    # on local edges (0, 1) and (1, 2) and into it on (0, 2)
+    flux = np.sign(geo.detB)[:, None] * np.array([1.0, -1.0, 1.0]) \
+        * (2.0 / geo.absdet)[:, None]
+    ref = reference_vertices(2)
+    local = np.zeros((space.mesh.num_cells, len(disp.family.dofs), NDOF))
+    for m, dof in enumerate(disp.family.dofs):
+        q = np.prod(ref ** np.asarray(dof.weight), axis=1)     # at the local vertices
+        for le, (a, b) in enumerate(_EDGE_LOCAL):
+            slot = 9 + 4 * le + 2 * dof.component
+            local[:, m, slot] = flux[:, le] * q[a]
+            local[:, m, slot + 1] = flux[:, le] * (q[b] - q[a])
+        grad_q = dof.weight[0] * geo.Binv[:, 0] + dof.weight[1] * geo.Binv[:, 1]
+        local[:, m, 21 + np.array(_ROWS[dof.component])] = -grad_q
     return scatter_cell_blocks(local, disp.cell_dofs, space.cell_dofs,
                                (disp.ndofs, space.ndofs))
 
@@ -444,9 +468,15 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     Finds (sigma, u) with int C^-1 sigma : tau + int u . div tau = 0 and
     int div sigma . v = -int f . v for all (tau, v): the classical
     equilibrium -div sigma = f, with u = 0 on the boundary encoded
-    weakly by the first equation.  The reported equilibrium residual is
-    max |D sigma + Pi_V f| over the displacement DOFs, which the
-    discrete equations satisfy up to solver roundoff.
+    weakly by the first equation.  Since div sigma is a dg1_vector field
+    whose DOFs are D sigma, and the DOFs are moments against P1, the
+    second equation is D sigma = -Pi_V f, the canonical projection of the
+    load; the first reads C sigma + D^T w = 0 with the multiplier w = M_V
+    u, M_V the block-diagonal displacement mass, so u takes one solve
+    with M_V.  The saddle matrix holds D itself, fixed by the geometry,
+    not the product M_V D.  The reported equilibrium residual is max |D
+    sigma + Pi_V f| over the displacement DOFs, the residual of those
+    rows: solver roundoff.
 
     The constant stress I has div I = 0 and compliance energy |Omega| /
     (mu + lam), a near-kernel of the saddle matrix for lam >> mu.  Tested
@@ -455,7 +485,7 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     removes that near-kernel and nothing of the solution.  The system is
     solved in balanced moduli, lam and mu times 2^e with 1/(2 mu) = m 2^e,
     m in [1/2, 1): the compliance is exactly 2^-e times the true one, of
-    order one for any mu, and the multiplier is 2^-e u.
+    order one for any mu, and the multiplier is 2^-e M_V u.
     """
     if f is None:
         raise ValueError("need a load f(points) -> (N, 2)")
@@ -465,21 +495,19 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
-    Bm = (assemble_mass(disp) @ D).tocsr()
     T = sp.csr_matrix(_trace_integrals(stress))         # the mean-trace row
-    F = assemble_load(disp, f)
+    target = canonical_projection(disp, f)
     # assembled inline and as CSC (the exactly symmetric compliance as its
     # own transpose), so that neither it nor a CSR copy of K lives through
     # the factorization; CSC blocks with sorted indices are stacked unsorted
-    Bm.sort_indices()
     m = disp.ndofs
-    K = sp.bmat([[assemble_compliance(stress, np.ldexp(lam, e), np.ldexp(mu, e)).T, T.T, Bm.T],
+    K = sp.bmat([[assemble_compliance(stress, np.ldexp(lam, e), np.ldexp(mu, e)).T, T.T, D.T],
                  [T.tocsc(), sp.csc_matrix((1, 1)), sp.csc_matrix((1, m))],
-                 [Bm.tocsc(), sp.csc_matrix((m, 1)), sp.csc_matrix((m, m))]], format="csc")
-    rhs = np.concatenate([np.zeros(stress.ndofs), [0.0], -F])
+                 [D.tocsc(), sp.csc_matrix((m, 1)), sp.csc_matrix((m, m))]], format="csc")
+    rhs = np.concatenate([np.zeros(stress.ndofs), [0.0], -target])
     x = symmetric_indefinite_solve(K, rhs)
-    sigma, u = x[:stress.ndofs], np.ldexp(x[stress.ndofs + 1:], e)
-    target = canonical_projection(disp, f)
+    sigma = x[:stress.ndofs]
+    u = np.ldexp(spd_factor(assemble_mass(disp)).solve(x[stress.ndofs + 1:]), e)
     resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
     return ElasticitySolution(stress, disp, sigma, u, float(resid))
 

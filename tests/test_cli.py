@@ -184,6 +184,24 @@ def test_dropped_schur_correction_fails_the_cavity_claims(capsys, monkeypatch):
     assert run(capsys, "eig", "maxwell", "--n", "8")[0] == 1
 
 
+def test_perturbed_compliance_fails_the_elasticity_rates(capsys, monkeypatch):
+    # a2 off by 1 % is a compliance of the wrong material: the stress stops
+    # converging (order 0.34) and the sweep fails (exit 1), not crashes
+    from whitney import elasticity
+
+    coefficients = elasticity.compliance_coefficients
+
+    def perturbed(lam, mu):
+        a1, a2 = coefficients(lam, mu)
+        return a1, 1.01 * a2
+
+    monkeypatch.setattr(elasticity, "compliance_coefficients", perturbed)
+    code, out, _ = run(capsys, "solve", "elasticity", "--ns", "4,8,16")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["orders"]["err_sigma"] < 1.0
+
+
 def test_zeroed_cell_row_fails_complex_check(capsys, monkeypatch):
     # a zeroed cell row keeps d o d = 0 but fails the rank cross-check
     def broken(mesh, order=1, bc="none"):

@@ -46,9 +46,16 @@ def _nodal_fields(space, c):
     return [_symmetric_field(row) for row in space.coeffs[space.kind[c]]]
 
 
+def _frame(space, c):
+    """(origin, scale) of cell c's local coordinates."""
+    origin, scale, _ = el._shape_dof_matrix(space.mesh.vertices[space.mesh.cells[c:c + 1]])
+    return origin[0], scale[0]
+
+
 def _tabulate(space, c, points):
     """(24, npoints, 3) nodal stresses of cell c at physical points."""
-    local = (points - space.origin[c]) / space.scale[c]
+    origin, scale = _frame(space, c)
+    local = (points - origin) / scale
     mono = np.stack([local[:, 0] ** a * local[:, 1] ** b for a, b in P3])
     return np.transpose(space.coeffs[space.kind[c]].reshape(NDOF, 3, len(P3)) @ mono, (0, 2, 1))
 
@@ -147,9 +154,10 @@ def test_nodal_basis_dual_to_global_dofs():
     # local functionals; each nodal field must produce a unit vector
     mesh = Mesh(2, np.array([[0.0, 0.0], [1.2, 0.1], [0.3, 0.9]]), [(0, 1, 2)])
     space = build_stress_space(mesh)
+    origin, scale = _frame(space, 0)
     for j, field in enumerate(_nodal_fields(space, 0)):
         def phys(points, field=field):
-            return field.eval((points - space.origin[0]) / space.scale[0])
+            return field.eval((points - origin) / scale)
         dofs = interpolate_stress(space, phys)[space.cell_dofs[0]]
         target = np.zeros(NDOF)
         target[j] = 1.0
@@ -250,10 +258,25 @@ def test_interpolation_reproduces_polynomial_stresses(crossed2):
         assert np.max(np.abs(vals - exact)) <= 1e-10
 
 
-def test_interpolation_then_divergence_commutes():
-    for n, pattern in ((2, "crossed"), (2, "uniform")):
-        mesh = generate_square_mesh(n, pattern=pattern)
-        assert commutativity_residual(mesh) <= 1e-9
+def test_interpolation_then_divergence_commutes(jittered_meshes):
+    meshes = [generate_square_mesh(2, pattern=pattern) for pattern in ("crossed", "uniform")]
+    for mesh in meshes + [jittered_meshes[2]]:
+        assert commutativity_residual(mesh) <= 1e-13
+
+
+def test_divergence_is_built_from_geometry_alone():
+    # Green's formula: 22 stored entries per cell of the uniform square, none
+    # in a vertex column, and every traction-moment entry 0 or +-2/|det T|
+    mesh = generate_square_mesh(32, pattern="uniform")
+    stress = build_stress_space(mesh)
+    disp = build_space(mesh, "dg1_vector")
+    D = assemble_divergence(stress, disp)
+    assert D.nnz == 22 * mesh.num_cells == 45_056
+    assert D[:, :3 * mesh.num_vertices].nnz == 0
+    edges = D[:, 3 * mesh.num_vertices:3 * mesh.num_vertices + 4 * mesh.num_entities(1)].tocoo()
+    cell = np.empty(disp.ndofs, dtype=int)
+    cell[disp.cell_dofs] = np.arange(mesh.num_cells)[:, None]
+    assert np.array_equal(np.abs(edges.data), 2.0 / mesh.geometry.absdet[cell[edges.row]])
 
 
 def test_zero_load_gives_zero_solution(crossed2):
@@ -297,6 +320,16 @@ def test_solver_converges_and_balances():
     assert es2 / es4 >= 2.5   # stress order about 3
     with pytest.raises(ValueError, match="load"):
         solve_mixed_elasticity(generate_square_mesh(2), f=None)
+
+
+@pytest.mark.parametrize("n, pattern", [(4, "uniform"), (8, "uniform"), (16, "uniform"),
+                                        (32, "uniform"), (8, "crossed")])
+def test_equilibrium_holds_to_roundoff(n, pattern):
+    # the divergence DOFs are the equilibrium rows themselves: D sigma =
+    # -Pi_V f holds to the solver's backward error
+    _, _, f = manufactured_solution()
+    sol = solve_mixed_elasticity(generate_square_mesh(n, pattern=pattern), f=f)
+    assert sol.equilibrium_residual <= 1e-14
 
 
 def test_near_incompressible_solve_refines_its_first_solve():

@@ -15,7 +15,9 @@ Bareiss elimination plus SVD rank for the ranks of a complex, and the
 mixed cavity pencil on an SVD basis of range(curl).  Integer tables,
 ranks and the derivative must match exactly; forms, projections, the
 displacement helpers and the stress element, whose summation order
-changed, must match to 1e-13 relative to the largest entry, the Poisson
+changed, must match to 1e-13 relative to the largest entry (the stress
+divergence on a jittered mesh: per cell, against exact rational DOFs of
+monomial fields, relative to the largest), the Poisson
 and saddle solutions to 1e-12, and the inf-sup constant and the mixed
 cavity eigenvalues to 1e-10.
 """
@@ -40,7 +42,6 @@ from whitney.elements import (
     _exact_moment,
     get_family,
     local_derivative_matrix,
-    moment_rule,
     reference_vertices,
 )
 from whitney.experiments import solve_poisson
@@ -63,7 +64,6 @@ from whitney.spaces import (
     build_space,
     canonical_projection,
     evaluate_on_cells,
-    scatter_cell_blocks,
 )
 
 RTOL = 1e-13
@@ -439,6 +439,54 @@ def loop_divergence(space, disp, cells):
                          shape=(disp.ndofs, space.ndofs)).tocsr()
 
 
+_rational = np.vectorize(Fraction, otypes=[object])
+
+
+def exact_cell_dofs(vertices, origin, scale):
+    """(24, 30) stress DOFs of the 30 monomial fields of P3(T, S) in the
+    frame (origin, scale) of one triangle, and (6, 30) dg1_vector DOFs of
+    their row divergences, in exact rationals of the float coordinates:
+    each field is restricted to the entity by affine substitution and
+    integrated term by term."""
+    v, o, s = _rational(vertices), _rational(origin), Fraction(scale)
+    B = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
+
+    def on(p, b, A):
+        """The frame polynomial p on the entity x = b + A y."""
+        return p.compose_affine(A / s, (b - o) / s)
+
+    nmono, dofs = len(el.P3), get_family("dg1_vector").dofs
+    stress = np.zeros((el.NDOF, el.NCOEF), dtype=object)
+    div = np.zeros((len(dofs), el.NCOEF), dtype=object)
+    for i, exps in enumerate(el.P3):
+        mono = Poly.monomial(2, exps)
+        edge = [[(on(mono, v[a], (v[b] - v[a])[:, None]) * Poly.monomial(1, (j,)))
+                 .integral_reference_simplex() for j in range(2)] for a, b in el._EDGE_LOCAL]
+        # d/dx_axis of the frame monomial, pulled back to the reference cell
+        grad = [on(mono.diff(axis), v[0], B) * (1 / s) for axis in range(2)]
+        for k in range(3):
+            col = k * nmono + i
+            for vi in range(3):
+                stress[3 * vi + k, col] = np.prod(((v[vi] - o) / s) ** np.array(exps))
+            stress[21 + k, col] = 2 * on(mono, v[0], B).integral_reference_simplex()
+            for c, row in enumerate(el._ROWS):
+                if k not in row:
+                    continue
+                # tau_c = (tau_r1, tau_r2): (tau n)_c = tau_r1 n_x + tau_r2 n_y and
+                # (div tau)_c = d_x tau_r1 + d_y tau_r2
+                axis = row.index(k)
+                for le, (a, b) in enumerate(el._EDGE_LOCAL):
+                    t = v[b] - v[a]
+                    normal = (t[1], -t[0])[axis]
+                    for j in range(2):
+                        stress[9 + 4 * le + 2 * c + j, col] = normal * edge[le][j]
+                field = VecPoly([grad[axis] if comp == c else Poly(2) for comp in range(2)])
+                for m, dof in enumerate(dofs):
+                    if dof.component == c:
+                        div[m, col] = _exact_moment(dof, field, 2)
+    return stress, div
+
+
 def einsum_displacement_mass(disp):
     rule = simplex_rule(2)
     tab = get_family("dg1").tabulate(rule.points)
@@ -654,15 +702,35 @@ def test_batched_stress_element_matches_cell_loop(jittered_meshes, which):
     space = el.build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     cells = loop_stress_cells(mesh)
+    origin, scale, _ = el._shape_dof_matrix(mesh.vertices[mesh.cells])
     _assert_close(space.coeffs[space.kind], np.stack([c[2] for c in cells]), "coeffs")
     _assert_close(space.cond[space.kind], np.array([c[3] for c in cells]), "cond")
-    _assert_close(space.origin, np.stack([c[0] for c in cells]), "origin")
-    _assert_close(space.scale, np.array([c[1] for c in cells]), "scale")
+    _assert_close(origin, np.stack([c[0] for c in cells]), "origin")
+    _assert_close(scale, np.array([c[1] for c in cells]), "scale")
     for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
         _assert_close(el.assemble_compliance(space, lam, mu),
                       loop_compliance(space, cells, lam, mu), ("compliance", lam, mu))
-    _assert_close(el.assemble_divergence(space, disp), loop_divergence(space, disp, cells),
-                  "divergence")
+    D = el.assemble_divergence(space, disp)
+    if which == "crossed2":
+        _assert_close(D, loop_divergence(space, disp, cells), "divergence")
+        return
+    # the loop's dualized basis carries roundoff of its own (3e-13 on this
+    # mesh); the exact oracle is the identity D is built on, per cell: D_T applied
+    # to the exact stress DOFs of each monomial field gives the exact DOFs
+    # of its divergence.  The DOFs are unisolvent on the 24-dimensional
+    # shape space inside P3(T, S), so this pins every entry of D_T.  Any
+    # frame serves; a dyadic one (the first vertex, a power of two at least
+    # the diameter) keeps the rationals short
+    D = D.toarray()
+    stored = 0
+    for c in range(mesh.num_cells):
+        block = D[np.ix_(disp.cell_dofs[c], space.cell_dofs[c])]
+        stored += np.count_nonzero(block)
+        verts = mesh.vertices[mesh.cells[c]]
+        dofs, want = exact_cell_dofs(verts, verts[0], 2.0 ** np.ceil(np.log2(scale[c])))
+        gap = _rational(block) @ dofs - want
+        assert max(map(abs, gap.ravel())) <= RTOL * max(map(abs, want.ravel())), c
+    assert stored == np.count_nonzero(D)
 
 
 def test_cell_kinds_match_unique_on_row_bytes():
@@ -694,25 +762,12 @@ def _one_kind_per_cell(space):
     """The space with its tables computed by the same steps on every cell:
     kind c is cell c."""
     mesh, nc = space.mesh, space.mesh.num_cells
-    _, _, V = el._shape_dof_matrix(mesh.vertices[mesh.cells])
+    origin, scale, V = el._shape_dof_matrix(mesh.vertices[mesh.cells])
     coeffs, cond = el._dualize(V)
-    local = (mesh.geometry.push_points(simplex_rule(2).points) - space.origin[:, None, :]) \
-        / space.scale[:, None, None]
+    local = (mesh.geometry.push_points(simplex_rule(2).points) - origin[:, None, :]) \
+        / scale[:, None, None]
     return dataclasses.replace(space, coeffs=coeffs, cond=cond, mono=el._monomials(local, el.P3),
                                first=np.arange(nc), kind=np.arange(nc))
-
-
-def per_cell_divergence(space, disp):
-    """The divergence from per-cell tables (space.kind the identity), in the
-    arithmetic of the batched einsum."""
-    _, W = moment_rule(disp.family.dofs, 2)
-    comp = [dof.component for dof in disp.family.dofs]
-    p2 = space.mono[..., [el.P3.index(e) for e in el.P2]]
-    dcoef = (space.coeffs @ el._divergence_operator().T) / space.scale[:, None, None]
-    dcoef = dcoef.reshape(-1, el.NDOF, 2, len(el.P2))
-    local = np.einsum("csik,cqk,mq->cims", dcoef, p2, W, optimize=True)
-    return scatter_cell_blocks(local[:, comp, range(len(comp))], disp.cell_dofs, space.cell_dofs,
-                               (disp.ndofs, space.ndofs))
 
 
 def per_cell_stress_values(space, sigma):
@@ -730,7 +785,7 @@ def _assert_same_csr(got, want, what):
 def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
     """Dualizing and forming the compliance once per kind gives, gathered
     through kind, bit for bit the arrays of the same steps run on every
-    cell; so do the divergence and evaluate_stress, which gather."""
+    cell; so does evaluate_stress, which gathers."""
     mesh = _kind_meshes(jittered_meshes)[which]
     space = el.build_stress_space(mesh)
     nc = mesh.num_cells
@@ -745,9 +800,6 @@ def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
     for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
         _assert_same_csr(el.assemble_compliance(space, lam, mu),
                          el.assemble_compliance(per_cell, lam, mu), (lam, mu))
-    disp = build_space(mesh, "dg1_vector")
-    _assert_same_csr(el.assemble_divergence(space, disp), per_cell_divergence(per_cell, disp),
-                     "divergence")
     sigma = np.random.default_rng(3).standard_normal(space.ndofs)
     assert np.array_equal(el.evaluate_stress(space, sigma)[2],
                           per_cell_stress_values(per_cell, sigma))
