@@ -26,12 +26,11 @@ H(div, S)-conforming with single-valued vertex stresses.
 
 One DOF applicator (_stress_dofs) applies these functionals on stacked
 entities: the canonical interpolant runs it on the global vertices,
-edges and cells, the per-cell DOF tables on each cell's own entities
+edges and cells, the per-kind DOF tables on each kind's first cell
 with the 10 cubic monomials in one component as a batch, from which
 the table over the 30 monomial fields of P3(T, S) is placed.  The
-bases exist only as stacked arrays, with no per-cell objects, and the
-compliance and the mean-trace row are contractions of the stacked
-nodal coefficients followed by a single sparse scatter.
+bases exist only as stacked arrays, the compliance is their contraction
+and one sparse scatter, and the mean-trace row needs no basis at all.
 
 The divergence needs no basis.  By Green's formula, the dg1_vector
 DOFs of div tau (moments against 1, lambda_2 and lambda_1) are fixed by
@@ -42,17 +41,18 @@ Pi_S = Pi_V div holds to the roundoff of B^-1 (22 stored entries per
 cell on the uniform square), as the lowest-order de Rham derivatives
 are signed incidences.
 
-Cells are grouped into kinds by the exact bytes of their DOF table,
-quadrature-point monomials and |det|: on a structured mesh most cells
-repeat a few shapes (2,048 cells and 72 kinds on the uniform square at
-n = 32).  The nodal coefficients, the monomial table and the condition
-number are stored once per kind, from one batched condition number and
-one stacked solve of the (kinds, 24, 24) tables.  The compliance blocks
-are formed per kind and scattered cell by cell; evaluate_stress gathers
-the per-kind tables to the cells.  LAPACK and matmul work matrix by
-matrix, so every gathered array is bit-identical to a per-cell
-computation, and a mesh with no repeated shape pays only for the
-grouping.
+Cells are grouped into kinds by the exact bytes of their centred
+vertices (minus the centroid) and |det|: on a structured mesh most
+cells translate a few shapes (2,048 cells of 72 kinds on the uniform
+square at n = 32, 24 kinds on the crossed one).  Only the lowest cell
+of a kind builds its DOF table, from its own vertices, and the nodal
+coefficients, the monomial table and the condition number are stored
+once per kind.  The compliance blocks are formed per kind and scattered
+cell by cell; evaluate_stress gathers the per-kind tables to the cells.
+LAPACK and matmul work matrix by matrix, so a kind's tables are its
+first cell's own bit for bit.  A translate's own differ by roundoff:
+none on the uniform square, on the crossed one <= 2.5e-14 relative in
+the coefficients and about eps * cond in the condition number.
 """
 from __future__ import annotations
 
@@ -292,14 +292,14 @@ def aw_unisolvence_survey(triangles):
 class StressSpace:
     """Global H(div, S) stress space: 3 DOFs/vertex + 4/edge + 3/cell.
 
-    Cells with bit-identical DOF tables, monomials and |det| are one
-    kind: kind[c] is the kind of cell c and first[k] its lowest cell of
-    kind k.  Cell c maps physical points to local coordinates in the
-    frame of _shape_dof_matrix (centroid and diameter), where its 24
-    nodal fields have the P3(T, S) coefficients coeffs[kind[c]];
-    mono[kind[c]] holds the P3 monomials at the simplex_rule(2) points
-    of cell c in that frame.  Only the DOF numbering and the kind are
-    stored per cell.
+    Cells with bit-identical centred vertices and |det| are one kind:
+    kind[c] is the kind of cell c and first[k] the lowest cell of kind
+    k, whose own vertices build the kind's tables.  Cell c maps physical
+    points to local coordinates in the frame of _shape_dof_matrix
+    (centroid and diameter), where its 24 nodal fields have the P3(T, S)
+    coefficients coeffs[kind[c]]; mono[k] holds the P3 monomials at the
+    simplex_rule(2) points of cell first[k] in its frame, shared by the
+    kind.  Only the DOF numbering and the kind are stored per cell.
     """
 
     mesh: Mesh
@@ -322,13 +322,13 @@ def build_stress_space(mesh: Mesh) -> StressSpace:
         (3 * mesh.cells[:, :, None] + np.arange(3)).reshape(nt, 9),
         (edge_base + 4 * mesh.cell_subentities(1)[:, :, None] + np.arange(4)).reshape(nt, 12),
         cell_base + 3 * np.arange(nt)[:, None] + np.arange(3)], axis=1)
-    origin, scale, V = _shape_dof_matrix(mesh.vertices[mesh.cells])
-    local = (mesh.geometry.push_points(simplex_rule(2).points) - origin[:, None, :]) \
+    tri = mesh.vertices[mesh.cells]
+    first, kind = _cell_kinds(tri - tri.mean(axis=1)[:, None, :], mesh.geometry.absdet)
+    origin, scale, V = _shape_dof_matrix(tri[first])
+    coeffs, cond = _dualize(V)
+    local = (mesh.geometry.push_points(simplex_rule(2).points)[first] - origin[:, None, :]) \
         / scale[:, None, None]
-    mono = _monomials(local, P3)
-    first, kind = _cell_kinds(V, mono, mesh.geometry.absdet)
-    coeffs, cond = _dualize(V[first])
-    return StressSpace(mesh, ndofs, cell_dofs, coeffs, cond, mono[first], first, kind)
+    return StressSpace(mesh, ndofs, cell_dofs, coeffs, cond, _monomials(local, P3), first, kind)
 
 
 def evaluate_stress(space: StressSpace, sigma: np.ndarray):
@@ -378,13 +378,11 @@ def assemble_compliance(space: StressSpace, lam: float = 1.0, mu: float = 1.0) -
     return 0.5 * (C + C.T)
 
 
-def _trace_integrals(space: StressSpace) -> np.ndarray:
-    """int tr(phi_j) over the mesh for every stress DOF j, from the s11 and
-    s22 coefficients of each kind, summed into the DOFs cell by cell."""
-    wdet = simplex_rule(2).weights * space.mesh.geometry.absdet[space.first, None]
-    trace = space.coeffs[:, :, :len(P3)] + space.coeffs[:, :, 2 * len(P3):]
-    local = np.einsum("kim,kqm,kq->ki", trace, space.mono, wdet)              # (kinds, 24)
-    return np.bincount(space.cell_dofs.ravel(), local[space.kind].ravel(), space.ndofs)
+def _mean_trace_row(space: StressSpace) -> sp.csr_matrix:
+    """t_j = int tr(phi_j): |T| at the s11 and s22 means of T, else 0."""
+    cols = space.cell_dofs[:, [21, 23]].ravel()          # ascending, cell by cell
+    return sp.csr_matrix((np.repeat(0.5 * space.mesh.geometry.absdet, 2), cols,
+                          [0, len(cols)]), shape=(1, space.ndofs))
 
 
 def assemble_divergence(space: StressSpace, disp: DiscreteSpace) -> sp.csr_matrix:
@@ -482,7 +480,9 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     (mu + lam), a near-kernel of the saddle matrix for lam >> mu.  Tested
     with tau = I, the first equation gives int tr sigma = 0 already, so
     the mean-trace row, bordering the matrix as the first multiplier row,
-    removes that near-kernel and nothing of the solution.  The system is
+    removes that near-kernel and nothing of the solution.  The row is
+    exact: the interior DOFs are cell means, so int tr phi_j is |T| at
+    the s11 and s22 means of T and 0 for every other DOF.  The system is
     solved in balanced moduli, lam and mu times 2^e with 1/(2 mu) = m 2^e,
     m in [1/2, 1): the compliance is exactly 2^-e times the true one, of
     order one for any mu, and the multiplier is 2^-e M_V u.
@@ -495,7 +495,7 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
     D = assemble_divergence(stress, disp)
-    T = sp.csr_matrix(_trace_integrals(stress))         # the mean-trace row
+    T = _mean_trace_row(stress)
     target = canonical_projection(disp, f)
     # assembled inline and as CSC (the exactly symmetric compliance as its
     # own transpose), so that neither it nor a CSR copy of K lives through

@@ -202,6 +202,20 @@ def test_perturbed_compliance_fails_the_elasticity_rates(capsys, monkeypatch):
     assert payload["orders"]["err_sigma"] < 1.0
 
 
+def test_scaled_saddle_solution_fails_the_equilibrium_claim(capsys, monkeypatch):
+    # a solution off by a relative 1e-6 keeps the rates but not D sigma =
+    # -Pi_V f: the equilibrium residual alone fails the sweep (exit 1)
+    from whitney import elasticity
+
+    solve = elasticity.symmetric_indefinite_solve
+    monkeypatch.setattr(elasticity, "symmetric_indefinite_solve",
+                        lambda K, b: (1.0 + 1e-6) * solve(K, b))
+    code, out, _ = run(capsys, "solve", "elasticity", "--ns", "4,8,16")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert max(payload["notes"]["equilibrium_residuals"]) > 1e-9
+
+
 def test_zeroed_cell_row_fails_complex_check(capsys, monkeypatch):
     # a zeroed cell row keeps d o d = 0 but fails the rank cross-check
     def broken(mesh, order=1, bc="none"):

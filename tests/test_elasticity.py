@@ -279,6 +279,34 @@ def test_divergence_is_built_from_geometry_alone():
     assert np.array_equal(np.abs(edges.data), 2.0 / mesh.geometry.absdet[cell[edges.row]])
 
 
+@pytest.mark.parametrize("n, pattern", [(32, "uniform"), (2, "crossed"), (None, "jittered")])
+def test_mean_trace_row_is_the_cell_areas(jittered_meshes, n, pattern):
+    # int tr(phi_j) is |T| at the s11 and s22 interior means of T, since
+    # those DOFs are means, and 0 for every other nodal field: two stored
+    # entries per cell, each |det| / 2 bit for bit
+    mesh = jittered_meshes[2] if n is None else generate_square_mesh(n, pattern=pattern)
+    space = build_stress_space(mesh)
+    row = el._mean_trace_row(space)
+    assert row.shape == (1, space.ndofs) and row.nnz == 2 * mesh.num_cells
+    assert np.array_equal(row.indices, space.cell_dofs[:, [21, 23]].ravel())
+    assert np.array_equal(row.data, np.repeat(mesh.geometry.absdet / 2, 2))
+    if n == 32:
+        return
+    # against the quadrature of the basis: the stored entries to RTOL of the
+    # largest, the zeros to RTOL of the sum of the magnitudes of their
+    # terms, as a computed sum of terms that cancel can do no better
+    wdet = simplex_rule(2).weights * mesh.geometry.absdet[:, None]
+    coeffs, mono = space.coeffs[space.kind], space.mono[space.kind]
+    def integrals(take):
+        trace = take(coeffs[:, :, :len(P3)]) + take(coeffs[:, :, 2 * len(P3):])
+        local = np.einsum("cim,cqm,cq->ci", trace, take(mono), wdet)
+        return np.bincount(space.cell_dofs.ravel(), local.ravel(), space.ndofs)
+    t = row.toarray()[0]
+    gap = np.abs(integrals(lambda a: a) - t)
+    assert gap[row.indices].max() <= 1e-13 * t.max()
+    assert np.all(gap <= 1e-13 * integrals(np.abs))
+
+
 def test_zero_load_gives_zero_solution(crossed2):
     sol = solve_mixed_elasticity(crossed2, f=lambda p: np.zeros((len(p), 2)))
     assert np.max(np.abs(sol.sigma)) <= 1e-10

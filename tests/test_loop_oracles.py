@@ -783,34 +783,52 @@ def _assert_same_csr(got, want, what):
 
 @pytest.mark.parametrize("which", ["uniform8", "crossed4", "jittered"])
 def test_stress_kinds_match_one_kind_per_cell(jittered_meshes, which):
-    """Dualizing and forming the compliance once per kind gives, gathered
-    through kind, bit for bit the arrays of the same steps run on every
-    cell; so does evaluate_stress, which gathers."""
+    """A kind is the cells with bit-identical centred vertices and |det|,
+    and its tables are its lowest cell's own, bit for bit.  Every other
+    cell of the kind is a translate whose own tables differ by roundoff:
+    none on the uniform and jittered meshes; on the crossed one, where
+    translates round differently, within RTOL for the coefficients and
+    monomials and within its own accuracy for cond.  The compliance and
+    evaluate_stress, which gather, equal bit for bit the same steps run
+    on the gathered per-cell tables."""
     mesh = _kind_meshes(jittered_meshes)[which]
     space = el.build_stress_space(mesh)
-    nc = mesh.num_cells
-    assert np.array_equal(space.kind[space.first], np.arange(len(space.first)))
-    if which == "jittered":
-        assert len(space.first) == nc
-    else:
-        assert len(space.first) < nc
-    per_cell = _one_kind_per_cell(space)
+    first, kind, nc = space.first, space.kind, mesh.num_cells
+    assert np.array_equal(kind[first], np.arange(len(first)))
+    assert len(first) == nc if which == "jittered" else len(first) < nc
+    tri = mesh.vertices[mesh.cells]
+    centred = tri - tri.mean(axis=1)[:, None, :]
+    assert np.array_equal(centred[first][kind], centred)
+    assert np.array_equal(mesh.geometry.absdet[first][kind], mesh.geometry.absdet)
+    own = _one_kind_per_cell(space)
     for attr in ("coeffs", "cond", "mono"):
-        assert np.array_equal(getattr(space, attr)[space.kind], getattr(per_cell, attr)), attr
+        table, mine = getattr(space, attr), getattr(own, attr)
+        assert np.array_equal(table, mine[first]), attr
+        if which != "crossed4":
+            assert np.array_equal(table[kind], mine), attr
+    _assert_close(space.coeffs[kind], own.coeffs, "coeffs")
+    _assert_close(space.mono[kind], own.mono, "mono")
+    # a computed condition number is good to about eps * cond relative, as
+    # s_min moves by eps * s_max: crossed4's translates differ by 1.7e-13
+    # at cond 28,304
+    assert np.all(np.abs(space.cond[kind] - own.cond) <= np.finfo(float).eps * own.cond ** 2)
+    gathered = dataclasses.replace(space, coeffs=space.coeffs[kind], cond=space.cond[kind],
+                                   mono=space.mono[kind], first=np.arange(nc), kind=np.arange(nc))
     for lam, mu in ((1.0, 1.0), (2.5, 0.4)):
         _assert_same_csr(el.assemble_compliance(space, lam, mu),
-                         el.assemble_compliance(per_cell, lam, mu), (lam, mu))
+                         el.assemble_compliance(gathered, lam, mu), (lam, mu))
     sigma = np.random.default_rng(3).standard_normal(space.ndofs)
     assert np.array_equal(el.evaluate_stress(space, sigma)[2],
-                          per_cell_stress_values(per_cell, sigma))
+                          per_cell_stress_values(gathered, sigma))
 
 
-@pytest.mark.parametrize("which, kinds", [("uniform32", 72), ("jittered", None)])
+@pytest.mark.parametrize("which, kinds", [("uniform32", 72), ("crossed32", 24), ("jittered", None)])
 def test_stress_tables_have_one_row_per_kind(jittered_meshes, which, kinds):
     """coeffs, mono and cond are stored per kind, not per cell: 72 kinds on
-    the uniform square at n = 32, one per cell on the jittered mesh."""
-    mesh = (generate_square_mesh(32, pattern="uniform") if which == "uniform32"
-            else jittered_meshes[2])
+    the uniform square at n = 32, 24 on the crossed one, one per cell on
+    the jittered mesh."""
+    mesh = (jittered_meshes[2] if which == "jittered"
+            else generate_square_mesh(32, pattern=which[:-2]))
     space = el.build_stress_space(mesh)
     kinds = kinds or mesh.num_cells
     assert space.coeffs.shape == (kinds, el.NDOF, el.NCOEF)
