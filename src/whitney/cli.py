@@ -31,7 +31,6 @@ import numpy as np
 from . import experiments
 from .complexes import check_commuting, check_exactness, derham_complex
 from .elasticity import NDOF, aw_unisolvence_survey, commutativity_residual
-from .elements import UnknownFamilyError
 from .linalg import CheckFailedError
 from .mesh import (
     generate_annulus_mesh,
@@ -493,9 +492,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         outcome = args.handler(args)
-    except UnknownFamilyError as exc:
-        print(f"whitney: unknown family {exc}", file=sys.stderr)
-        return 2
     except (UsageError, ValueError, OSError) as exc:     # MeshFormatError is a ValueError
         print(f"whitney: {exc}", file=sys.stderr)
         return 2

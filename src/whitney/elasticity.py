@@ -65,7 +65,7 @@ import scipy.sparse as sp
 
 from .complexes import commuting_residual, monomial_battery
 from .elements import _read_only, reference_vertices
-from .linalg import RANK_RTOL, CheckFailedError, spd_factor, symmetric_indefinite_solve
+from .linalg import RANK_RTOL, CheckFailedError, mixed_solve, spd_factor
 from .mesh import Mesh
 from .poly import Poly, VecPoly, monomial_exponents
 from .quadrature import simplex_rule
@@ -467,14 +467,12 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
     int div sigma . v = -int f . v for all (tau, v): the classical
     equilibrium -div sigma = f, with u = 0 on the boundary encoded
     weakly by the first equation.  Since div sigma is a dg1_vector field
-    whose DOFs are D sigma, and the DOFs are moments against P1, the
-    second equation is D sigma = -Pi_V f, the canonical projection of the
-    load; the first reads C sigma + D^T w = 0 with the multiplier w = M_V
-    u, M_V the block-diagonal displacement mass, so u takes one solve
-    with M_V.  The saddle matrix holds D itself, fixed by the geometry,
-    not the product M_V D.  The reported equilibrium residual is max |D
-    sigma + Pi_V f| over the displacement DOFs, the residual of those
-    rows: solver roundoff.
+    whose DOFs are D sigma, and the DOFs are moments against P1, this is
+    the mixed form of linalg.mixed_solve: D sigma = -Pi_V f, the
+    canonical projection of the load, and C sigma + D^T w = 0 with the
+    multiplier w = M_V u, M_V the block-diagonal displacement mass, so u
+    takes one solve with M_V.  The reported equilibrium residual is
+    mixed_solve's, max |D sigma + Pi_V f| relative: solver roundoff.
 
     The constant stress I has div I = 0 and compliance energy |Omega| /
     (mu + lam), a near-kernel of the saddle matrix for lam >> mu.  Tested
@@ -494,22 +492,11 @@ def solve_mixed_elasticity(mesh: Mesh, lam: float = 1.0, mu: float = 1.0,
         raise ValueError(f"balanced moduli overflow for lam={lam}, mu={mu}")
     stress = build_stress_space(mesh)
     disp = build_space(mesh, "dg1_vector")
-    D = assemble_divergence(stress, disp)
-    T = _mean_trace_row(stress)
-    target = canonical_projection(disp, f)
-    # assembled inline and as CSC (the exactly symmetric compliance as its
-    # own transpose), so that neither it nor a CSR copy of K lives through
-    # the factorization; CSC blocks with sorted indices are stacked unsorted
-    m = disp.ndofs
-    K = sp.bmat([[assemble_compliance(stress, np.ldexp(lam, e), np.ldexp(mu, e)).T, T.T, D.T],
-                 [T.tocsc(), sp.csc_matrix((1, 1)), sp.csc_matrix((1, m))],
-                 [D.tocsc(), sp.csc_matrix((m, 1)), sp.csc_matrix((m, m))]], format="csc")
-    rhs = np.concatenate([np.zeros(stress.ndofs), [0.0], -target])
-    x = symmetric_indefinite_solve(K, rhs)
-    sigma = x[:stress.ndofs]
-    u = np.ldexp(spd_factor(assemble_mass(disp)).solve(x[stress.ndofs + 1:]), e)
-    resid = np.abs(D @ sigma + target).max() / max(1.0, np.abs(target).max())
-    return ElasticitySolution(stress, disp, sigma, u, float(resid))
+    sigma, w, resid = mixed_solve(      # the symmetric compliance as its CSC transpose
+        assemble_compliance(stress, np.ldexp(lam, e), np.ldexp(mu, e)).T,
+        assemble_divergence(stress, disp), canonical_projection(disp, f), _mean_trace_row(stress))
+    u = np.ldexp(spd_factor(assemble_mass(disp)).solve(w), e)
+    return ElasticitySolution(stress, disp, sigma, u, resid)
 
 
 def manufactured_solution(lam: float = 1.0, mu: float = 1.0):

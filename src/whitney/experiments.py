@@ -49,6 +49,7 @@ from .linalg import (
     complex_ranks,
     generalized_symmetric_eig,
     inertia,
+    mixed_solve,
     spd_factor,
     symmetric_indefinite_solve,
 )
@@ -59,6 +60,7 @@ from .spaces import (
     assemble_mass,
     assemble_stiffness_like,
     build_space,
+    canonical_projection,
     evaluate_derivative_on_cells,
     evaluate_on_cells,
 )
@@ -369,7 +371,7 @@ def maxwell_eigenvalues(family: str = "edge1", n: int = 16,
     if family == "edge1":
         pattern = pattern or "crossed"
         system = edge_cavity_system(n, pattern)
-    elif family in ("nodal", "lagrange1"):
+    elif family == "nodal":
         pattern = pattern or "uniform"
         system = nodal_cavity_system(n, pattern)
     else:
@@ -513,6 +515,9 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     """Solve sigma = C grad u, -div sigma = f (u = sin pi x sin pi y
     manufactured, homogeneous natural BC for u) with face1/dg0.
 
+    The mixed form of linalg.mixed_solve: D sigma = -Pi_V f and C^-1 sigma
+    + D^T w = 0 with the multiplier w = M_V u, M_V the dg0 mass.
+
     Returns (sigma_dofs, u_dofs, err_sigma, err_u, infsup).
     """
     C = _coefficient_matrix(coefficient)
@@ -530,17 +535,12 @@ def solve_mixed_poisson(mesh: Mesh, coefficient=1.0):
     A = assemble_mass(S, coefficient=Cinv)
     D = assemble_derivative(S, V)
     MV = assemble_mass(V)
-    B = (MV @ D).tocsr()
-    F = assemble_load(V, f)
-
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
-    rhs = np.concatenate([np.zeros(S.ndofs), -F])
-    sol = symmetric_indefinite_solve(K, rhs)
-    sigma_h, u_h = sol[:S.ndofs], sol[S.ndofs:]
+    sigma_h, w, _ = mixed_solve(A.tocsc(), D, canonical_projection(V, f))
+    u_h = spd_factor(MV).solve(w)
     err_u = _l2_error((evaluate_on_cells(V, u_h), _sin_sin))
     err_sigma = _l2_error((evaluate_on_cells(S, sigma_h), sigma_exact))
 
-    gamma = compute_infsup(B, A + D.T @ MV @ D, MV)
+    gamma = compute_infsup(MV @ D, A + D.T @ MV @ D, MV)
     return sigma_h, u_h, err_sigma, err_u, gamma
 
 

@@ -9,17 +9,20 @@ without pivoting, and refinement against the true matrix (Gill,
 Saunders & Shinnerl 1996).  Its refinement and its final check use one
 componentwise backward error, judging rows that a sparse right-hand
 side leaves empty by the omega_2 scale of Arioli, Demmel & Duff (1989).
-A Schur matrix X^T K^-1 X (the inf-sup pencil, the mixed cavity's G, the
-tree-cotree split's mass complement) takes one unrefined solve per column
-of X with spd_factor(K), the sparse_lu factor whose pivots certify an SPD
-K; the Lanczos operators of complexes.compute_infsup apply factors
-unrefined too, since the eigensolver's own tolerance governs those
-solves.  The stress element dualizes its DOF tables, one per kind of
-cell, by one stacked dense solve, and check_symmetric keeps a sparse
-matrix sparse.  Dense LAPACK is used only for spectra
-(generalized_symmetric_eig), which factor the mass of every dense pencil
-by Cholesky, as eigh's "gv" driver does.  inertia counts the eigenvalues
-below a shift, with no spectrum, from the signs of the sparse_lu pivots.
+The one mixed form of mixed Poisson and elasticity, C sigma + D^T w =
+0 and D sigma = -Pi_V f with the multiplier w = M_V u, is assembled,
+bordered, solved and read back by mixed_solve alone.  A Schur matrix
+X^T K^-1 X (the inf-sup pencil, the mixed cavity's G, the tree-cotree
+split's mass complement) takes one unrefined solve per column of X with
+spd_factor(K), the sparse_lu factor whose pivots certify an SPD K; the
+Lanczos operators of complexes.compute_infsup apply factors unrefined
+too, since the eigensolver's own tolerance governs those solves.  The
+stress element dualizes its DOF tables, one per kind of cell, by one
+stacked dense solve, and check_symmetric keeps a sparse matrix sparse.
+Dense LAPACK is used only for spectra (generalized_symmetric_eig),
+which hand every dense pencil to eigh's "gv" driver: the Cholesky
+factor of the mass reduces it.  inertia counts the eigenvalues below a
+shift, with no spectrum, from the signs of the sparse_lu pivots.
 Every exact-structure question goes through one pass, collapse: the
 collapses and coreductions of a complex's sparsity pattern pair its
 entities.  complex_ranks counts the pairs and hands the unpaired core
@@ -194,10 +197,26 @@ def _row_scale(absA, row_max, b, x) -> np.ndarray:
     return np.where(near <= 1000 * absA.shape[0] * EPS * (far + np.abs(b)), far + ax, near)
 
 
+def mixed_solve(C, D, target, border=None):
+    """(sigma, w, residual) of C sigma + L^T w' = 0, L sigma = (0, -target),
+    L = D under the rows of `border`, by one symmetric_indefinite_solve: w
+    holds the multipliers of D's rows, and residual = max|D sigma + target|
+    / max(1, max|target|).  Every block is CSC (C too), so bmat stacks the
+    compressed arrays with no COO copy; C is released before the
+    factorization."""
+    L = sp.csr_matrix(D) if border is None else sp.vstack([border, D], format="csr")
+    n, k = C.shape[0], L.shape[0] - D.shape[0]
+    K = sp.bmat([[C, L.T], [L.tocsc(), sp.csc_matrix((L.shape[0],) * 2)]], format="csc")
+    del C, L
+    x = symmetric_indefinite_solve(K, np.concatenate([np.zeros(n + k), -target]))
+    residual = np.abs(D @ x[:n] + target).max() / max(1.0, np.abs(target).max())
+    return x[:n], x[n + k:], float(residual)
+
+
 def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     """Ascending eigenvalues of A x = lambda B x with A symmetric and B
-    symmetric positive definite.  Dense reduction through the Cholesky
-    factor of B (NotPositiveDefiniteError where it fails).
+    symmetric positive definite, by eigh's "gv" driver (LAPACK dsygv), which
+    reduces through the Cholesky factor of B (NotPositiveDefiniteError where it fails).
 
     `kernel`, a matrix whose columns lie in ker A (the gradient of an
     edge space), splits the spectrum along a tree (the tree-cotree gauge
@@ -217,56 +236,44 @@ def generalized_symmetric_eig(A, B, kernel=None) -> np.ndarray:
     misses, such as a harmonic field, shows as computed near-zero values
     of the cotree pencil.
     """
-    if kernel is None or kernel.shape[1] == 0:
+    zeros = 0 if kernel is None else kernel.shape[1]
+    if not zeros:
         # check_symmetric returns exactly symmetric arrays: their transposes
         # are the same matrices, F-ordered, which LAPACK overwrites uncopied
         A, B = (check_symmetric(M.toarray() if sp.issparse(M) else M, name).T
                 for M, name in ((A, "A"), (B, "B")))
-        return _dense_eig(A, _cholesky(B))
-    A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
-    B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
-    G = sp.csc_matrix(kernel, dtype=float)
-    gap = _absmax(A @ G)
-    if gap > KERNEL_RTOL * _absmax(A) * _absmax(G):
-        raise CheckFailedError(f"kernel is not in ker A: max|A G| = {gap:.3e}")
-    (pairs,), _ = collapse([G])
-    if len(pairs) < G.shape[1]:
-        raise CheckFailedError("kernel columns are left unpaired by the collapse")
-    cotree = np.ones(A.shape[0], dtype=bool)
-    cotree[pairs[:, 1]] = False
-    # S = B_cc - X K^-1 X^T, X = (B G)_c, K = G^T B G: one spd_factor(K) solve
-    # per cotree row, into a C-ordered Y that X @ Y reads uncopied.  B_cc adds
-    # its stored entries to the product's F-ordered transpose in place.
-    BG = B @ G
-    X = BG[cotree]
-    Y = np.empty(X.shape[::-1])
-    Y[:] = spd_factor(check_symmetric(G.T @ BG, "G^T B G")).solve(X.toarray().T)
-    S = (-X @ Y).T
-    del Y
-    B_cc = B[cotree][:, cotree].tocoo()
-    S[B_cc.row, B_cc.col] += B_cc.data
-    A_cc = A[cotree][:, cotree].toarray(order="F")
-    return np.sort(np.concatenate([np.zeros(G.shape[1]), _dense_eig(A_cc, _cholesky(S))]))
-
-
-def _cholesky(B) -> np.ndarray:
-    """The lower Cholesky factor of B, read from and written over its lower
-    triangle (no copy when B is F-ordered)."""
-    L, info = sla.lapack.dpotrf(B, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise NotPositiveDefiniteError("matrix not positive definite")
-    return L
-
-
-def _dense_eig(A, L) -> np.ndarray:
-    """Ascending eigenvalues of the pencil (A, L L^T) by the steps of LAPACK's
-    dsygv (eigh's "gv" driver): dsygst reduces A to L^-1 A L^-T, which
-    dsyev solves.  Only lower triangles are read, and A is written over
-    (no copy when F-ordered)."""
-    if A.size == 0:
-        return np.zeros(0)
-    C, _ = sla.lapack.dsygst(A, L, lower=1, overwrite_a=1)
-    return sla.eigh(C, eigvals_only=True, driver="ev", overwrite_a=True, check_finite=False)
+    else:
+        A = check_symmetric(sp.csr_matrix(A, dtype=float), "A")
+        B = check_symmetric(sp.csr_matrix(B, dtype=float), "B")
+        G = sp.csc_matrix(kernel, dtype=float)
+        gap = _absmax(A @ G)
+        if gap > KERNEL_RTOL * _absmax(A) * _absmax(G):
+            raise CheckFailedError(f"kernel is not in ker A: max|A G| = {gap:.3e}")
+        (pairs,), _ = collapse([G])
+        if len(pairs) < G.shape[1]:
+            raise CheckFailedError("kernel columns are left unpaired by the collapse")
+        cotree = np.ones(A.shape[0], dtype=bool)
+        cotree[pairs[:, 1]] = False
+        # S = B_cc - X K^-1 X^T, X = (B G)_c, K = G^T B G: one spd_factor(K) solve
+        # per cotree row, into a C-ordered Y that X @ Y reads uncopied.  B_cc adds
+        # its stored entries to the product's F-ordered transpose in place.
+        BG = B @ G
+        X = BG[cotree]
+        Y = np.empty(X.shape[::-1])
+        Y[:] = spd_factor(check_symmetric(G.T @ BG, "G^T B G")).solve(X.toarray().T)
+        S = (-X @ Y).T
+        del Y
+        B_cc = B[cotree][:, cotree].tocoo()
+        S[B_cc.row, B_cc.col] += B_cc.data
+        A, B = A[cotree][:, cotree].toarray(order="F"), S
+    try:
+        values = sla.eigh(A, B, eigvals_only=True, driver="gv", overwrite_a=True,
+                          overwrite_b=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        if "of B is not positive definite" not in str(exc):
+            raise
+        raise NotPositiveDefiniteError("matrix not positive definite") from exc
+    return np.sort(np.concatenate([np.zeros(zeros), values]))
 
 
 def inertia(K) -> tuple[int, int]:

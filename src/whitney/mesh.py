@@ -52,26 +52,33 @@ class CellGeometry:
     det B and B^-1 come from cofactors (ad - bc and the adjugate in 2D,
     cross products of the columns of B in 3D): elementwise arithmetic, so
     they do not depend on the BLAS/LAPACK build.  A cell of volume
-    |det B| / d! at or below min_volume raises MeshFormatError before
-    anything is divided by det B.
+    |det B| / d! at or below 1e-14 scale^d raises MeshFormatError before
+    anything is divided by det B, as does a det B or a scale that is not
+    finite.  Both sides of that test are taken in units of 2^(k d), 2^k
+    the binade of scale, so the floor is finite wherever det B is.
     """
 
-    def __init__(self, vertices: np.ndarray, cells: np.ndarray, min_volume: float):
+    def __init__(self, vertices: np.ndarray, cells: np.ndarray, scale: float):
         v = vertices[cells]
         dim = v.shape[2]
         self.origin = v[:, 0, :]
-        self.B = np.transpose(v[:, 1:, :] - v[:, :1, :], (0, 2, 1))
-        if dim == 2:
-            (a, b), (c, d) = np.moveaxis(self.B, 0, -1)
-            self.detB = a * d - b * c
-            adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
-        else:
-            cols = np.moveaxis(self.B, 2, 0)
-            # the rows of the adjugate are b1 x b2, b2 x b0, b0 x b1
-            adjugate = np.stack([np.cross(cols[(i + 1) % 3], cols[(i + 2) % 3]) for i in range(3)],
-                                axis=1)
-            self.detB = np.sum(adjugate[:, 0] * cols[0], axis=1)
-        if np.any(np.abs(self.detB) / math.factorial(dim) <= min_volume):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.B = np.transpose(v[:, 1:, :] - v[:, :1, :], (0, 2, 1))
+            if dim == 2:
+                (a, b), (c, d) = np.moveaxis(self.B, 0, -1)
+                self.detB = a * d - b * c
+                adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+            else:
+                cols = np.moveaxis(self.B, 2, 0)
+                # the rows of the adjugate are b1 x b2, b2 x b0, b0 x b1
+                adjugate = np.stack([np.cross(cols[(i + 1) % 3], cols[(i + 2) % 3])
+                                     for i in range(3)], axis=1)
+                self.detB = np.sum(adjugate[:, 0] * cols[0], axis=1)
+        if not (math.isfinite(scale) and np.all(np.isfinite(self.detB))):
+            raise MeshFormatError("cell volume or coordinate span overflows the float range")
+        k = math.frexp(scale)[1]
+        if np.any(np.ldexp(np.abs(self.detB), -k * dim) / math.factorial(dim)
+                  <= 1e-14 * math.ldexp(scale, -k) ** dim):
             raise MeshFormatError("degenerate simplex (zero volume)")
         self.Binv = adjugate / self.detB[:, None, None]
         self.absdet = np.abs(self.detB)
@@ -137,7 +144,7 @@ class Mesh:
 
         self._derive_boundary()
         self._check_conformity()
-        self.geometry = CellGeometry(self.vertices, cells, 1e-14 * self.scale() ** dim)
+        self.geometry = CellGeometry(self.vertices, cells, self.scale())
         for tab in self.entities + self._cell_sub:
             tab.setflags(write=False)
         self.vertices.setflags(write=False)
@@ -195,7 +202,8 @@ class Mesh:
         return int(sum((-1) ** k * self.num_entities(k) for k in range(self.dim + 1)))
 
     def scale(self) -> float:
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        with np.errstate(over="ignore"):                # an overflow gives inf
+            span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(max(span.max(), 1.0))
 
 

@@ -75,6 +75,43 @@ def test_mesh_info_from_file_and_domain(tmp_path, capsys):
     assert run(capsys, "mesh", "info", "--mesh", "/nonexistent")[0] == 2
 
 
+_TRIANGLE = "mesh 2 3 1\nv 0 0\nv 1 0\nv 0 1\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("mesh 2 three 1\n", 1, "malformed header, expected integers"),
+    ("mesh 4 3 1\n", 1, "unsupported dimension 4"),
+    ("mesh 2 3 0\n", 1, "no simplices"),
+    ("mesh 2 3 1\nv 0 0\nv 1 0\ns 0 1 2\nv 0 1\n", 5, "vertex line after simplex lines"),
+    ("mesh 2 3 1\nv 0 0 0\n", 2, "malformed vertex line, expected 2 coordinates"),
+    (_TRIANGLE + "s 0 1\n", 5, "malformed simplex line, expected 3 vertex indices"),
+    (_TRIANGLE + "s 0 1 two\n", 5, "malformed vertex index"),
+    (_TRIANGLE + "t 0 1 2\n", 5, "malformed line, unknown record 't'"),
+    ("mesh 2 4 1\nv 0 0\nv 1 0\nv 0 1\ns 0 1 2\n", None, "expected 4 vertices, found 3"),
+    (_TRIANGLE.replace(" 1\n", " 2\n", 1) + "s 0 1 2\n", None, "expected 2 simplices, found 1"),
+    (_TRIANGLE + "s 0 1 1\n", None, "degenerate simplex (repeated vertex)"),
+    ("mesh 2 4 2\nv 0 0\nv 1 0\nv 0 1\nv 1 1\ns 0 1 2\ns 2 1 0\n", None, "duplicate simplex"),
+    ("mesh 2 3 1\nv nan 0\nv 1 0\nv 0 1\ns 0 1 2\n", None, "non-finite vertex coordinate"),
+], ids=["header-integers", "dimension", "no-simplices", "vertex-after-simplex", "coordinate-count",
+        "index-count", "malformed-index", "unknown-record", "vertex-count", "simplex-count",
+        "repeated-vertex", "duplicate-simplex", "non-finite"])
+def test_malformed_mesh_file_is_a_usage_error(tmp_path, capsys, text, line, message):
+    # every malformed file exits 2 (never 3), with its line where the reader knows it
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code, out, err = run(capsys, "mesh", "info", "--mesh", str(path))
+    prefix = "whitney: " if line is None else f"whitney: line {line}: "
+    assert code == 2 and out == ""
+    assert err.startswith(prefix + message), err
+
+
+@pytest.mark.parametrize("domain,side", [("square", "1e160"), ("cube", "1e110")])
+def test_overflowing_mesh_coordinates_are_a_usage_error(capsys, domain, side):
+    code, out, err = run(capsys, "mesh", "info", "--domain", domain, "--n", "2", "--side", side)
+    assert code == 2 and out == ""
+    assert "overflows the float range" in err
+
+
 def test_complex_check_exit_codes(capsys):
     ok, out, err = run(capsys, "complex", "check", "--domain", "square", "--n", "2",
                        "--betti", "1,0,0")
@@ -205,10 +242,10 @@ def test_perturbed_compliance_fails_the_elasticity_rates(capsys, monkeypatch):
 def test_scaled_saddle_solution_fails_the_equilibrium_claim(capsys, monkeypatch):
     # a solution off by a relative 1e-6 keeps the rates but not D sigma =
     # -Pi_V f: the equilibrium residual alone fails the sweep (exit 1)
-    from whitney import elasticity
+    from whitney import linalg
 
-    solve = elasticity.symmetric_indefinite_solve
-    monkeypatch.setattr(elasticity, "symmetric_indefinite_solve",
+    solve = linalg.symmetric_indefinite_solve
+    monkeypatch.setattr(linalg, "symmetric_indefinite_solve",
                         lambda K, b: (1.0 + 1e-6) * solve(K, b))
     code, out, _ = run(capsys, "solve", "elasticity", "--ns", "4,8,16")
     payload = json.loads(out)

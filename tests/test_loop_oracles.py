@@ -1077,10 +1077,10 @@ def test_saddle_solve_matches_dense_lu_without_pivoting(monkeypatch, case, patte
     monkeypatch.setattr(linalg, "sparse_lu", spy_lu)
     mesh = generate_square_mesh(n, pattern=pattern)
     if case == "elasticity":
-        monkeypatch.setattr(el, "symmetric_indefinite_solve", spy_solve)
+        monkeypatch.setattr(linalg, "symmetric_indefinite_solve", spy_solve)
         el.solve_mixed_elasticity(mesh, mu=scale, f=el.manufactured_solution(mu=scale)[2])
     else:
-        monkeypatch.setattr(experiments, "symmetric_indefinite_solve", spy_solve)
+        monkeypatch.setattr(linalg, "symmetric_indefinite_solve", spy_solve)
         experiments.solve_mixed_poisson(mesh, coefficient=scale)
     want = dense_refined_solve(seen["K"], seen["rhs"])
     assert np.abs(seen["x"] - want).max() <= 1e-12 * np.abs(want).max()

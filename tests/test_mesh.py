@@ -120,6 +120,27 @@ def test_degenerate_cell_rejected():
         Mesh(3, flat, [(0, 1, 2, 4), (1, 2, 3, 4), (0, 1, 2, 3)])
 
 
+@pytest.mark.parametrize("dim,side", [(2, 1e160), (3, 1e110)])
+def test_overflowing_cell_volume_rejected(dim, side):
+    # det B = side^dim overflows: a format error through Mesh and read_mesh,
+    # with no OverflowError and no RuntimeWarning
+    verts, cells = np.vstack([np.zeros(dim), np.eye(dim)]), [tuple(range(dim + 1))]
+    with pytest.raises(MeshFormatError, match="overflows the float range"):
+        Mesh(dim, side * verts, cells)
+    text = write_mesh(Mesh(dim, verts, cells)).replace(" 1.0", f" {side!r}")
+    with pytest.raises(MeshFormatError, match="overflows the float range"):
+        read_mesh(text)
+
+
+def test_finite_cell_volume_builds_past_the_square_of_the_span():
+    # scale^2 = 1e310 overflows, det B = 1e305 does not: the volume floor
+    # 1e-14 scale^2 is compared in units of the span's binade
+    mesh = Mesh(2, [[0.0, 0.0], [1e155, 0.0], [0.0, 1e150]], [(0, 1, 2)])
+    assert mesh.geometry.absdet.tolist() == [1e305]
+    with pytest.raises(MeshFormatError, match="degenerate"):
+        Mesh(2, [[0.0, 0.0], [1e155, 0.0], [1e155, 1e139]], [(0, 1, 2)])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cofactor_geometry_matches_lapack(jittered_meshes, dim):
     mesh = jittered_meshes[dim]
